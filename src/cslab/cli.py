@@ -273,7 +273,11 @@ class Outputs:
     def json(self, payload: dict, suffix: str = "") -> Path:
         path = self.dir / f"{self.name}{suffix}.json"
         payload = {"provenance": self.provenance(), **payload}
-        path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        try:
+            text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        except ValueError as exc:
+            raise NumericError(f"non-finite value in the {self.name} report") from exc
+        path.write_text(text + "\n")
         self._announce(path)
         return path
 

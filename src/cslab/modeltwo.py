@@ -26,6 +26,7 @@ m^2 = m0^2/(1+zeta^2) and nu = lambda0/(zeta^4 m^4).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -36,6 +37,7 @@ from numpy.polynomial.legendre import leggauss
 from .errors import AccuracyError, DomainError, PreconditionError
 
 MultiIndex = tuple[tuple[int, int], ...]  # sorted ((site, power), ...)
+SLOTS = ("A+", "B+", "A", "B")
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,7 @@ class ReducibleRep:
     def __post_init__(self):
         if self.N < 1:
             raise DomainError("N must be a positive integer")
-        if self.m <= 0 or self.hbar <= 0:
+        if not (self.m > 0 and self.hbar > 0):
             raise DomainError("m and hbar must be positive")
         if not 0.0 <= self.zeta < 1.0:
             raise DomainError("zeta must lie in [0, 1)")
@@ -81,37 +83,78 @@ def _normalize_index(index) -> MultiIndex:
     return tuple(sorted(out.items()))
 
 
-@dataclass(frozen=True)
-class LadderTerm:
-    coeff: complex
-    adag: MultiIndex = ()
-    bdag: MultiIndex = ()
-    a: MultiIndex = ()
-    b: MultiIndex = ()
+def _pack(indices: Sequence[MultiIndex]) -> tuple[np.ndarray, np.ndarray]:
+    """Padded (T, k) site and power arrays of normalized multi-indices."""
+    width = max((len(index) for index in indices), default=0)
+    sites = np.zeros((len(indices), width), dtype=np.intp)
+    powers = np.zeros((len(indices), width), dtype=np.intp)
+    for t, index in enumerate(indices):
+        for j, (site, power) in enumerate(index):
+            sites[t, j] = site
+            powers[t, j] = power
+    return sites, powers
 
-    def dagger(self) -> "LadderTerm":
-        return LadderTerm(np.conj(self.coeff), self.a, self.b, self.adag, self.bdag)
+
+def _widen(index: np.ndarray, width: int) -> np.ndarray:
+    """Pad a (T, k) index array with zero columns to (T, width)."""
+    if index.shape[1] == width:
+        return index
+    out = np.zeros((len(index), width), dtype=index.dtype)
+    out[:, : index.shape[1]] = index
+    return out
 
 
-@dataclass(frozen=True)
+def _stack(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
+    width = max(top.shape[1], bottom.shape[1])
+    return np.concatenate([_widen(top, width), _widen(bottom, width)])
+
+
+def _aggregate(keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct key rows in lexicographic order and their summed coefficients.
+
+    Sums that vanish are dropped; NaN sums are kept, so they never compare
+    equal to anything.
+    """
+    if keys.shape[1]:
+        order = np.lexsort(keys.T[::-1])
+        keys, coeffs = keys[order], coeffs[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    starts = np.flatnonzero(first)
+    sums = np.add.reduceat(coeffs, starts) if len(starts) else coeffs
+    keep = ~(np.abs(sums) <= 1e-300)
+    return keys[starts][keep], sums[keep]
+
+
+@dataclass(frozen=True, eq=False)
 class LadderPolynomial:
-    """Normal-ordered polynomial: every term has daggers left of annihilators."""
+    """Normal-ordered polynomial: every term has daggers left of annihilators.
 
-    terms: tuple[LadderTerm, ...]
+    Terms are stored as flat arrays.  ``coeffs[t]`` is the coefficient of
+    term t.  For each slot s of ``SLOTS`` = (A+, B+, A, B), row t of
+    ``sites[s]`` and ``powers[s]`` is the term's multi-index in that slot:
+    distinct sites in increasing order, then padding at site 0 with power 0.
+    """
+
+    coeffs: np.ndarray
+    sites: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    powers: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+    @property
+    def terms(self) -> np.ndarray:
+        """One coefficient per term, so ``len(poly.terms)`` is the term count."""
+        return self.coeffs
 
     @staticmethod
     def build(terms) -> "LadderPolynomial":
-        built = tuple(
-            LadderTerm(
-                complex(c),
-                _normalize_index(adag),
-                _normalize_index(bdag),
-                _normalize_index(a),
-                _normalize_index(b),
-            )
-            for c, adag, bdag, a, b in terms
+        """Polynomial from (coeff, adag, bdag, a, b) tuples of multi-indices."""
+        terms = [(complex(c), adag, bdag, a, b) for c, adag, bdag, a, b in terms]
+        packed = [_pack([_normalize_index(t[s + 1]) for t in terms]) for s in range(4)]
+        return LadderPolynomial(
+            np.array([t[0] for t in terms], dtype=complex),
+            tuple(sites for sites, _ in packed),
+            tuple(powers for _, powers in packed),
         )
-        return LadderPolynomial(built)
 
     @staticmethod
     def from_factors(coeff: complex, factors: Sequence[tuple[str, int]]) -> "LadderPolynomial":
@@ -120,57 +163,62 @@ class LadderPolynomial:
         Raises a structural error if any daggered factor appears to the
         right of an annihilator (the input would not be normal ordered).
         """
-        adag: list = []
-        bdag: list = []
-        a: list = []
-        b: list = []
+        slots: tuple[list, ...] = ([], [], [], [])
         seen_annihilator = False
         for kind, site in factors:
+            if kind not in SLOTS:
+                raise DomainError(f"unknown ladder factor {kind!r}")
             if kind in ("A+", "B+"):
                 if seen_annihilator:
                     raise DomainError(
                         f"factor {kind} right of an annihilator: not normal ordered"
                     )
-                (adag if kind == "A+" else bdag).append((site, 1))
-            elif kind in ("A", "B"):
-                seen_annihilator = True
-                (a if kind == "A" else b).append((site, 1))
             else:
-                raise DomainError(f"unknown ladder factor {kind!r}")
-        return LadderPolynomial.build([(coeff, adag, bdag, a, b)])
+                seen_annihilator = True
+            slots[SLOTS.index(kind)].append((site, 1))
+        return LadderPolynomial.build([(coeff, *slots)])
 
     def __add__(self, other: "LadderPolynomial") -> "LadderPolynomial":
-        return LadderPolynomial(self.terms + other.terms)
-
-    def scaled(self, factor: complex) -> "LadderPolynomial":
         return LadderPolynomial(
-            tuple(
-                LadderTerm(t.coeff * factor, t.adag, t.bdag, t.a, t.b)
-                for t in self.terms
-            )
+            np.concatenate([self.coeffs, other.coeffs]),
+            tuple(_stack(a, b) for a, b in zip(self.sites, other.sites)),
+            tuple(_stack(a, b) for a, b in zip(self.powers, other.powers)),
         )
 
-    def _as_dict(self) -> dict:
-        out: dict = {}
-        for t in self.terms:
-            key = (t.adag, t.bdag, t.a, t.b)
-            out[key] = out.get(key, 0.0 + 0.0j) + t.coeff
-        return {k: v for k, v in out.items() if abs(v) > 1e-300}
+    def scaled(self, factor: complex) -> "LadderPolynomial":
+        return LadderPolynomial(self.coeffs * factor, self.sites, self.powers)
+
+    def dagger(self) -> "LadderPolynomial":
+        """Adjoint: conjugate coefficients, swap A+ with A and B+ with B."""
+        swap = (2, 3, 0, 1)
+        return LadderPolynomial(
+            np.conj(self.coeffs),
+            tuple(self.sites[s] for s in swap),
+            tuple(self.powers[s] for s in swap),
+        )
+
+    def _keys(self, widths: Sequence[int], radix: int) -> np.ndarray:
+        """(T, sum(widths)) rows that are equal exactly for equal monomials."""
+        return np.concatenate(
+            [
+                _widen(sites, w) * radix + _widen(powers, w)
+                for sites, powers, w in zip(self.sites, self.powers, widths)
+            ],
+            axis=1,
+        )
 
     def is_hermitian(self, rtol: float = 1e-12) -> bool:
-        mine = self._as_dict()
-        theirs = LadderPolynomial(tuple(t.dagger() for t in self.terms))._as_dict()
-        if mine.keys() != theirs.keys():
+        adjoint = self.dagger()
+        width_a = max(self.sites[0].shape[1], self.sites[2].shape[1])
+        width_b = max(self.sites[1].shape[1], self.sites[3].shape[1])
+        widths = (width_a, width_b, width_a, width_b)
+        radix = 1 + max(int(p.max(initial=0)) for p in self.powers)
+        mine, mine_sums = _aggregate(self._keys(widths, radix), self.coeffs)
+        theirs, their_sums = _aggregate(adjoint._keys(widths, radix), adjoint.coeffs)
+        if mine.shape != theirs.shape or np.any(mine != theirs):
             return False
-        scale = max((abs(v) for v in mine.values()), default=1.0)
-        return all(abs(mine[k] - theirs[k]) <= rtol * scale for k in mine)
-
-
-def _eval_index(index: MultiIndex, values: np.ndarray) -> complex:
-    out = 1.0 + 0.0j
-    for site, power in index:
-        out *= values[site] ** power
-    return out
+        scale = float(np.max(np.abs(mine_sums))) if len(mine_sums) else 1.0
+        return bool(np.all(np.abs(mine_sums - their_sums) <= rtol * scale))
 
 
 def _evaluate(
@@ -180,18 +228,11 @@ def _evaluate(
     right_alpha: np.ndarray,
     right_beta: np.ndarray,
 ) -> complex:
-    la = np.conj(left_alpha)
-    lb = np.conj(left_beta)
-    total = 0.0 + 0.0j
-    for t in poly.terms:
-        total += (
-            t.coeff
-            * _eval_index(t.adag, la)
-            * _eval_index(t.bdag, lb)
-            * _eval_index(t.a, right_alpha)
-            * _eval_index(t.b, right_beta)
-        )
-    return total
+    values = (np.conj(left_alpha), np.conj(left_beta), right_alpha, right_beta)
+    product = poly.coeffs
+    for v, sites, powers in zip(values, poly.sites, poly.powers):
+        product = product * np.prod(v[sites] ** powers, axis=1)
+    return complex(np.sum(product))
 
 
 def _vectors(rep: ReducibleRep, p, q) -> tuple[np.ndarray, np.ndarray]:
@@ -208,7 +249,7 @@ def displaced_expectation(poly: LadderPolynomial, rep: ReducibleRep, p, q) -> fl
     alpha = rep.alpha(p, q)
     beta = rep.beta(q)
     value = _evaluate(poly, alpha, beta, alpha, beta)
-    if poly.is_hermitian() and abs(value.imag) > 1e-12 * (1 + abs(value.real)):
+    if poly.is_hermitian() and not abs(value.imag) <= 1e-12 * (1 + abs(value.real)):
         raise AccuracyError(
             f"Hermitian polynomial produced imaginary residue {value.imag:.2e}"
         )
@@ -219,31 +260,44 @@ def displaced_expectation(poly: LadderPolynomial, rep: ReducibleRep, p, q) -> fl
 # the quartic model
 
 
+def _pair_operator(rep: ReducibleRep, slot: int) -> LadderPolynomial:
+    """(1/2) sum_n X+_n X_n for the ladder pair whose dagger is SLOTS[slot]."""
+    n = np.arange(rep.N)[:, None]
+    one = np.ones_like(n)
+    none = np.zeros((rep.N, 0), dtype=np.intp)
+    sites = [none] * 4
+    powers = [none] * 4
+    sites[slot] = sites[slot + 2] = n
+    powers[slot] = powers[slot + 2] = one
+    return LadderPolynomial(np.full(rep.N, 0.5 + 0j), tuple(sites), tuple(powers))
+
+
 def h_p_operator(rep: ReducibleRep) -> LadderPolynomial:
     """(1/2) sum_n A+_n A_n (free-looking kinetic-plus-trap block)."""
-    return LadderPolynomial.build(
-        [(0.5, [(n, 1)], [], [(n, 1)], []) for n in range(rep.N)]
-    )
+    return _pair_operator(rep, 0)
 
 
 def h_r_operator(rep: ReducibleRep) -> LadderPolynomial:
     """(1/2) sum_n B+_n B_n (the partner block)."""
-    return LadderPolynomial.build(
-        [(0.5, [], [(n, 1)], [], [(n, 1)]) for n in range(rep.N)]
-    )
+    return _pair_operator(rep, 1)
 
 
 def quartic_operator(rep: ReducibleRep, nu: float) -> LadderPolynomial:
     """4 nu :H_r^2: = nu sum_{m,n} B+_m B+_n B_m B_n."""
-    terms = []
-    for mm in range(rep.N):
-        for nn in range(rep.N):
-            terms.append((nu, [], [(mm, 1), (nn, 1)], [], [(mm, 1), (nn, 1)]))
-    return LadderPolynomial.build(terms)
+    N = rep.N
+    mm, nn = divmod(np.arange(N * N), N)
+    same = mm == nn
+    # one term per ordered pair (m, n); m == n is the single site m at power 2
+    sites = np.stack([np.minimum(mm, nn), np.where(same, 0, np.maximum(mm, nn))], axis=1)
+    powers = np.stack([np.where(same, 2, 1), np.where(same, 0, 1)], axis=1)
+    none = np.zeros((N * N, 0), dtype=np.intp)
+    return LadderPolynomial(
+        np.full(N * N, complex(nu)), (none, sites, none, sites), (none, powers, none, powers)
+    )
 
 
 def h1_operator(rep: ReducibleRep, nu: float) -> LadderPolynomial:
-    if nu < 0:
+    if not nu >= 0:
         raise DomainError("nu must be non-negative")
     return h_p_operator(rep) + h_r_operator(rep) + quartic_operator(rep, nu)
 
@@ -266,7 +320,7 @@ def match_target(m0_sq: float, lambda0: float, zeta: float) -> tuple[float, floa
     """Solve (m, nu) so that the quartic model reproduces (m0^2, lambda0)."""
     if not 0 < zeta < 1:
         raise DomainError("target matching needs zeta in (0, 1)")
-    if m0_sq <= 0 or lambda0 <= 0:
+    if not (m0_sq > 0 and lambda0 > 0):
         raise DomainError("target parameters must be positive")
     m_sq = m0_sq / (1 + zeta**2)
     nu = lambda0 / (zeta**4 * m_sq**2)
@@ -311,9 +365,26 @@ def h1_matrix_element(
 # rotationally symmetric characteristic functions
 
 
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the n-point rule on [-1, 1].
+
+    numpy builds a rule by an O(n^3) eigen-solve, which costs far more than
+    any one integral below, so each node count is built once per process.
+    """
+    x, w = leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _log_solid_angle(dim: int) -> float:
+    return math.log(2) + dim / 2 * math.log(math.pi) - math.lgamma(dim / 2)
+
+
 def solid_angle(dim: int) -> float:
     """Surface area of the unit sphere S^(dim-1) in R^dim."""
-    return 2 * math.pi ** (dim / 2) / math.gamma(dim / 2)
+    return math.exp(_log_solid_angle(dim))
 
 
 @dataclass(frozen=True)
@@ -324,24 +395,29 @@ class RadialDensity:
     N: int
     r_max: float
 
+    def _log_radial(self, r: np.ndarray) -> np.ndarray:
+        """log[rho(r) r^(N-1)]: r^(N-1) alone overflows once N is in the hundreds."""
+        with np.errstate(divide="ignore"):
+            return np.log(self.rho(r)) + (self.N - 1) * np.log(r)
+
     def weight(self, r: np.ndarray) -> np.ndarray:
         """Induced radial weight rho(r) r^(N-1) times the full solid angle."""
-        return self.rho(r) * r ** (self.N - 1) * solid_angle(self.N)
+        return np.exp(self._log_radial(r) + _log_solid_angle(self.N))
 
     def normalization(self, n_nodes: int = 2000) -> float:
-        x, w = leggauss(n_nodes)
+        x, w = _gauss_legendre(n_nodes)
         r = (x + 1) / 2 * self.r_max
         return float(np.sum(w / 2 * self.r_max * self.weight(r)))
 
     def require_normalized(self, tol: float = 1e-8) -> None:
         dev = abs(self.normalization() - 1.0)
-        if dev > tol:
+        if not dev <= tol:
             raise PreconditionError(f"radial density normalization off by {dev:.3e}")
 
 
 def gaussian_radial_density(N: int, m_prime: float, hbar: float = 1.0) -> RadialDensity:
     """Ground-state density of N independent oscillators of mass m_prime."""
-    if m_prime <= 0:
+    if not m_prime > 0:
         raise DomainError("m_prime must be positive")
 
     def rho(r):
@@ -354,7 +430,7 @@ def gaussian_radial_density(N: int, m_prime: float, hbar: float = 1.0) -> Radial
 
 def characteristic_exact_gaussian(p_r: float, m_prime: float, hbar: float = 1.0) -> float:
     """Characteristic function of a free ground state: exp[-p^2 / 4 m' hbar]."""
-    if m_prime <= 0:
+    if not m_prime > 0:
         raise DomainError("m_prime must be positive")
     return math.exp(-(p_r**2) / (4 * m_prime * hbar))
 
@@ -389,12 +465,12 @@ def characteristic_radial(
         raise DomainError("the angular reduction requires N >= 3")
     density.require_normalized()
 
-    xr, wr = leggauss(n_r)
+    xr, wr = _gauss_legendre(n_r)
     r = (xr + 1) / 2 * density.r_max
     wr = wr / 2 * density.r_max
-    radial = density.rho(r) * r ** (N - 1) * solid_angle(N - 1)
+    radial = np.exp(density._log_radial(r) + _log_solid_angle(N - 1))
 
-    xt, wt = leggauss(n_theta)
+    xt, wt = _gauss_legendre(n_theta)
     theta = (xt + 1) / 2 * math.pi
     wt = wt / 2 * math.pi
     angular = np.sin(theta) ** (N - 2) * wt
@@ -404,7 +480,7 @@ def characteristic_radial(
 
     weight = density.weight(r) * wr
     descent = float(np.sum(weight * np.exp(-(p_r**2) * r**2 / (2 * N * hbar**2))))
-    if abs(exact.imag) > 1e-10:
+    if not abs(exact.imag) <= 1e-10:
         raise AccuracyError(f"characteristic function has imaginary part {exact.imag:.2e}")
     return CharacteristicResult(float(exact.real), descent)
 
@@ -417,10 +493,10 @@ def measure_superposition(
     A single atom at b = 1/(4 m') reproduces the free ground state.
     """
     total = sum(mu for _, mu in weights)
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise PreconditionError(f"measure weights sum to {total!r}, not 1")
     for b, mu in weights:
-        if b <= 0 or mu < 0:
+        if not (b > 0 and mu >= 0):
             raise DomainError("weights must have b > 0 and mu >= 0")
     return float(sum(mu * math.exp(-b * p_r**2 / hbar) for b, mu in weights))
 

@@ -59,3 +59,65 @@ def quadrature_overlap(m, zeta, hbar, pl, ql, pr, qr):
     left, _, _ = psi_and_partials(m, zeta, hbar, pl, ql, X, Y)
     right, _, _ = psi_and_partials(m, zeta, hbar, pr, qr, X, Y)
     return complex(np.sum(np.conj(left) * right * W))
+
+
+# ---------------------------------------------------------------------------
+# ladder polynomials, term by term
+#
+# A term is (coeff, adag, bdag, a, b); each index lists (site, power) pairs
+# in any order, repeats allowed.  These loops are the references the
+# compiled array engine in cslab.modeltwo is tested against.
+
+
+def ladder_evaluate(terms, left_alpha, left_beta, right_alpha, right_beta):
+    """(sum of the terms, sum of their moduli) at the given eigenvalues."""
+    values = (np.conj(left_alpha), np.conj(left_beta), right_alpha, right_beta)
+    total = 0.0 + 0.0j
+    size = 0.0
+    for coeff, *indices in terms:
+        term = complex(coeff)
+        for index, v in zip(indices, values):
+            for site, power in index:
+                term *= v[site] ** power
+        total += term
+        size += abs(term)
+    return total, size
+
+
+def _monomial(index):
+    merged = {}
+    for site, power in index:
+        if power:
+            merged[site] = merged.get(site, 0) + power
+    return tuple(sorted(merged.items()))
+
+
+def _ladder_dict(terms):
+    out = {}
+    for coeff, *indices in terms:
+        key = tuple(_monomial(index) for index in indices)
+        out[key] = out.get(key, 0.0 + 0.0j) + complex(coeff)
+    return {k: v for k, v in out.items() if abs(v) > 1e-300}
+
+
+def ladder_dagger(terms):
+    return [(np.conj(c), a, b, adag, bdag) for c, adag, bdag, a, b in terms]
+
+
+def ladder_hermitian(terms, rtol=1e-12):
+    mine = _ladder_dict(terms)
+    theirs = _ladder_dict(ladder_dagger(terms))
+    if mine.keys() != theirs.keys():
+        return False
+    scale = max((abs(v) for v in mine.values()), default=1.0)
+    return all(abs(mine[k] - theirs[k]) <= rtol * scale for k in mine)
+
+
+def h1_terms(n, nu):
+    """H_p + H_r + 4 nu :H_r^2: as an explicit term list."""
+    terms = [(0.5, [(k, 1)], [], [(k, 1)], []) for k in range(n)]
+    terms += [(0.5, [], [(k, 1)], [], [(k, 1)]) for k in range(n)]
+    terms += [
+        (nu, [], [(k, 1), (l, 1)], [], [(k, 1), (l, 1)]) for k in range(n) for l in range(n)
+    ]
+    return terms

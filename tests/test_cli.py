@@ -224,6 +224,16 @@ class TestModelTwoCommand:
         assert payload["H1"] == pytest.approx(1.1875, abs=1e-14)
         assert payload["agreement"] <= 1e-12
 
+    def test_overflow_never_reaches_the_report(self, tmp_path, capsys):
+        # |p|^2 overflows, so the closed form is inf and the agreement NaN
+        code = run(
+            ["model-two", "--N", "2", "--zeta", "0.5", "--p", "1e154,1e154",
+             "--q", "0,0", "--out", str(tmp_path), "--quiet"]
+        )
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "model_two.json").exists()
+
 
 class TestCharfnCommand:
     def test_monotone_and_single_atom(self, tmp_path):
@@ -240,3 +250,25 @@ class TestCharfnCommand:
             assert entry["value"] == pytest.approx(
                 math.exp(-0.25 * entry["p_r"] ** 2), rel=1e-12
             )
+
+    @pytest.mark.parametrize("n", [256, 400])
+    def test_large_n_writes_finite_json(self, tmp_path, n):
+        code = run(
+            ["charfn", "--p_r_list", "1.0", "--n_list", str(n),
+             "--out", str(tmp_path), "--quiet"]
+        )
+        assert code == 0
+        # json calls parse_constant only for NaN, Infinity and -Infinity
+        payload = json.loads(
+            (tmp_path / "charfn.json").read_text(), parse_constant=pytest.fail
+        )
+        (row,) = payload["table"]
+        assert row["exact"] == pytest.approx(row["gaussian_closed_form"], abs=5e-14)
+
+    def test_underflowing_density_exits_3(self, tmp_path, capsys):
+        code = run(
+            ["charfn", "--p_r_list", "1.0", "--n_list", "700",
+             "--out", str(tmp_path), "--quiet"]
+        )
+        assert code == 3
+        assert "normalization" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cslab.errors import DomainError, PreconditionError
@@ -19,17 +19,35 @@ from cslab.modeltwo import (
     h1_closed_form,
     h1_expectation,
     h1_matrix_element,
+    h1_operator,
     h_p_operator,
     h_r_operator,
     match_target,
+    matrix_element,
     measure_superposition,
     overlap_reducible,
     quartic_operator,
     scenario_record,
+    solid_angle,
 )
 
 
-from oracles import quadrature_expectations, quadrature_overlap
+from oracles import (
+    h1_terms,
+    ladder_dagger,
+    ladder_evaluate,
+    ladder_hermitian,
+    quadrature_expectations,
+    quadrature_overlap,
+)
+
+SITES = 4
+# dyadic coefficients keep every sum exact, so the hermiticity verdict
+# cannot depend on the order in which equal monomials are summed
+_dyadic = st.integers(-8, 8).map(lambda k: k / 4)
+_coeffs = st.builds(complex, _dyadic, _dyadic)
+_index = st.lists(st.tuples(st.integers(0, SITES - 1), st.integers(0, 3)), max_size=3)
+_terms = st.lists(st.tuples(_coeffs, _index, _index, _index, _index), max_size=6)
 
 
 class TestDisplacedExpectation:
@@ -84,6 +102,57 @@ class TestDisplacedExpectation:
             LadderPolynomial.from_factors(1.0, [("A", 0), ("A+", 0)])
         ok = LadderPolynomial.from_factors(1.0, [("A+", 0), ("A", 0)])
         assert ok.is_hermitian()
+
+
+class TestCompiledEngine:
+    """The array engine against the term-by-term loops in tests/oracles.py."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_terms, _terms, _coeffs, st.integers(0, 2**32 - 1))
+    # A+_0 - A+_0 cancels to the zero polynomial, which is Hermitian
+    @example([(1 + 0j, [(0, 1)], [], [], [])], [(1 + 0j, [(0, 1)], [], [], [])], -1 + 0j, 0)
+    def test_matches_loop_oracle(self, first, second, factor, seed):
+        terms = first + [(c * factor, *indices) for c, *indices in second]
+        poly = LadderPolynomial.build(first) + LadderPolynomial.build(second).scaled(factor)
+        assert len(poly.terms) == len(terms)
+
+        rng = np.random.default_rng(seed)
+        rep = ReducibleRep(SITES, float(rng.uniform(0.5, 2)), float(rng.uniform(0, 0.9)))
+        pl, ql, pr, qr = rng.normal(0, 1, (4, SITES))
+        got = matrix_element(poly, rep, pl, ql, pr, qr)
+        overlap = overlap_reducible(rep, pl, ql, pr, qr)
+        want, size = ladder_evaluate(
+            terms, rep.alpha(pl, ql), rep.beta(ql), rep.alpha(pr, qr), rep.beta(qr)
+        )
+        assert abs(got - want * overlap) <= 1e-12 * size * abs(overlap)
+        adjoint = matrix_element(poly.dagger(), rep, pr, qr, pl, ql)
+        assert abs(adjoint - np.conj(got)) <= 1e-12 * size * abs(overlap)
+
+        cases = [
+            (terms, poly),
+            (ladder_dagger(terms), poly.dagger()),
+            (terms + ladder_dagger(terms), poly + poly.dagger()),
+        ]
+        for case_terms, case in cases:
+            assert case.is_hermitian() == ladder_hermitian(case_terms)
+        assert (poly + poly.dagger()).is_hermitian()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_h1_operator_term_count(self, n):
+        assert len(h1_operator(ReducibleRep(n, 1.0, 0.5), 0.3).terms) == 2 * n + n * n
+
+    @pytest.mark.parametrize("n", [1, 3, 12])
+    def test_h1_operator_matches_term_list(self, n):
+        rng = np.random.default_rng(n)
+        rep = ReducibleRep(n, 1.3, 0.6)
+        poly = h1_operator(rep, 0.7)
+        assert poly.is_hermitian() and ladder_hermitian(h1_terms(n, 0.7))
+        pl, ql, pr, qr = rng.normal(0, 1, (4, n))
+        want, size = ladder_evaluate(
+            h1_terms(n, 0.7), rep.alpha(pl, ql), rep.beta(ql), rep.alpha(pr, qr), rep.beta(qr)
+        )
+        got = matrix_element(poly, rep, pl, ql, pr, qr) / overlap_reducible(rep, pl, ql, pr, qr)
+        assert abs(got - want) <= 1e-12 * size
 
 
 class TestH1:
@@ -256,11 +325,28 @@ class TestCharacteristic:
             res = characteristic_radial(gaussian_radial_density(n, 1.0), 1.0)
             assert res.exact == pytest.approx(math.exp(-0.25), abs=1e-8)
 
+    def test_nan_density_rejected(self):
+        density = RadialDensity(lambda r: np.full_like(r, np.nan), 4, 10.0)
+        with pytest.raises(PreconditionError):
+            density.require_normalized()
+
+    def test_solid_angle_in_high_dimension(self):
+        assert solid_angle(3) == pytest.approx(4 * math.pi, rel=1e-14)
+        assert 0.0 <= solid_angle(400) < 1e-100
+        assert solid_angle(4000) == 0.0
+
+    @pytest.mark.parametrize("n", [256, 400])
+    def test_large_n_normalized_and_exact(self, n):
+        density = gaussian_radial_density(n, 1.0)
+        assert abs(density.normalization() - 1.0) < 2e-13
+        res = characteristic_radial(density, 1.0)
+        assert res.exact == pytest.approx(math.exp(-0.25), abs=5e-14)
+
     @pytest.mark.parametrize("p_r", [0.5, 1.0, 2.0])
     def test_descent_error_monotone_in_n(self, p_r):
         errors = [
             characteristic_radial(gaussian_radial_density(n, 1.0), p_r).difference
-            for n in (4, 8, 16, 32, 64)
+            for n in (4, 8, 16, 32, 64, 128, 256, 400)
         ]
         assert all(b < a for a, b in zip(errors, errors[1:]))
 
@@ -285,3 +371,9 @@ class TestMeasureSuperposition:
     def test_unnormalized_weights_rejected(self):
         with pytest.raises(PreconditionError):
             measure_superposition([(0.2, 0.4)], 1.0)
+
+    def test_nan_weights_rejected(self):
+        with pytest.raises(PreconditionError):
+            measure_superposition([(0.2, 0.5), (0.4, float("nan"))], 1.0)
+        with pytest.raises(DomainError):
+            measure_superposition([(float("nan"), 1.0)], 1.0)
