@@ -26,7 +26,13 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError
 from .grids import WaveFunction, inner_product
-from .states import AFFINE_DOMAIN, PhasePoint
+from .states import (
+    AFFINE_DOMAIN,
+    CoherentFamily,
+    PhasePoint,
+    coherent_density,
+    tangent_multipliers,
+)
 
 
 @dataclass(frozen=True)
@@ -42,7 +48,7 @@ class MetricTensor:
         return self.g_pp * self.g_qq - self.g_pq**2
 
     def require_positive_definite(self) -> None:
-        if self.g_pp <= 0 or self.det <= 0:
+        if not (self.g_pp > 0 and self.det > 0):
             raise AccuracyError(f"metric not positive definite: {self}")
 
 
@@ -99,12 +105,61 @@ def fs_metric(
     hbar: float | None = None,
     rtol: float = 1e-5,
 ) -> MetricTensor:
-    """Fubini-Study metric of a coherent family by central differences.
+    """Fubini-Study metric of a coherent family at ``pt``.
 
-    One Richardson extrapolation is applied; two consecutive extrapolants
-    must agree to ``rtol`` or an accuracy error is raised.  The family must
-    return states on one fixed grid.
+    Analytic families (a :class:`CoherentFamily` of a Gaussian or affine-Beta
+    fiducial) use their exact tangents and the one density at (p, q); the
+    state's quadrature norm must be 1 to ``rtol``.  Any other family (sampled
+    fiducials, plain callables on one fixed grid) goes by central differences
+    with one Richardson extrapolation, whose two consecutive extrapolants
+    must agree to ``rtol``; ``step`` applies to that route only.
     """
+    if isinstance(family, CoherentFamily) and family.analytic:
+        g = _exact_metric(family, pt, hbar, rtol)
+    else:
+        g = _difference_metric(family, pt, step, hbar, rtol)
+    g.require_positive_definite()
+    return g
+
+
+def _exact_metric(
+    family: CoherentFamily, pt: PhasePoint, hbar: float | None, rtol: float
+) -> MetricTensor:
+    """2 hbar [<dpsi|dpsi> - |<psi|dpsi>|^2] as weighted sums over |psi|^2.
+
+    With d_p psi = i u psi and d_q psi = (v - i c) psi, c = p / hbar, the
+    diagonal entries are variances of u and v.  The terms in c come from the
+    phase factor and vanish for a state of norm 1; they are kept so that the
+    result is the formula above evaluated on the grid.
+    """
+    f, grid = family.fiducial, family.grid
+    if hbar is None:
+        hbar = f.hbar
+    pt = PhasePoint(pt.p, pt.q, domain=family.domain)
+    rho = grid.weights * coherent_density(f, pt, grid)
+    norm = float(rho.sum())
+    if not abs(norm - 1.0) <= rtol:
+        raise AccuracyError(
+            f"state norm {norm!r} on the metric grid is off by more than {rtol:g}"
+        )
+    u, v = tangent_multipliers(f, pt, grid.nodes)
+    c = pt.p / f.hbar
+    mean_u = float(np.dot(rho, u))
+    mean_v = float(np.dot(rho, v))
+    return MetricTensor(
+        2 * hbar * (float(np.dot(rho, u * u)) - mean_u**2),
+        2 * hbar * c * mean_u * (norm - 1.0),
+        2 * hbar * (float(np.dot(rho, v * v)) - mean_v**2 + c**2 * norm * (1.0 - norm)),
+    )
+
+
+def _difference_metric(
+    family: Callable[[float, float], WaveFunction],
+    pt: PhasePoint,
+    step: float | None,
+    hbar: float | None,
+    rtol: float,
+) -> MetricTensor:
     p, q = pt.p, pt.q
     if hbar is None:
         hbar = family(p, q).hbar
@@ -136,7 +191,6 @@ def fs_metric(
         raise AccuracyError(
             f"metric extrapolation not converged (dev {dev:.2e} vs scale {scale:.2e})"
         )
-    r2.require_positive_definite()
     return r2
 
 

@@ -34,10 +34,18 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import AccuracyError, DomainError, PreconditionError
+from .errors import AccuracyError, DomainError, NumericError, PreconditionError
 
 MultiIndex = tuple[tuple[int, int], ...]  # sorted ((site, power), ...)
 SLOTS = ("A+", "B+", "A", "B")
+
+
+def _power(base: float, exponent: int) -> float:
+    """``base**exponent`` of a Python float; overflow is a numerical failure."""
+    try:
+        return float(base) ** exponent
+    except OverflowError as exc:
+        raise NumericError(f"{base!r}**{exponent} overflows a float") from exc
 
 
 @dataclass(frozen=True)
@@ -67,6 +75,11 @@ class ReducibleRep:
 
     def beta(self, q: np.ndarray) -> np.ndarray:
         return -1j * self.m * self.zeta * q
+
+    def couplings(self, nu: float) -> tuple[float, float]:
+        """(m0^2, lambda0) of the quartic target the model reproduces."""
+        m0_sq = (1 + self.zeta**2) * _power(self.m, 2)
+        return m0_sq, nu * self.zeta**4 * _power(self.m, 4)
 
 
 def _normalize_index(index) -> MultiIndex:
@@ -306,9 +319,8 @@ def h1_closed_form(rep: ReducibleRep, nu: float, p, q) -> float:
     p, q = _vectors(rep, p, q)
     p2 = float(p @ p)
     q2 = float(q @ q)
-    m0_sq = (1 + rep.zeta**2) * rep.m**2
-    lam0 = nu * rep.zeta**4 * rep.m**4
-    return 0.5 * (p2 + m0_sq * q2) + lam0 * q2**2
+    m0_sq, lam0 = rep.couplings(nu)
+    return 0.5 * (p2 + m0_sq * q2) + lam0 * _power(q2, 2)
 
 
 def h1_expectation(rep: ReducibleRep, nu: float, p, q) -> float:
@@ -323,7 +335,7 @@ def match_target(m0_sq: float, lambda0: float, zeta: float) -> tuple[float, floa
     if not (m0_sq > 0 and lambda0 > 0):
         raise DomainError("target parameters must be positive")
     m_sq = m0_sq / (1 + zeta**2)
-    nu = lambda0 / (zeta**4 * m_sq**2)
+    nu = lambda0 / (zeta**4 * _power(m_sq, 2))
     return math.sqrt(m_sq), nu
 
 
@@ -432,7 +444,7 @@ def characteristic_exact_gaussian(p_r: float, m_prime: float, hbar: float = 1.0)
     """Characteristic function of a free ground state: exp[-p^2 / 4 m' hbar]."""
     if not m_prime > 0:
         raise DomainError("m_prime must be positive")
-    return math.exp(-(p_r**2) / (4 * m_prime * hbar))
+    return math.exp(-_power(p_r, 2) / (4 * m_prime * hbar))
 
 
 @dataclass(frozen=True)
@@ -479,7 +491,7 @@ def characteristic_radial(
     exact = complex(np.einsum("i,j,ij->", radial * wr, angular, kernel))
 
     weight = density.weight(r) * wr
-    descent = float(np.sum(weight * np.exp(-(p_r**2) * r**2 / (2 * N * hbar**2))))
+    descent = float(np.sum(weight * np.exp(-_power(p_r, 2) * r**2 / (2 * N * hbar**2))))
     if not abs(exact.imag) <= 1e-10:
         raise AccuracyError(f"characteristic function has imaginary part {exact.imag:.2e}")
     return CharacteristicResult(float(exact.real), descent)
@@ -496,14 +508,16 @@ def measure_superposition(
     if not abs(total - 1.0) <= 1e-9:
         raise PreconditionError(f"measure weights sum to {total!r}, not 1")
     for b, mu in weights:
-        if not (b > 0 and mu >= 0):
-            raise DomainError("weights must have b > 0 and mu >= 0")
-    return float(sum(mu * math.exp(-b * p_r**2 / hbar) for b, mu in weights))
+        if not (b > 0 and mu >= 0 and math.isfinite(b) and math.isfinite(mu)):
+            raise DomainError(f"atom (b={b!r}, mu={mu!r}) needs finite b > 0 and mu >= 0")
+    p_sq = _power(p_r, 2)
+    return float(sum(mu * math.exp(-b * p_sq / hbar) for b, mu in weights))
 
 
 def scenario_record(rep: ReducibleRep, nu: float, p, q) -> dict:
     """JSON-ready record of one quartic-model evaluation."""
     p, q = _vectors(rep, p, q)
+    m0_sq, lam0 = rep.couplings(nu)
     return {
         "N": rep.N,
         "m": rep.m,
@@ -512,6 +526,6 @@ def scenario_record(rep: ReducibleRep, nu: float, p, q) -> dict:
         "p": [float(v) for v in p],
         "q": [float(v) for v in q],
         "H1": h1_expectation(rep, nu, p, q),
-        "m0_sq": (1 + rep.zeta**2) * rep.m**2,
-        "lambda0": nu * rep.zeta**4 * rep.m**4,
+        "m0_sq": m0_sq,
+        "lambda0": lam0,
     }

@@ -233,6 +233,15 @@ def fiducial_wavefunction(f: Fiducial, grid: Grid | None = None) -> WaveFunction
 # transported states
 
 
+def _require_coverage(f: Fiducial, pt: PhasePoint, grid: Grid) -> None:
+    sigma = f.sigma
+    if grid.lower > pt.q - 8 * sigma or grid.upper < pt.q + 8 * sigma:
+        raise CoverageError(
+            f"grid [{grid.lower}, {grid.upper}] does not cover "
+            f"[{pt.q - 8 * sigma:.3g}, {pt.q + 8 * sigma:.3g}]"
+        )
+
+
 def canonical_coherent(
     f: Fiducial, pt: PhasePoint, grid: Grid | None = None
 ) -> WaveFunction:
@@ -247,12 +256,7 @@ def canonical_coherent(
         raise DomainError("affine fiducials transport with affine_coherent")
     if grid is None:
         grid = default_canonical_grid(f, q=pt.q, p=pt.p)
-    sigma = f.sigma
-    if grid.lower > pt.q - 8 * sigma or grid.upper < pt.q + 8 * sigma:
-        raise CoverageError(
-            f"grid [{grid.lower}, {grid.upper}] does not cover "
-            f"[{pt.q - 8 * sigma:.3g}, {pt.q + 8 * sigma:.3g}]"
-        )
+    _require_coverage(f, pt, grid)
     x = grid.nodes
     phase = np.exp(1j * pt.p * (x - pt.q) / f.hbar)
     if f.kind == GAUSSIAN:
@@ -287,12 +291,6 @@ def affine_coherent(
     return WaveFunction(grid, values, f.hbar)
 
 
-def coherent_state(f: Fiducial, pt: PhasePoint, grid: Grid | None = None) -> WaveFunction:
-    if pt.domain == AFFINE_DOMAIN:
-        return affine_coherent(f, pt, grid)
-    return canonical_coherent(f, pt, grid)
-
-
 def canonical_log_derivative(f: Fiducial, pt: PhasePoint, x: np.ndarray) -> np.ndarray:
     """d/dx log eta_{p,q}(x) for the Gaussian family (exact)."""
     if f.kind != GAUSSIAN:
@@ -319,26 +317,81 @@ def analytic_derivative(f: Fiducial, pt: PhasePoint, state: WaveFunction) -> Wav
     return WaveFunction(state.grid, ld * state.values, state.hbar)
 
 
+def coherent_density(f: Fiducial, pt: PhasePoint, grid: Grid) -> np.ndarray:
+    """|psi_{p,q}|^2 at the grid nodes for a Gaussian or affine-Beta fiducial.
+
+    The phase exp(i p (x - q) / hbar) has modulus one, so no complex value
+    is formed; the grid checks are those of the state constructors.
+    """
+    x = grid.nodes
+    if f.kind == GAUSSIAN and pt.domain == CANONICAL_DOMAIN:
+        _require_coverage(f, pt, grid)
+        return gaussian_values(f.omega, f.hbar, x - pt.q) ** 2
+    if f.kind == AFFINE and pt.domain == AFFINE_DOMAIN:
+        return affine_values(f.beta, f.hbar, x / pt.q) ** 2 / pt.q
+    raise DomainError(
+        f"no closed-form density for a {f.kind} fiducial on the {pt.domain} sheet"
+    )
+
+
+def tangent_multipliers(
+    f: Fiducial, pt: PhasePoint, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact tangents of a transported analytic fiducial as real multipliers:
+
+        d psi/dp = i u psi,    d psi/dq = (v - i p / hbar) psi,
+
+    with u = (x - q) / hbar on both sheets and
+
+        v = omega u                        (Gaussian canonical),
+        v = -1/(2q) - a/q + b x/q^2        (affine; b = beta/hbar, a = b - 1/2)
+          = beta u / q^2.
+    """
+    u = (x - pt.q) / f.hbar
+    if f.kind == GAUSSIAN:
+        return u, f.omega * u
+    if f.kind == AFFINE:
+        return u, (f.beta / pt.q**2) * u
+    raise DomainError("closed-form tangents need a Gaussian or affine fiducial")
+
+
 # ---------------------------------------------------------------------------
 # families on a common grid (for geometry)
 
 
-def canonical_family(f: Fiducial, grid: Grid):
+@dataclass(frozen=True)
+class CoherentFamily:
+    """(p, q) -> coherent state of one fiducial on one fixed grid.
+
+    A shared grid is what makes overlaps between members defined.  Families
+    of Gaussian and affine-Beta fiducials are ``analytic``: their densities
+    and tangents have closed forms (:func:`coherent_density`,
+    :func:`tangent_multipliers`).
+    """
+
+    fiducial: Fiducial
+    grid: Grid
+    domain: str
+
+    @property
+    def analytic(self) -> bool:
+        return self.fiducial.kind in (GAUSSIAN, AFFINE)
+
+    def __call__(self, p: float, q: float) -> WaveFunction:
+        pt = PhasePoint(p, q, domain=self.domain)
+        if self.domain == AFFINE_DOMAIN:
+            return affine_coherent(self.fiducial, pt, grid=self.grid)
+        return canonical_coherent(self.fiducial, pt, grid=self.grid)
+
+
+def canonical_family(f: Fiducial, grid: Grid) -> CoherentFamily:
     """(p, q) -> eta_{p,q} on one fixed grid (required for overlaps)."""
-
-    def family(p: float, q: float) -> WaveFunction:
-        return canonical_coherent(f, PhasePoint(p, q), grid=grid)
-
-    return family
+    return CoherentFamily(f, grid, CANONICAL_DOMAIN)
 
 
-def affine_family(f: Fiducial, grid: Grid):
+def affine_family(f: Fiducial, grid: Grid) -> CoherentFamily:
     """(p, q) -> xi_{p,q} on one fixed half-line grid."""
-
-    def family(p: float, q: float) -> WaveFunction:
-        return affine_coherent(f, PhasePoint(p, q, domain=AFFINE_DOMAIN), grid=grid)
-
-    return family
+    return CoherentFamily(f, grid, AFFINE_DOMAIN)
 
 
 # ---------------------------------------------------------------------------

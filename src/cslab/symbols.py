@@ -12,11 +12,11 @@ into a classical Hamiltonian H(p, q):
   affine sheet:     H(p,q) = <xi | Hop(p + D/q, q x)  |xi>
 
 For the Gaussian and affine-Beta fiducials both maps are evaluated in
-closed form by pushing the factors through the fiducial exactly (the
-fiducial's log-derivative is a Laurent polynomial) and then applying the
-known Gaussian / Gamma-function moments.  A numerical-quadrature route is
-kept alongside as an independent cross-check and as the only route for
-sampled fiducials.
+closed form, at any operator degree, by pushing the factors through the
+fiducial exactly (the fiducial's log-derivative is a Laurent polynomial)
+and then applying the known Gaussian / Gamma-function moments.  A
+numerical-quadrature route is kept alongside as an independent
+cross-check and as the only route for sampled fiducials.
 """
 
 from __future__ import annotations
@@ -33,11 +33,9 @@ from .grids import Grid, WaveFunction, derivative, inner_product, uniform_grid
 from .states import (
     AFFINE,
     GAUSSIAN,
-    SAMPLED,
     Fiducial,
     _affine_moment,
     affine_log_norm,
-    default_canonical_grid,
     fiducial_wavefunction,
     verify_centering,
 )
@@ -113,16 +111,6 @@ class OperatorExpr:
             return False
         scale = max((abs(v) for v in mine.values()), default=1.0)
         return all(abs(mine[k] - theirs[k]) <= rtol * scale for k in mine)
-
-    def max_degrees(self) -> tuple[int, int]:
-        """(max D count, max position degree) over the terms."""
-        d_deg = x_deg = 0
-        for _, factors in self.terms:
-            d = sum(1 for f in factors if f.kind == D_FACTOR)
-            x = sum(f.power for f in factors if f.kind == X_FACTOR)
-            d_deg = max(d_deg, d)
-            x_deg = max(x_deg, x)
-        return d_deg, x_deg
 
     def scaled(self, a: float) -> "OperatorExpr":
         return OperatorExpr(tuple((a * c, fs) for c, fs in self.terms))
@@ -364,10 +352,7 @@ def _closed_form_symbol(op: OperatorExpr, f: Fiducial) -> SymbolFn:
 
 
 # ---------------------------------------------------------------------------
-# quadrature routes
-
-CLOSED_FORM_D_DEGREE = 4
-CLOSED_FORM_X_DEGREE = 4
+# quadrature routes (sampled fiducials, and independent checks of the closed form)
 
 
 def _apply_on_grid(op_factors, values, grid: Grid, p: float, q: float, hbar: float):
@@ -446,35 +431,27 @@ def _check_real(value: complex, hermitian: bool) -> float:
 def weak_symbol_canonical(op: OperatorExpr, f: Fiducial) -> SymbolFn:
     """Enhanced classical symbol on the canonical sheet.
 
-    Gaussian fiducials with polynomial operators inside the degree caps use
-    the exact moment calculus; otherwise each evaluation integrates on the
-    fiducial's grid and is verified against one grid refinement.
+    Gaussian fiducials use the exact moment calculus at any degree; sampled
+    fiducials integrate each evaluation on the sample's grid and verify it
+    against one grid refinement.
     """
     if f.kind == AFFINE:
         raise PreconditionError("use weak_symbol_affine for affine fiducials")
-    if f.kind == SAMPLED:
-        f.sample.require_normalized(1e-8)
-        report = verify_centering(f, tol=1e-6)
-        if not report.passed:
-            raise PreconditionError(
-                f"sampled fiducial is not centered: <x>={report.x_moment:.3e}, "
-                f"<p>={report.conjugate_moment:.3e}"
-            )
-    d_deg, x_deg = op.max_degrees()
-    if f.kind == GAUSSIAN and d_deg <= CLOSED_FORM_D_DEGREE and x_deg <= CLOSED_FORM_X_DEGREE:
+    if f.kind == GAUSSIAN:
         return _closed_form_symbol(op, f)
+    f.sample.require_normalized(1e-8)
+    report = verify_centering(f, tol=1e-6)
+    if not report.passed:
+        raise PreconditionError(
+            f"sampled fiducial is not centered: <x>={report.x_moment:.3e}, "
+            f"<p>={report.conjugate_moment:.3e}"
+        )
 
     hermitian = op.is_hermitian()
+    coarse_grid = f.sample.grid
+    fine_grid = _respline(f.sample)
 
     def evaluator(p: float, q: float) -> float:
-        if f.kind == GAUSSIAN:
-            coarse_grid = default_canonical_grid(f)
-            fine_grid = uniform_grid(
-                coarse_grid.lower, coarse_grid.upper, 2 * coarse_grid.n - 1
-            )
-        else:
-            coarse_grid = f.sample.grid
-            fine_grid = _respline(f.sample)
         coarse = symbol_quadrature_canonical(op, f, p, q, coarse_grid)
         fine = symbol_quadrature_canonical(op, f, p, q, fine_grid)
         if abs(fine - coarse) > 1e-6 * (1 + abs(fine)):
@@ -494,19 +471,13 @@ def _respline(sample: WaveFunction) -> Grid:
 
 
 def weak_symbol_affine(op: OperatorExpr, f: Fiducial) -> SymbolFn:
-    """Enhanced classical symbol on the affine sheet (q > 0)."""
+    """Enhanced classical symbol on the affine sheet (q > 0), in closed form.
+
+    A divergent Gamma-function moment raises :class:`DomainError`.
+    """
     if f.kind != AFFINE:
         raise PreconditionError("affine symbols require an AffineBeta fiducial")
-    d_deg, x_deg = op.max_degrees()
-    if d_deg <= CLOSED_FORM_D_DEGREE and x_deg <= CLOSED_FORM_X_DEGREE:
-        return _closed_form_symbol(op, f)
-
-    hermitian = op.is_hermitian()
-
-    def evaluator(p: float, q: float) -> float:
-        return _check_real(symbol_quadrature_affine(op, f, p, q), hermitian)
-
-    return SymbolFn.from_callable(evaluator, f.hbar, AFFINE_MAP)
+    return _closed_form_symbol(op, f)
 
 
 def weak_symbol(op: OperatorExpr, f: Fiducial) -> SymbolFn:

@@ -148,6 +148,19 @@ class TestGeometryCommands:
         assert payload["constant_negative_curvature"] == -0.5
 
 
+class TestSymbolCommand:
+    def test_high_degree_canonical_symbol_exits_0(self, tmp_path):
+        # X^3 D^6 X^3 = B^+ B with B = D^3 X^3, so its symbol is positive
+        code = run(
+            ["symbol", "--operator", "1.0 * X^3 D D D D D D X^3", "--family", "canonical",
+             "--p_list=0,0.7", "--q_list=-1,0.5", "--out", str(tmp_path), "--quiet"]
+        )
+        assert code == 0
+        payload = read_json(tmp_path / "symbol.json")
+        assert payload["closed_form"] is True
+        assert all(s["value"] > 0 for s in payload["samples"])
+
+
 class TestEvolveCommands:
     def test_classical_with_svg(self, tmp_path):
         code = run(
@@ -235,6 +248,17 @@ class TestModelTwoCommand:
         assert not (tmp_path / "model_two.json").exists()
 
 
+    def test_float_power_overflow_exits_3(self, tmp_path, capsys):
+        # m**4 overflows a Python float; it used to escape as OverflowError
+        code = run(
+            ["model-two", "--N", "1", "--zeta", "0.5", "--m", "1e100", "--nu", "1",
+             "--p", "1", "--q", "1", "--out", str(tmp_path), "--quiet"]
+        )
+        assert code == 3
+        assert "overflows" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestCharfnCommand:
     def test_monotone_and_single_atom(self, tmp_path):
         code = run(
@@ -264,6 +288,23 @@ class TestCharfnCommand:
         )
         (row,) = payload["table"]
         assert row["exact"] == pytest.approx(row["gaussian_closed_form"], abs=5e-14)
+
+    def test_momentum_power_overflow_exits_3(self, tmp_path, capsys):
+        code = run(
+            ["charfn", "--n_list", "4", "--p_r_list", "1e300", "--out", str(tmp_path), "--quiet"]
+        )
+        assert code == 3
+        assert "overflows" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_atom_exits_3(self, tmp_path, capsys):
+        code = run(
+            ["charfn", "--n_list", "4", "--p_r_list", "0", "--atoms", "inf:1",
+             "--out", str(tmp_path), "--quiet"]
+        )
+        assert code == 3
+        assert "b=inf" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_underflowing_density_exits_3(self, tmp_path, capsys):
         code = run(

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import cslab.geometry
 from cslab.errors import AccuracyError, DomainError, PreconditionError
 from cslab.geometry import (
+    MetricTensor,
     fs_metric,
     metric_field_from_family,
     ray_distance,
@@ -21,6 +23,7 @@ from cslab.states import (
     default_affine_grid,
     default_canonical_grid,
     gaussian_fiducial,
+    sampled_fiducial,
 )
 
 
@@ -84,6 +87,14 @@ class TestRayDistance:
         assert res.overlap_abs < 1.0 - 1e-10
 
 
+class TestMetricTensor:
+    def test_nan_entries_are_not_positive_definite(self):
+        with pytest.raises(AccuracyError):
+            MetricTensor(float("nan"), 0.0, 1.0).require_positive_definite()
+        with pytest.raises(AccuracyError):
+            MetricTensor(1.0, 0.0, float("nan")).require_positive_definite()
+
+
 class TestCanonicalMetric:
     @pytest.mark.parametrize("omega", [0.5, 1.0, 2.0])
     def test_cartesian_metric(self, omega):
@@ -106,9 +117,13 @@ class TestCanonicalMetric:
         assert g0.g_qq == pytest.approx(g1.g_qq, abs=1e-8)
 
     def test_wild_step_fails_extrapolation(self):
-        f = gaussian_fiducial(1.0, 1.0)
-        grid = default_canonical_grid(f, q=3.0, p=3.0)
-        fam = canonical_family(f, grid)
+        # a sampled fiducial has no closed-form tangents, so its metric goes
+        # by central differences and the Richardson guard
+        grid = uniform_grid(-12, 12, 4001)
+        f = sampled_fiducial(WaveFunction(grid, np.pi**-0.25 * np.exp(-(grid.nodes**2) / 2)))
+        fam = canonical_family(f, default_canonical_grid(gaussian_fiducial(1.0, 1.0), q=3.0))
+        g = fs_metric(fam, PhasePoint(0.0, 0.0), hbar=1.0)
+        assert g.g_pp == pytest.approx(1.0, abs=1e-6)
         with pytest.raises(AccuracyError):
             fs_metric(fam, PhasePoint(0.0, 0.0), step=2.0, hbar=1.0)
 
@@ -132,6 +147,49 @@ class TestAffineMetric:
         g = fs_metric(fam, PhasePoint(0.3, q, domain=AFFINE_DOMAIN), hbar=1.0)
         assert g.g_pp * g.g_qq == pytest.approx(1.0, rel=1e-5)
         assert g.g_pp == pytest.approx(q**4 * g.g_qq / beta**2, rel=1e-5)
+
+
+class TestExactRoute:
+    """Exact tangents of analytic families against the finite-difference route."""
+
+    @staticmethod
+    def _assert_routes_agree(fam, pt):
+        exact = fs_metric(fam, pt, hbar=1.0)
+        # a plain callable hides the fiducial, so fs_metric differences it
+        differenced = fs_metric(lambda p, q: fam(p, q), pt, hbar=1.0)
+        scale = max(differenced.g_pp, differenced.g_qq)
+        for name in ("g_pp", "g_pq", "g_qq"):
+            assert abs(getattr(exact, name) - getattr(differenced, name)) <= 1e-8 * scale, name
+
+    @pytest.mark.parametrize("omega", [0.5, 2.0])
+    def test_canonical_sheet(self, omega):
+        f = gaussian_fiducial(omega, 1.0)
+        fam = canonical_family(f, default_canonical_grid(f, q=2.0, p=2.0))
+        for p, q in [(0.0, 0.0), (1.0, -1.0), (2.0, 1.5)]:
+            self._assert_routes_agree(fam, PhasePoint(p, q))
+
+    @pytest.mark.parametrize("beta", [1.0, 4.0])
+    @pytest.mark.parametrize("q", [0.5, 1.0, 4.0])
+    def test_affine_sheet(self, beta, q):
+        f = affine_fiducial(beta, 1.0)
+        fam = affine_family(f, default_affine_grid(f, q=q))
+        self._assert_routes_agree(fam, PhasePoint(0.7, q, domain=AFFINE_DOMAIN))
+
+    def test_under_resolved_grid_fails_norm_check(self):
+        # 2000 nodes miss ~2.5e-4 of the probability mass next to x = 0
+        f = affine_fiducial(1.0, 1.0)
+        fam = affine_family(f, default_affine_grid(f, q=1.0, n=2000))
+        with pytest.raises(AccuracyError):
+            fs_metric(fam, PhasePoint(0.0, 1.0, domain=AFFINE_DOMAIN), hbar=1.0)
+
+    def test_nan_density_fails_closed(self, monkeypatch):
+        monkeypatch.setattr(
+            cslab.geometry, "coherent_density", lambda f, pt, grid: np.full(grid.n, np.nan)
+        )
+        f = affine_fiducial(1.0, 1.0)
+        fam = affine_family(f, default_affine_grid(f, q=1.0))
+        with pytest.raises(AccuracyError):
+            fs_metric(fam, PhasePoint(0.0, 1.0, domain=AFFINE_DOMAIN), hbar=1.0)
 
 
 class TestInfinitesimalConsistency:

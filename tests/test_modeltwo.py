@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cslab.errors import DomainError, PreconditionError
+from cslab.errors import DomainError, NumericError, PreconditionError
 from cslab.modeltwo import (
     LadderPolynomial,
     RadialDensity,
@@ -182,6 +182,14 @@ class TestH1:
             engine = h1_expectation(rep, nu, p, q)
             closed = h1_closed_form(rep, nu, p, q)
             assert abs(engine - closed) <= 1e-12 * (1 + abs(closed))
+
+    def test_float_power_overflow_is_numeric_error(self):
+        with pytest.raises(NumericError):
+            h1_closed_form(ReducibleRep(1, 1e100, 0.5), 1.0, [1.0], [1.0])
+        with pytest.raises(NumericError):
+            h1_closed_form(ReducibleRep(1, 1.0, 0.5), 1.0, [0.0], [1e100])
+        with pytest.raises(NumericError):
+            match_target(1e200, 1.0, 0.5)
 
     def test_target_matching_round_trip(self):
         rng = np.random.default_rng(3)
@@ -377,3 +385,13 @@ class TestMeasureSuperposition:
             measure_superposition([(0.2, 0.5), (0.4, float("nan"))], 1.0)
         with pytest.raises(DomainError):
             measure_superposition([(float("nan"), 1.0)], 1.0)
+
+    def test_infinite_atom_rejected(self):
+        with pytest.raises(DomainError, match="b=inf"):
+            measure_superposition([(float("inf"), 1.0)], 0.0)
+
+    def test_momentum_overflow_is_numeric_error(self):
+        with pytest.raises(NumericError):
+            measure_superposition([(0.25, 1.0)], 1e300)
+        with pytest.raises(NumericError):
+            characteristic_exact_gaussian(1e300, 1.0)

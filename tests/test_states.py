@@ -23,12 +23,17 @@ from cslab.states import (
     affine_fiducial,
     affine_values,
     analytic_derivative,
+    affine_family,
     canonical_coherent,
+    canonical_family,
+    coherent_density,
     default_affine_grid,
+    default_canonical_grid,
     fiducial_wavefunction,
     gaussian_fiducial,
     sampled_fiducial,
     state_labels,
+    tangent_multipliers,
     verify_centering,
 )
 
@@ -224,3 +229,45 @@ class TestCentering:
             (-1j * inner_product(state, derivative(state, 1))).real
         )
         assert p_read == pytest.approx(0.4, abs=1e-6)
+
+
+class TestExactTangents:
+    """Closed-form densities and tangents of the analytic families."""
+
+    @staticmethod
+    def _families():
+        g = gaussian_fiducial(0.7, 0.8)
+        a = affine_fiducial(2.5, 1.0)
+        yield canonical_family(g, default_canonical_grid(g, q=1.0, p=1.0)), PhasePoint(0.6, -0.4)
+        yield affine_family(a, default_affine_grid(a, q=1.5)), PhasePoint(
+            -0.8, 1.5, domain=AFFINE_DOMAIN
+        )
+
+    def test_density_is_the_squared_modulus(self):
+        for fam, pt in self._families():
+            density = coherent_density(fam.fiducial, pt, fam.grid)
+            want = np.abs(fam(pt.p, pt.q).values) ** 2
+            assert np.allclose(density, want, rtol=1e-13, atol=1e-300)
+
+    def test_tangents_match_central_differences(self):
+        h = 1e-5
+        for fam, pt in self._families():
+            psi = fam(pt.p, pt.q).values
+            u, v = tangent_multipliers(fam.fiducial, pt, fam.grid.nodes)
+            c = pt.p / fam.fiducial.hbar
+            d_p = (fam(pt.p + h, pt.q).values - fam(pt.p - h, pt.q).values) / (2 * h)
+            d_q = (fam(pt.p, pt.q + h).values - fam(pt.p, pt.q - h).values) / (2 * h)
+            scale = np.max(np.abs(d_q))
+            assert np.max(np.abs(d_p - 1j * u * psi)) <= 1e-8 * scale
+            assert np.max(np.abs(d_q - (v - 1j * c) * psi)) <= 1e-8 * scale
+
+    def test_sampled_and_mismatched_families_rejected(self):
+        grid = uniform_grid(-12, 12, 2001)
+        f = sampled_fiducial(WaveFunction(grid, np.pi**-0.25 * np.exp(-(grid.nodes**2) / 2)))
+        with pytest.raises(DomainError):
+            coherent_density(f, PhasePoint(0.0, 0.0), grid)
+        with pytest.raises(DomainError):
+            tangent_multipliers(f, PhasePoint(0.0, 0.0), grid.nodes)
+        g = gaussian_fiducial(1.0, 1.0)
+        with pytest.raises(DomainError):
+            coherent_density(g, PhasePoint(0.0, 1.0, domain=AFFINE_DOMAIN), grid)

@@ -118,6 +118,20 @@ class TestCanonicalSymbols:
                     closed(p, q), rel=1e-8, abs=1e-10
                 ), text
 
+    def test_high_degree_closed_form_against_grid_quadrature(self):
+        # degrees above 4 used to leave the closed form for a grid route
+        # that could not converge; a finer grid quadrature is the oracle
+        op = parse_operator("1.0 * X^3 D D D D D D X^3")
+        f = gaussian_fiducial(1.0, 1.0)
+        closed = weak_symbol_canonical(op, f)
+        assert closed.closed_form
+        grid_a = uniform_grid(-12, 12, 16385)
+        grid_b = uniform_grid(-12, 12, 32769)
+        for p, q in [(0.0, 0.5), (0.7, -1.0), (1.0, 2.0)]:
+            coarse = symbol_quadrature_canonical(op, f, p, q, grid_a)
+            fine = symbol_quadrature_canonical(op, f, p, q, grid_b)
+            assert ((4 * fine - coarse) / 3).real == pytest.approx(closed(p, q), rel=1e-9)
+
     def test_affine_fiducial_rejected(self):
         with pytest.raises(PreconditionError):
             weak_symbol_canonical(parse_operator("1.0 * X"), affine_fiducial(1, 1))
@@ -180,7 +194,8 @@ class TestAffineSymbols:
         for beta, hbar in [(1.0, 1.0), (2.5, 1.0)]:
             f = affine_fiducial(beta, hbar)
             for text in ("1.0 * X", "1.0 * X^2", "1.0 * D X D",
-                         "1.0 * D X^2 D", "0.3 * D X D + 0.2 * X"):
+                         "1.0 * D X^2 D", "0.3 * D X D + 0.2 * X",
+                         "1.0 * X^3 D D D D D D X^3"):
                 op = parse_operator(text)
                 closed = weak_symbol_affine(op, f)
                 for p, q in [(0.0, 0.5), (1.0, 1.0), (-0.7, 2.0)]:
@@ -196,6 +211,11 @@ class TestAffineSymbols:
         # at beta/hbar = 2 the same moment exists
         s = weak_symbol_affine(parse_operator("1.0 * D D"), affine_fiducial(2.0, 1.0))
         assert s.poly[(2, 0)] == pytest.approx(1.0)
+        # above degree 4 as well: D^6 probes <x^-6>, finite only for beta/hbar > 3
+        with pytest.raises(DomainError):
+            weak_symbol_affine(parse_operator("1.0 * D D D D D D"), affine_fiducial(3.0, 1.0))
+        s = weak_symbol_affine(parse_operator("1.0 * D D D D D D"), affine_fiducial(3.5, 1.0))
+        assert s.poly[(6, 0)] == pytest.approx(1.0)
 
 
 class TestComputeC:
