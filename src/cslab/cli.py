@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,6 +47,8 @@ from .schrodinger import (
 )
 from .states import (
     AFFINE_DOMAIN,
+    CANONICAL_DOMAIN,
+    CoherentFamily,
     PhasePoint,
     affine_coherent,
     affine_family,
@@ -333,19 +336,21 @@ def run_centering(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
     f = _fiducial(params)
     affine = params["family"] == "affine"
     tol = params["tolerance"]
+    p_range = (-params["p_scale"], params["p_scale"])
+    if affine:
+        q_range = (0.3, 0.3 + params["q_scale"])
+    else:
+        q_range = (-params["q_scale"], params["q_scale"])
+    for key, (low, high) in (("p_scale", p_range), ("q_scale", q_range)):
+        if not math.isfinite(high - low):
+            raise ConfigError(f"{key} = {params[key]!r} gives no finite sampling range")
     points = []
     max_err = 0.0
     for _ in range(params["n_points"]):
-        p = float(rng.uniform(-params["p_scale"], params["p_scale"]))
-        if affine:
-            q = float(rng.uniform(0.3, 0.3 + params["q_scale"]))
-            pt = PhasePoint(p, q, domain=AFFINE_DOMAIN)
-            state = affine_coherent(f, pt)
-        else:
-            q = float(rng.uniform(-params["q_scale"], params["q_scale"]))
-            pt = PhasePoint(p, q)
-            state = canonical_coherent(f, pt)
-        p_read, q_read = state_labels(f, state, pt)
+        p = float(rng.uniform(*p_range))
+        q = float(rng.uniform(*q_range))
+        pt = PhasePoint(p, q, domain=AFFINE_DOMAIN if affine else CANONICAL_DOMAIN)
+        p_read, q_read = state_labels(f, pt)
         err = max(abs(p_read - p), abs(q_read - q))
         max_err = max(max_err, err)
         points.append(
@@ -399,22 +404,20 @@ def run_symbol(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
     return payload
 
 
-def _family_and_grid(params: dict, q_anchor: float):
+def _family(params: dict, q_anchor: float) -> CoherentFamily:
     f = _fiducial(params)
     n = params.get("n_nodes") or 0
     if params["family"] == "affine":
-        grid = default_affine_grid(f, q=q_anchor, n=n or None)
-        return affine_family(f, grid), AFFINE_DOMAIN, f
-    grid = default_canonical_grid(f, q=q_anchor, n=n or None)
-    return canonical_family(f, grid), "canonical", f
+        return affine_family(f, default_affine_grid(f, q=q_anchor, n=n or None))
+    return canonical_family(f, default_canonical_grid(f, q=q_anchor, n=n or None))
 
 
 def run_metric(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
     rows = []
     for q in params["q_list"]:
-        family, domain, f = _family_and_grid(params, q)
+        family = _family(params, q)
         for p in params["p_list"]:
-            g = fs_metric(family, PhasePoint(p, q, domain=domain), hbar=f.hbar)
+            g = fs_metric(family, PhasePoint(p, q, domain=family.domain))
             rows.append({"p": p, "q": q, "g_pp": g.g_pp, "g_pq": g.g_pq, "g_qq": g.g_qq})
     payload = {"family": params["family"], "points": rows}
     out.json(payload)
@@ -424,9 +427,9 @@ def run_metric(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
 def run_curvature(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
     rows = []
     for q in params["q_list"]:
-        family, domain, f = _family_and_grid(params, q)
-        field = metric_field_from_family(family, domain, hbar=f.hbar)
-        value = scalar_curvature(field, PhasePoint(params["p"], q, domain=domain))
+        family = _family(params, q)
+        field = metric_field_from_family(family)
+        value = scalar_curvature(field, PhasePoint(params["p"], q, domain=family.domain))
         rows.append({"p": params["p"], "q": q, "curvature": value})
     payload = {"family": params["family"], "points": rows}
     if params["family"] == "affine":

@@ -72,8 +72,8 @@ def integrate(
     ``q_floor`` or a step leaves the domain; a gradient overflow is flagged
     the same way.  Non-finite state is an error carrying the last point.
     """
-    if dt <= 0:
-        raise DomainError("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0):
+        raise DomainError("dt must be finite and positive")
     affine = symbol.provenance == AFFINE_MAP
     if affine and start.q <= 0:
         raise DomainError("affine dynamics requires q > 0")

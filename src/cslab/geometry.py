@@ -86,8 +86,9 @@ def _tangent(family, p, q, dp, dq, step) -> WaveFunction:
     return WaveFunction(plus.grid, values, plus.hbar)
 
 
-def _metric_at_step(family, p, q, step_p, step_q, hbar) -> MetricTensor:
+def _metric_at_step(family, p, q, step_p, step_q) -> MetricTensor:
     psi = family(p, q)
+    hbar = psi.hbar
     tp = _tangent(family, p, q, 1, 0, step_p)
     tq = _tangent(family, p, q, 0, 1, step_q)
     a = inner_product(psi, tp)
@@ -98,33 +99,34 @@ def _metric_at_step(family, p, q, step_p, step_q, hbar) -> MetricTensor:
     return MetricTensor(g_pp, g_pq, g_qq)
 
 
+# relative accuracy both metric routes must reach
+METRIC_RTOL = 1e-5
+
+
 def fs_metric(
     family: Callable[[float, float], WaveFunction],
     pt: PhasePoint,
     step: float | None = None,
-    hbar: float | None = None,
-    rtol: float = 1e-5,
 ) -> MetricTensor:
-    """Fubini-Study metric of a coherent family at ``pt``.
+    """Fubini-Study metric of a coherent family at ``pt``, in the family's hbar.
 
     Analytic families (a :class:`CoherentFamily` of a Gaussian or affine-Beta
     fiducial) use their exact tangents and the one density at (p, q); the
-    state's quadrature norm must be 1 to ``rtol``.  Any other family (sampled
-    fiducials, plain callables on one fixed grid) goes by central differences
-    with one Richardson extrapolation, whose two consecutive extrapolants
-    must agree to ``rtol``; ``step`` applies to that route only.
+    state's quadrature norm must be 1 to ``METRIC_RTOL``.  Any other family
+    (sampled fiducials, plain callables on one fixed grid) goes by central
+    differences with one Richardson extrapolation, whose two consecutive
+    extrapolants must agree to ``METRIC_RTOL``; ``step`` applies to that
+    route only, and hbar is that of the states the family builds.
     """
     if isinstance(family, CoherentFamily) and family.analytic:
-        g = _exact_metric(family, pt, hbar, rtol)
+        g = _exact_metric(family, pt)
     else:
-        g = _difference_metric(family, pt, step, hbar, rtol)
+        g = _difference_metric(family, pt, step)
     g.require_positive_definite()
     return g
 
 
-def _exact_metric(
-    family: CoherentFamily, pt: PhasePoint, hbar: float | None, rtol: float
-) -> MetricTensor:
+def _exact_metric(family: CoherentFamily, pt: PhasePoint) -> MetricTensor:
     """2 hbar [<dpsi|dpsi> - |<psi|dpsi>|^2] as weighted sums over |psi|^2.
 
     With d_p psi = i u psi and d_q psi = (v - i c) psi, c = p / hbar, the
@@ -133,17 +135,16 @@ def _exact_metric(
     result is the formula above evaluated on the grid.
     """
     f, grid = family.fiducial, family.grid
-    if hbar is None:
-        hbar = f.hbar
+    hbar = f.hbar
     pt = PhasePoint(pt.p, pt.q, domain=family.domain)
     rho = grid.weights * coherent_density(f, pt, grid)
     norm = float(rho.sum())
-    if not abs(norm - 1.0) <= rtol:
+    if not abs(norm - 1.0) <= METRIC_RTOL:
         raise AccuracyError(
-            f"state norm {norm!r} on the metric grid is off by more than {rtol:g}"
+            f"state norm {norm!r} on the metric grid is off by more than {METRIC_RTOL:g}"
         )
     u, v = tangent_multipliers(f, pt, grid.nodes)
-    c = pt.p / f.hbar
+    c = pt.p / hbar
     mean_u = float(np.dot(rho, u))
     mean_v = float(np.dot(rho, v))
     return MetricTensor(
@@ -157,12 +158,8 @@ def _difference_metric(
     family: Callable[[float, float], WaveFunction],
     pt: PhasePoint,
     step: float | None,
-    hbar: float | None,
-    rtol: float,
 ) -> MetricTensor:
     p, q = pt.p, pt.q
-    if hbar is None:
-        hbar = family(p, q).hbar
     if step is None:
         step = 1e-4 * (1 + abs(p) + abs(q))
     # keep the q-direction step inside the affine domain; the ratio stays
@@ -170,7 +167,7 @@ def _difference_metric(
     q_ratio = min(1.0, q / (8 * step)) if pt.domain == AFFINE_DOMAIN else 1.0
 
     def levels(h):
-        return _metric_at_step(family, p, q, h, h * q_ratio, hbar)
+        return _metric_at_step(family, p, q, h, h * q_ratio)
 
     g1, g2, g4 = levels(step), levels(step / 2), levels(step / 4)
 
@@ -187,7 +184,7 @@ def _difference_metric(
     dev = max(
         abs(r1.g_pp - r2.g_pp), abs(r1.g_pq - r2.g_pq), abs(r1.g_qq - r2.g_qq)
     )
-    if dev > rtol * scale:
+    if not dev <= METRIC_RTOL * scale:  # a NaN deviation fails too
         raise AccuracyError(
             f"metric extrapolation not converged (dev {dev:.2e} vs scale {scale:.2e})"
         )
@@ -213,8 +210,7 @@ def scalar_curvature(
     central stencils.
     """
     center = metric_field(pt.p, pt.q)
-    center_t = MetricTensor(center.g_pp, center.g_pq, center.g_qq)
-    center_t.require_positive_definite()
+    center.require_positive_definite()
     h_p = step / math.sqrt(center.g_pp)
     h_q = step / math.sqrt(center.g_qq)
     if pt.domain == AFFINE_DOMAIN and pt.q - 2 * h_q <= 0:
@@ -226,7 +222,10 @@ def scalar_curvature(
     G = np.empty((5, 5))
     for i, di in enumerate(offsets):
         for j, dj in enumerate(offsets):
-            g = metric_field(pt.p + di * h_p, pt.q + dj * h_q)
+            if di == dj == 0:
+                g = center
+            else:
+                g = metric_field(pt.p + di * h_p, pt.q + dj * h_q)
             E[i, j], F[i, j], G[i, j] = g.g_pp, g.g_pq, g.g_qq
 
     def d_u(values):  # derivative in p at the stencil center column
@@ -269,15 +268,10 @@ def scalar_curvature(
     return 2.0 * gauss
 
 
-def metric_field_from_family(
-    family: Callable[[float, float], WaveFunction],
-    domain: str,
-    step: float | None = None,
-    hbar: float | None = None,
-) -> Callable[[float, float], MetricTensor]:
-    """Wrap a coherent family as a (p, q) -> MetricTensor field."""
+def metric_field_from_family(family: CoherentFamily) -> Callable[[float, float], MetricTensor]:
+    """Wrap a coherent family as a (p, q) -> MetricTensor field on its own sheet."""
 
     def field(p: float, q: float) -> MetricTensor:
-        return fs_metric(family, PhasePoint(p, q, domain=domain), step=step, hbar=hbar)
+        return fs_metric(family, PhasePoint(p, q, domain=family.domain))
 
     return field

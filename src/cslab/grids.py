@@ -135,7 +135,7 @@ class WaveFunction:
 
     def require_normalized(self, tol: float = 1e-8) -> None:
         dev = abs(self.norm() - 1.0)
-        if dev > tol:
+        if not dev <= tol:  # a NaN norm fails too
             raise PreconditionError(f"wave function norm deviates by {dev:.3e}")
 
 
@@ -183,18 +183,15 @@ def position_moment(psi: WaveFunction, power: int = 1) -> float:
     return float(np.real(psi.grid.integrate(x**power * np.abs(psi.values) ** 2)))
 
 
-def momentum_expectation(psi: WaveFunction, dpsi: WaveFunction | None = None) -> float:
-    """Expectation of -i hbar d/dx; optionally with a supplied derivative."""
-    if dpsi is None:
-        dpsi = derivative(psi, 1)
-    val = inner_product(psi, dpsi)
+def momentum_expectation(psi: WaveFunction) -> float:
+    """Expectation of -i hbar d/dx, with d/dx by central differences."""
+    val = inner_product(psi, derivative(psi, 1))
     return float((-1j * psi.hbar * val).real)
 
 
-def dilation_expectation(psi: WaveFunction, dpsi: WaveFunction | None = None) -> float:
+def dilation_expectation(psi: WaveFunction) -> float:
     """Expectation of the dilation generator -(i hbar / 2)(x d/dx + d/dx x)."""
-    if dpsi is None:
-        dpsi = derivative(psi, 1)
+    dpsi = derivative(psi, 1)
     x = psi.grid.nodes
     w = psi.grid.weights
     # x d/dx + d/dx x = 2 x d/dx + 1

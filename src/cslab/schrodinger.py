@@ -59,8 +59,8 @@ class EvolutionSetup:
     def __post_init__(self):
         if self.boundary not in (DIRICHLET_BOTH, DIRICHLET_AT_ZERO):
             raise DomainError(f"unknown boundary {self.boundary!r}")
-        if self.dt <= 0:
-            raise DomainError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise DomainError("dt must be finite and positive")
         if self.steps < 1:
             raise DomainError("steps must be >= 1")
         if not self.grid.is_uniform():

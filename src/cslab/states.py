@@ -31,8 +31,6 @@ from .grids import (
     FULL_LINE,
     Grid,
     WaveFunction,
-    derivative,
-    dilation_expectation,
     half_line_grid,
     momentum_expectation,
     position_moment,
@@ -62,6 +60,11 @@ class PhasePoint:
             raise DomainError("affine phase points require q > 0")
 
 
+def _finite_positive(value: float | None) -> bool:
+    # written so that None and NaN fail
+    return value is not None and math.isfinite(value) and value > 0
+
+
 @dataclass(frozen=True)
 class Fiducial:
     """Basic wave function from which a coherent family is generated.
@@ -77,14 +80,14 @@ class Fiducial:
     sample: WaveFunction | None = None
 
     def __post_init__(self):
-        if self.hbar <= 0:
-            raise DomainError("hbar must be positive")
+        if not _finite_positive(self.hbar):
+            raise DomainError("hbar must be finite and positive")
         if self.kind == GAUSSIAN:
-            if self.omega is None or self.omega <= 0:
-                raise DomainError("Gaussian fiducial requires omega > 0")
+            if not _finite_positive(self.omega):
+                raise DomainError("Gaussian fiducial requires a finite omega > 0")
         elif self.kind == AFFINE:
-            if self.beta is None or self.beta <= 0:
-                raise DomainError("affine fiducial requires beta > 0")
+            if not _finite_positive(self.beta):
+                raise DomainError("affine fiducial requires a finite beta > 0")
             if self.beta / self.hbar < 1.0:
                 # keeps x**(beta/hbar - 1/2) bounded near 0 and the
                 # kinetic-moment integrals convergent
@@ -175,9 +178,14 @@ def default_canonical_grid(
         10 * math.sqrt(f.hbar / f.omega) if f.kind == GAUSSIAN else 14.2 * f.sigma
     )
     L = max(width, abs(q) + width)
+    if not math.isfinite(L):
+        raise DomainError(f"canonical window half-width {L} is not finite")
     if n is None:
         # keep ~40 nodes per phase wavelength on top of the envelope default
-        n = max(4097, int(16 * L * abs(p) / f.hbar) | 1)
+        phase_nodes = 16 * L * abs(p) / f.hbar
+        if not math.isfinite(phase_nodes):
+            raise DomainError(f"node count {phase_nodes} for p = {p} is not finite")
+        n = max(4097, int(phase_nodes) | 1)
     return uniform_grid(-L, L, n, kind=FULL_LINE)
 
 
@@ -291,32 +299,6 @@ def affine_coherent(
     return WaveFunction(grid, values, f.hbar)
 
 
-def canonical_log_derivative(f: Fiducial, pt: PhasePoint, x: np.ndarray) -> np.ndarray:
-    """d/dx log eta_{p,q}(x) for the Gaussian family (exact)."""
-    if f.kind != GAUSSIAN:
-        raise DomainError("closed-form log derivative needs a Gaussian fiducial")
-    return 1j * pt.p / f.hbar - f.omega * (x - pt.q) / f.hbar
-
-
-def affine_log_derivative(f: Fiducial, pt: PhasePoint, x: np.ndarray) -> np.ndarray:
-    """d/dx log xi_{p,q}(x) (exact)."""
-    b = f.beta / f.hbar
-    a = b - 0.5
-    return 1j * pt.p / f.hbar + a / x - b / pt.q
-
-
-def analytic_derivative(f: Fiducial, pt: PhasePoint, state: WaveFunction) -> WaveFunction:
-    """Exact spatial derivative of a transported analytic fiducial."""
-    x = state.grid.nodes
-    if f.kind == GAUSSIAN:
-        ld = canonical_log_derivative(f, pt, x)
-    elif f.kind == AFFINE:
-        ld = affine_log_derivative(f, pt, x)
-    else:
-        return derivative(state, 1)
-    return WaveFunction(state.grid, ld * state.values, state.hbar)
-
-
 def coherent_density(f: Fiducial, pt: PhasePoint, grid: Grid) -> np.ndarray:
     """|psi_{p,q}|^2 at the grid nodes for a Gaussian or affine-Beta fiducial.
 
@@ -409,36 +391,48 @@ class CenteringReport:
     passed: bool
 
 
-def verify_centering(f: Fiducial, grid: Grid | None = None, tol: float = 1e-7) -> CenteringReport:
+def verify_centering(f: Fiducial, tol: float = 1e-7) -> CenteringReport:
     """Moment report that gives (p, q) their physical meaning.
 
     Canonical fiducials must have vanishing position and momentum moments;
     the affine fiducial must have unit position moment and vanishing
-    dilation moment.  Failures are reported, never corrected.
+    dilation moment.  The moments are the labels read back at the reference
+    point, (0, 0) or (0, 1); the dilation moment is p q.  For analytic
+    fiducials the p label there is 0 by construction, so the check tests
+    the position moment.  Failures are reported, never corrected.
     """
     if f.kind == AFFINE:
-        pt = PhasePoint(0.0, 1.0, domain=AFFINE_DOMAIN)
-        state = affine_coherent(f, pt, grid=grid)
-        dpsi = analytic_derivative(f, pt, state)
-        x_mom = position_moment(state, 1)
-        dil = dilation_expectation(state, dpsi)
-        passed = abs(x_mom - 1.0) <= tol and abs(dil) <= tol
-        return CenteringReport(f.kind, x_mom, 1.0, dil, 0.0, tol, passed)
-
-    pt = PhasePoint(0.0, 0.0)
-    state = canonical_coherent(f, pt, grid=grid)
-    dpsi = analytic_derivative(f, pt, state)
-    x_mom = position_moment(state, 1)
-    p_mom = momentum_expectation(state, dpsi)
-    passed = abs(x_mom) <= tol and abs(p_mom) <= tol
-    return CenteringReport(f.kind, x_mom, 0.0, p_mom, 0.0, tol, passed)
+        p_read, q_read = state_labels(f, PhasePoint(0.0, 1.0, domain=AFFINE_DOMAIN))
+        x_expected, conjugate = 1.0, p_read * q_read
+    else:
+        p_read, q_read = state_labels(f, PhasePoint(0.0, 0.0))
+        x_expected, conjugate = 0.0, p_read
+    passed = abs(q_read - x_expected) <= tol and abs(conjugate) <= tol
+    return CenteringReport(f.kind, q_read, x_expected, conjugate, 0.0, tol, passed)
 
 
-def state_labels(f: Fiducial, state: WaveFunction, pt: PhasePoint) -> tuple[float, float]:
-    """Read back (p, q) from a transported state by its moments."""
-    dpsi = analytic_derivative(f, pt, state)
+def state_labels(f: Fiducial, pt: PhasePoint) -> tuple[float, float]:
+    """Read back (p, q) from the moments of the state transported to ``pt``.
+
+    For Gaussian and affine-Beta fiducials the moments are weighted sums
+    over the density of :func:`coherent_density` on the window the state
+    constructors pick for ``pt``: with N = sum w |psi|^2 and
+    X = sum w x |psi|^2, the phase exp(i p (x - q) / hbar) contributes
+    p |psi|^2 to the momentum density and p x |psi|^2 to the dilation
+    density, so the p label is p N on the canonical sheet and p X / X = p
+    on the affine one.  What the read-back tests is therefore N and X.
+    The window needs no nodes for the phase, which is never formed.
+    Sampled fiducials build the state and difference it.
+    """
+    if f.kind == SAMPLED:
+        state = canonical_coherent(f, pt)
+        return momentum_expectation(state), position_moment(state, 1)
+    if f.kind == AFFINE:
+        grid = default_affine_grid(f, q=pt.q)
+    else:
+        grid = default_canonical_grid(f, q=pt.q)
+    rho = grid.weights * coherent_density(f, pt, grid)
+    x_mom = float(np.dot(rho, grid.nodes))
     if pt.domain == AFFINE_DOMAIN:
-        q = position_moment(state, 1)
-        pq = dilation_expectation(state, dpsi)
-        return pq / q, q
-    return momentum_expectation(state, dpsi), position_moment(state, 1)
+        return pt.p, x_mom
+    return pt.p * float(rho.sum()), x_mom

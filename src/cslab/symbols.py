@@ -90,10 +90,6 @@ class OperatorExpr:
                 if not isinstance(f, Factor):
                     raise DomainError("factors must be Factor instances")
 
-    @staticmethod
-    def from_terms(*terms: tuple[float, tuple[Factor, ...]]) -> "OperatorExpr":
-        return OperatorExpr(tuple((float(c), tuple(fs)) for c, fs in terms))
-
     def _canonical_dict(self) -> dict[tuple[Factor, ...], float]:
         out: dict[tuple[Factor, ...], float] = {}
         for coeff, factors in self.terms:

@@ -36,7 +36,6 @@ from cslab.schrodinger import (
 from cslab.states import (
     AFFINE_DOMAIN,
     PhasePoint,
-    affine_coherent,
     affine_family,
     affine_fiducial,
     canonical_coherent,
@@ -68,14 +67,14 @@ def test_01_centering_reproduces_labels():
     for _ in range(10):
         p, q = rng.uniform(-2, 2, 2)
         pt = PhasePoint(p, q)
-        p_read, q_read = state_labels(f_can, canonical_coherent(f_can, pt), pt)
+        p_read, q_read = state_labels(f_can, pt)
         worst = max(worst, abs(p_read - p), abs(q_read - q))
     f_aff = affine_fiducial(1.0, 1.0)
     for _ in range(10):
         p = float(rng.uniform(-2, 2))
         q = float(rng.uniform(0.3, 2.5))
         pt = PhasePoint(p, q, domain=AFFINE_DOMAIN)
-        p_read, q_read = state_labels(f_aff, affine_coherent(f_aff, pt), pt)
+        p_read, q_read = state_labels(f_aff, pt)
         worst = max(worst, abs(p_read - p), abs(q_read - q))
     elapsed = time.perf_counter() - t0
     report(
@@ -93,7 +92,7 @@ def test_02_cartesian_metric():
         fam = canonical_family(f, grid)
         for p in (-1.5, 0.0, 1.5):
             for q in (-1.0, 0.0, 1.0):
-                g = fs_metric(fam, PhasePoint(p, q), hbar=1.0)
+                g = fs_metric(fam, PhasePoint(p, q))
                 worst_diag = max(
                     worst_diag, abs(g.g_pp - 1 / omega), abs(g.g_qq - omega)
                 )
@@ -112,14 +111,14 @@ def test_03_poincare_geometry():
         for q in (0.5, 1.0, 4.0):
             grid = default_affine_grid(f, q=q, n=150_000)
             fam = affine_family(f, grid)
-            g = fs_metric(fam, PhasePoint(0.4, q, domain=AFFINE_DOMAIN), hbar=1.0)
+            g = fs_metric(fam, PhasePoint(0.4, q, domain=AFFINE_DOMAIN))
             worst_metric = max(
                 worst_metric,
                 abs(g.g_pp - q**2 / beta),
                 abs(g.g_qq - beta / q**2),
                 abs(g.g_pq),
             )
-            field = metric_field_from_family(fam, AFFINE_DOMAIN)
+            field = metric_field_from_family(fam)
             curv = scalar_curvature(field, PhasePoint(0.0, q, domain=AFFINE_DOMAIN))
             worst_curv = max(worst_curv, abs(curv - (-2.0 / beta)))
     report(

@@ -61,6 +61,40 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["centering", "--p_scale", "1e308"],
+            ["centering", "--p_scale", "nan"],
+            ["centering", "--q_scale", "1e308"],
+            ["centering", "--hbar", "nan"],
+            ["metric", "--omega", "nan"],
+            ["metric", "--family", "affine", "--beta", "nan"],
+            ["curvature", "--q_list", "1e308"],
+            ["evolve-classical", "--operator", "0.5 * D D + 0.5 * X X",
+             "--p0", "0.5", "--q0", "0.5", "--dt", "nan"],
+            ["model-one", "--dt", "nan"],
+            ["evolve-quantum", "--operator", "0.5 * D D + 0.5 * X X",
+             "--p0", "0.5", "--q0", "0.5", "--dt", "nan"],
+            ["symbol", "--operator", "1.0 * X", "--omega", "nan"],
+        ],
+    )
+    def test_non_finite_input_fails_closed(self, tmp_path, argv):
+        code = run(argv + ["--out", str(tmp_path), "--quiet"])
+        assert code in (2, 3)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("p_scale", ["1e6", "1e300"])
+    def test_large_momentum_reads_back_on_envelope_window(self, tmp_path, p_scale):
+        code = run(
+            ["centering", "--p_scale", p_scale, "--n_points", "3",
+             "--out", str(tmp_path), "--quiet"]
+        )
+        assert code == 0
+        for point in read_json(tmp_path / "centering.json")["points"]:
+            assert abs(point["p_read"] - point["p"]) <= 1e-12 * abs(point["p"])
+            assert abs(point["q_read"] - point["q"]) <= 1e-9
+
 
 class TestCenteringCommand:
     def test_runs_and_passes(self, tmp_path):

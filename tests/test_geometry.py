@@ -77,6 +77,13 @@ class TestRayDistance:
         with pytest.raises(PreconditionError):
             ray_distance(h0, bad)
 
+    def test_nan_states_rejected(self):
+        # a NaN norm must fail the normalization guard, not slip past it
+        grid = uniform_grid(-1, 1, 11)
+        nan_state = WaveFunction(grid, np.full(grid.n, np.nan))
+        with pytest.raises(PreconditionError):
+            ray_distance(nan_state, nan_state)
+
     def test_vanishes_iff_rays_coincide(self):
         f = gaussian_fiducial(1.0, 1.0)
         grid = default_canonical_grid(f, q=1.0, p=1.0)
@@ -102,7 +109,7 @@ class TestCanonicalMetric:
         grid = default_canonical_grid(f, q=2.0, p=2.0)
         fam = canonical_family(f, grid)
         for p, q in [(0.0, 0.0), (1.0, -1.0), (2.0, 1.5)]:
-            g = fs_metric(fam, PhasePoint(p, q), hbar=1.0)
+            g = fs_metric(fam, PhasePoint(p, q))
             assert g.g_pp == pytest.approx(1 / omega, abs=1e-6)
             assert g.g_qq == pytest.approx(omega, abs=1e-6)
             assert abs(g.g_pq) <= 1e-8
@@ -111,8 +118,8 @@ class TestCanonicalMetric:
         f = gaussian_fiducial(1.0, 1.0)
         grid = default_canonical_grid(f, q=7.0, p=3.0)
         fam = canonical_family(f, grid)
-        g0 = fs_metric(fam, PhasePoint(0.0, 0.0), hbar=1.0)
-        g1 = fs_metric(fam, PhasePoint(3.0, -7.0), hbar=1.0)
+        g0 = fs_metric(fam, PhasePoint(0.0, 0.0))
+        g1 = fs_metric(fam, PhasePoint(3.0, -7.0))
         assert g0.g_pp == pytest.approx(g1.g_pp, abs=1e-8)
         assert g0.g_qq == pytest.approx(g1.g_qq, abs=1e-8)
 
@@ -122,10 +129,10 @@ class TestCanonicalMetric:
         grid = uniform_grid(-12, 12, 4001)
         f = sampled_fiducial(WaveFunction(grid, np.pi**-0.25 * np.exp(-(grid.nodes**2) / 2)))
         fam = canonical_family(f, default_canonical_grid(gaussian_fiducial(1.0, 1.0), q=3.0))
-        g = fs_metric(fam, PhasePoint(0.0, 0.0), hbar=1.0)
+        g = fs_metric(fam, PhasePoint(0.0, 0.0))
         assert g.g_pp == pytest.approx(1.0, abs=1e-6)
         with pytest.raises(AccuracyError):
-            fs_metric(fam, PhasePoint(0.0, 0.0), step=2.0, hbar=1.0)
+            fs_metric(fam, PhasePoint(0.0, 0.0), step=2.0)
 
 
 class TestAffineMetric:
@@ -133,7 +140,7 @@ class TestAffineMetric:
         f = affine_fiducial(1.0, 1.0)
         grid = default_affine_grid(f, q=2.0)
         fam = affine_family(f, grid)
-        g = fs_metric(fam, PhasePoint(1.0, 2.0, domain=AFFINE_DOMAIN), hbar=1.0)
+        g = fs_metric(fam, PhasePoint(1.0, 2.0, domain=AFFINE_DOMAIN))
         assert g.g_pp == pytest.approx(4.0, abs=1e-5)
         assert g.g_qq == pytest.approx(0.25, abs=1e-5)
         assert abs(g.g_pq) <= 1e-5
@@ -144,7 +151,7 @@ class TestAffineMetric:
         f = affine_fiducial(beta, 1.0)
         grid = default_affine_grid(f, q=q)
         fam = affine_family(f, grid)
-        g = fs_metric(fam, PhasePoint(0.3, q, domain=AFFINE_DOMAIN), hbar=1.0)
+        g = fs_metric(fam, PhasePoint(0.3, q, domain=AFFINE_DOMAIN))
         assert g.g_pp * g.g_qq == pytest.approx(1.0, rel=1e-5)
         assert g.g_pp == pytest.approx(q**4 * g.g_qq / beta**2, rel=1e-5)
 
@@ -154,9 +161,9 @@ class TestExactRoute:
 
     @staticmethod
     def _assert_routes_agree(fam, pt):
-        exact = fs_metric(fam, pt, hbar=1.0)
+        exact = fs_metric(fam, pt)
         # a plain callable hides the fiducial, so fs_metric differences it
-        differenced = fs_metric(lambda p, q: fam(p, q), pt, hbar=1.0)
+        differenced = fs_metric(lambda p, q: fam(p, q), pt)
         scale = max(differenced.g_pp, differenced.g_qq)
         for name in ("g_pp", "g_pq", "g_qq"):
             assert abs(getattr(exact, name) - getattr(differenced, name)) <= 1e-8 * scale, name
@@ -180,7 +187,7 @@ class TestExactRoute:
         f = affine_fiducial(1.0, 1.0)
         fam = affine_family(f, default_affine_grid(f, q=1.0, n=2000))
         with pytest.raises(AccuracyError):
-            fs_metric(fam, PhasePoint(0.0, 1.0, domain=AFFINE_DOMAIN), hbar=1.0)
+            fs_metric(fam, PhasePoint(0.0, 1.0, domain=AFFINE_DOMAIN))
 
     def test_nan_density_fails_closed(self, monkeypatch):
         monkeypatch.setattr(
@@ -189,7 +196,7 @@ class TestExactRoute:
         f = affine_fiducial(1.0, 1.0)
         fam = affine_family(f, default_affine_grid(f, q=1.0))
         with pytest.raises(AccuracyError):
-            fs_metric(fam, PhasePoint(0.0, 1.0, domain=AFFINE_DOMAIN), hbar=1.0)
+            fs_metric(fam, PhasePoint(0.0, 1.0, domain=AFFINE_DOMAIN))
 
 
 class TestInfinitesimalConsistency:
@@ -198,7 +205,7 @@ class TestInfinitesimalConsistency:
         grid = default_canonical_grid(f, q=1.0, p=1.0)
         fam = canonical_family(f, grid)
         pt = PhasePoint(0.2, -0.4)
-        g = fs_metric(fam, pt, hbar=1.0)
+        g = fs_metric(fam, pt)
         base = fam(pt.p, pt.q)
         ratios = []
         for delta in (1e-3, 5e-4):
@@ -215,7 +222,7 @@ class TestCurvature:
     def test_flat_canonical_sheet(self):
         f = gaussian_fiducial(1.0, 1.0)
         grid = default_canonical_grid(f, q=1.0, p=1.0)
-        field = metric_field_from_family(canonical_family(f, grid), "canonical")
+        field = metric_field_from_family(canonical_family(f, grid))
         val = scalar_curvature(field, PhasePoint(0.3, -0.2))
         assert abs(val) < 1e-4
 
@@ -224,13 +231,26 @@ class TestCurvature:
         f = affine_fiducial(beta, 1.0)
         for q in (0.5, 1.0, 4.0):
             grid = default_affine_grid(f, q=q, n=150_000)
-            field = metric_field_from_family(affine_family(f, grid), AFFINE_DOMAIN)
+            field = metric_field_from_family(affine_family(f, grid))
             val = scalar_curvature(field, PhasePoint(0.0, q, domain=AFFINE_DOMAIN))
             assert val == pytest.approx(expected, abs=1e-3)
+
+    @pytest.mark.parametrize("beta", [1.0, 4.0])
+    def test_stencil_evaluates_each_point_once(self, beta):
+        calls = []
+
+        def poincare(p, q):
+            calls.append((p, q))
+            return MetricTensor(q**2 / beta, 0.0, beta / q**2)
+
+        val = scalar_curvature(poincare, PhasePoint(0.3, 1.5, domain=AFFINE_DOMAIN))
+        assert len(calls) == 25
+        assert len(set(calls)) == 25
+        assert val == pytest.approx(-2.0 / beta, abs=1e-6)
 
     def test_stencil_domain_guard(self):
         f = affine_fiducial(1.0, 1.0)
         grid = default_affine_grid(f, q=0.05, n=40_000)
-        field = metric_field_from_family(affine_family(f, grid), AFFINE_DOMAIN)
+        field = metric_field_from_family(affine_family(f, grid))
         with pytest.raises(DomainError):
             scalar_curvature(field, PhasePoint(0.0, 0.05, domain=AFFINE_DOMAIN), step=0.5)

@@ -13,6 +13,7 @@ from cslab.grids import (
     dilation_expectation,
     half_line_grid,
     inner_product,
+    momentum_expectation,
     position_moment,
     uniform_grid,
 )
@@ -22,7 +23,6 @@ from cslab.states import (
     affine_coherent,
     affine_fiducial,
     affine_values,
-    analytic_derivative,
     affine_family,
     canonical_coherent,
     canonical_family,
@@ -85,8 +85,7 @@ class TestCanonicalTransport:
     def test_labels_read_back(self):
         f = gaussian_fiducial(1.0, 1.0)
         pt = PhasePoint(-1.3, 2.5)
-        state = canonical_coherent(f, pt)
-        p_read, q_read = state_labels(f, state, pt)
+        p_read, q_read = state_labels(f, pt)
         assert q_read == pytest.approx(2.5, abs=1e-8)
         assert p_read == pytest.approx(-1.3, abs=1e-8)
 
@@ -116,8 +115,7 @@ class TestCanonicalTransport:
         for _ in range(8):
             p, q = rng.normal(0, 2.0, 2)
             pt = PhasePoint(p, q)
-            state = canonical_coherent(f, pt)
-            p_read, q_read = state_labels(f, state, pt)
+            p_read, q_read = state_labels(f, pt)
             assert abs(p_read - p) < 1e-7
             assert abs(q_read - q) < 1e-7
 
@@ -144,11 +142,10 @@ class TestAffineTransport:
     def test_dilation_moment_is_pq(self):
         f = affine_fiducial(1.0, 1.0)
         pt = PhasePoint(2.0, 3.0, domain=AFFINE_DOMAIN)
-        state = affine_coherent(f, pt)
-        dil = dilation_expectation(state, analytic_derivative(f, pt, state))
-        assert dil == pytest.approx(6.0, abs=1e-6)
+        p_read, q_read = state_labels(f, pt)
+        assert p_read * q_read == pytest.approx(6.0, abs=1e-6)
         # finite-difference route agrees at its looser accuracy
-        dil_fd = dilation_expectation(state)
+        dil_fd = dilation_expectation(affine_coherent(f, pt))
         assert dil_fd == pytest.approx(6.0, abs=1e-4)
 
     def test_negative_q_rejected(self):
@@ -229,6 +226,34 @@ class TestCentering:
             (-1j * inner_product(state, derivative(state, 1))).real
         )
         assert p_read == pytest.approx(0.4, abs=1e-6)
+
+
+class TestLabelRoutes:
+    """Density-route labels against the transported complex state, differenced."""
+
+    @pytest.mark.parametrize("p,q", [(-1.3, 2.5), (0.8, -0.6), (2.0, 0.0)])
+    def test_canonical_sheet(self, p, q):
+        f = gaussian_fiducial(0.8, 1.3)
+        pt = PhasePoint(p, q)
+        state = canonical_coherent(f, pt)
+        p_read, q_read = state_labels(f, pt)
+        assert p_read == pytest.approx(momentum_expectation(state), abs=1e-4)
+        assert q_read == pytest.approx(position_moment(state, 1), abs=1e-12)
+
+    @pytest.mark.parametrize("p,q", [(2.0, 3.0), (-0.7, 0.5), (1.1, 1.0)])
+    def test_affine_sheet(self, p, q):
+        f = affine_fiducial(1.5, 1.0)
+        pt = PhasePoint(p, q, domain=AFFINE_DOMAIN)
+        state = affine_coherent(f, pt)
+        p_read, q_read = state_labels(f, pt)
+        assert p_read * q_read == pytest.approx(dilation_expectation(state), abs=1e-4)
+        assert q_read == pytest.approx(position_moment(state, 1), abs=1e-12)
+
+    def test_wrong_sheet_rejected(self):
+        with pytest.raises(DomainError):
+            state_labels(gaussian_fiducial(1.0, 1.0), PhasePoint(0.0, 1.0, domain=AFFINE_DOMAIN))
+        with pytest.raises(DomainError):
+            state_labels(affine_fiducial(1.0, 1.0), PhasePoint(0.0, 1.0))
 
 
 class TestExactTangents:
