@@ -262,7 +262,7 @@ def displaced_expectation(poly: LadderPolynomial, rep: ReducibleRep, p, q) -> fl
     alpha = rep.alpha(p, q)
     beta = rep.beta(q)
     value = _evaluate(poly, alpha, beta, alpha, beta)
-    if poly.is_hermitian() and not abs(value.imag) <= 1e-12 * (1 + abs(value.real)):
+    if not abs(value.imag) <= 1e-12 * (1 + abs(value.real)) and poly.is_hermitian():
         raise AccuracyError(
             f"Hermitian polynomial produced imaginary residue {value.imag:.2e}"
         )

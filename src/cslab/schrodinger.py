@@ -12,7 +12,8 @@ dynamics is compared.  Supported Hamiltonians are tridiagonal on the grid:
 Boundaries are homogeneous Dirichlet, either at both window ends (full
 line) or at x = 0 and the far end (half line).  Crank-Nicolson is the
 Cayley form of the discrete Hamiltonian, hence unitary in the discrete
-norm up to solver roundoff; a solve-residual check guards every step.
+norm up to solver roundoff: one LAPACK tridiagonal factorization per run
+and one tridiagonal product per step, guarded by the solve residual.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
-from scipy.sparse import csc_matrix, diags
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .dynamics import Trajectory
 from .errors import (
@@ -65,12 +65,14 @@ class EvolutionSetup:
             raise DomainError("steps must be >= 1")
         if not self.grid.is_uniform():
             raise DomainError("evolution requires a uniform grid")
+        if self.grid.nodes[self.unknown_slice()].size < 3:
+            raise DomainError("the tridiagonal solver needs three unpinned grid nodes")
         diag, off = hamiltonian_tridiagonal(self)  # validates the operator form
         rho = spectral_radius_estimate(diag, off)
-        if self.dt * rho / (2 * self.hbar) > 1e6:
+        if not self.dt * rho / (2 * self.hbar) <= 1e6:  # a NaN radius fails too
             raise PreconditionError(
-                f"dt * spectral radius = {self.dt * rho:.3e} is unreasonably large; "
-                "reduce dt or coarsen the grid"
+                f"dt * spectral radius = {self.dt * rho:.3e} is not finite or "
+                "unreasonably large; reduce dt or coarsen the grid"
             )
 
     def unknown_slice(self) -> slice:
@@ -109,7 +111,11 @@ def hamiltonian_tridiagonal(setup: EvolutionSetup) -> tuple[np.ndarray, np.ndarr
     sl = setup.unknown_slice()
     x = grid.nodes[sl]
     m = x.size
-    hb2 = setup.hbar**2
+    # products, not **: an overflow gives inf for the guards, not OverflowError
+    hb2 = setup.hbar * setup.hbar
+    h2 = h * h
+    if not 0 < h2 < math.inf:
+        raise NumericError(f"grid spacing {h:.3e} is out of range for the stencil")
     diag = np.zeros(m)
     off = np.zeros(m - 1)
     for coeff, factors in setup.hamiltonian.terms:
@@ -117,22 +123,27 @@ def hamiltonian_tridiagonal(setup: EvolutionSetup) -> tuple[np.ndarray, np.ndarr
         if shape == "potential":
             diag += coeff * x**power
         elif shape == "kinetic":
-            diag += coeff * 2 * hb2 / h**2
-            off += -coeff * hb2 / h**2
+            diag += coeff * 2 * hb2 / h2
+            off += -coeff * hb2 / h2
         else:
             left = (x - h / 2) ** power
             right = (x + h / 2) ** power
-            diag += coeff * hb2 * (left + right) / h**2
-            off += -coeff * hb2 * right[:-1] / h**2
+            diag += coeff * hb2 * (left + right) / h2
+            off += -coeff * hb2 * right[:-1] / h2
     return diag, off
 
 
+def tridiagonal_product(diag: np.ndarray, off: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """H u for the symmetric tridiagonal H with diagonal diag and off-diagonal off."""
+    hu = diag * u
+    hu[:-1] += off * u[1:]
+    hu[1:] += off * u[:-1]
+    return hu
+
+
 def spectral_radius_estimate(diag: np.ndarray, off: np.ndarray) -> float:
-    """Gershgorin bound for the tridiagonal Hamiltonian."""
-    row = np.abs(diag).copy()
-    row[:-1] += np.abs(off)
-    row[1:] += np.abs(off)
-    return float(np.max(row))
+    """Gershgorin bound for the tridiagonal Hamiltonian: the largest row sum of |H|."""
+    return float(np.max(tridiagonal_product(np.abs(diag), np.abs(off), np.ones(diag.size))))
 
 
 @dataclass
@@ -166,23 +177,12 @@ def evolve(
 
     sl = setup.unknown_slice()
     diag, off = hamiltonian_tridiagonal(setup)
-    lam = setup.dt / (2 * setup.hbar) * (-1 if backward else 1)
-    m = diag.size
-    a_mat = csc_matrix(
-        diags(
-            [1j * lam * off, 1 + 1j * lam * diag, 1j * lam * off],
-            offsets=[-1, 0, 1],
-            format="csc",
-        )
-    )
-    b_mat = csc_matrix(
-        diags(
-            [-1j * lam * off, 1 - 1j * lam * diag, -1j * lam * off],
-            offsets=[-1, 0, 1],
-            format="csc",
-        )
-    )
-    solver = splu(a_mat)
+    sign = -1.0 if backward else 1.0
+    lam = sign * setup.dt / (2 * setup.hbar)
+    # A = 1 + i lam H; b = B u = u - i lam H u and A u - b share one H u per step
+    *factors, info = zgttrf(1j * lam * off, 1 + 1j * lam * diag, 1j * lam * off)
+    if info != 0:
+        raise NumericError(f"tridiagonal factorization failed (LAPACK info {info}, n={diag.size})")
 
     u = np.array(psi0.values[sl], dtype=complex)
     h = setup.grid.spacing
@@ -193,17 +193,20 @@ def evolve(
         full[sl] = vec
         return WaveFunction(setup.grid, full, setup.hbar)
 
-    sign = -1.0 if backward else 1.0
     times = [0.0]
     states = [embed(u)]
+    hu = tridiagonal_product(diag, off, u)
     for step in range(1, setup.steps + 1):
-        b = b_mat @ u
-        u = solver.solve(b)
-        res = np.linalg.norm(a_mat @ u - b)
-        if res > 1e-10 * max(np.linalg.norm(b), 1.0):
+        b = u - 1j * lam * hu
+        u, info = zgttrs(*factors, b)
+        if info != 0:
+            raise NumericError(f"tridiagonal solve failed (LAPACK info {info}) at step {step}")
+        hu = tridiagonal_product(diag, off, u)
+        res = np.linalg.norm(u + 1j * lam * hu - b)
+        if not res <= 1e-10 * max(np.linalg.norm(b), 1.0):  # a NaN residual fails too
             raise NumericError(
                 f"tridiagonal solve residual {res:.2e} at step {step} "
-                f"(dt={setup.dt:g}, n={m})"
+                f"(dt={setup.dt:g}, n={diag.size})"
             )
         if step % snapshot_every == 0 or step == setup.steps:
             times.append(sign * step * setup.dt)
@@ -211,7 +214,7 @@ def evolve(
 
     norm1 = math.sqrt(float(np.sum(np.abs(u) ** 2)) * h)
     budget = 1e-8 * (setup.steps / 1000 + 1)
-    if abs(norm1 - norm0) > budget:
+    if not abs(norm1 - norm0) <= budget:
         raise NumericError(
             f"unitarity violated: norm drift {abs(norm1 - norm0):.2e} "
             f"over {setup.steps} steps"
@@ -238,9 +241,7 @@ def track_expectations(result: EvolutionResult) -> Trajectory:
             )
         )
         u = state.values[sl]
-        hu = diag * u
-        hu[:-1] += off * u[1:]
-        hu[1:] += off * u[:-1]
+        hu = tridiagonal_product(diag, off, u)
         es.append(float((np.sum(np.conj(u) * hu) * h).real))
     return Trajectory(result.times.copy(), np.array(ps), np.array(qs), np.array(es))
 
@@ -257,7 +258,7 @@ def snapshot_csv(state: WaveFunction, stream: IO[str]) -> None:
 
 def oscillation_window(f: Fiducial, p0: float, q0: float, n: int) -> Grid:
     """Full-line grid covering the classical oscillation with 10-sigma margins."""
-    amp = math.sqrt(q0**2 + (p0 / f.omega) ** 2)
+    amp = math.hypot(q0, p0 / f.omega)
     half = amp + 10 * f.sigma
     return uniform_grid(-half, half, n, kind=FULL_LINE)
 

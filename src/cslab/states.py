@@ -228,13 +228,17 @@ def fiducial_wavefunction(f: Fiducial, grid: Grid | None = None) -> WaveFunction
         return WaveFunction(grid, affine_values(f.beta, f.hbar, grid.nodes), f.hbar)
     if grid is None or grid.same_as(f.sample.grid):
         return f.sample
-    src = f.sample
-    spline_re = CubicSpline(src.grid.nodes, src.values.real)
-    spline_im = CubicSpline(src.grid.nodes, src.values.imag)
-    inside = (grid.nodes >= src.grid.lower) & (grid.nodes <= src.grid.upper)
-    vals = np.zeros(grid.n, dtype=complex)
-    vals[inside] = spline_re(grid.nodes[inside]) + 1j * spline_im(grid.nodes[inside])
-    return WaveFunction(grid, vals, f.hbar)
+    return WaveFunction(grid, _resample(f.sample, grid.nodes), f.hbar)
+
+
+def _resample(sample: WaveFunction, x: np.ndarray) -> np.ndarray:
+    """Cubic-spline values of a sampled fiducial at x, zero outside its window."""
+    spline_re = CubicSpline(sample.grid.nodes, sample.values.real)
+    spline_im = CubicSpline(sample.grid.nodes, sample.values.imag)
+    inside = (x >= sample.grid.lower) & (x <= sample.grid.upper)
+    values = np.zeros(x.shape, dtype=complex)
+    values[inside] = spline_re(x[inside]) + 1j * spline_im(x[inside])
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +274,7 @@ def canonical_coherent(
     if f.kind == GAUSSIAN:
         envelope = gaussian_values(f.omega, f.hbar, x - pt.q)
     else:
-        sample = f.sample
-        spline_re = CubicSpline(sample.grid.nodes, sample.values.real)
-        spline_im = CubicSpline(sample.grid.nodes, sample.values.imag)
-        shifted = x - pt.q
-        inside = (shifted >= sample.grid.lower) & (shifted <= sample.grid.upper)
-        envelope = np.zeros_like(shifted, dtype=complex)
-        envelope[inside] = spline_re(shifted[inside]) + 1j * spline_im(shifted[inside])
+        envelope = _resample(f.sample, x - pt.q)
     return WaveFunction(grid, phase * envelope, f.hbar)
 
 

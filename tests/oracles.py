@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.sparse import csc_matrix, diags
+from scipy.sparse.linalg import splu
 
 
 def gl_grid(n=400, half_width=14.0):
@@ -121,3 +123,25 @@ def h1_terms(n, nu):
         (nu, [], [(k, 1), (l, 1)], [], [(k, 1), (l, 1)]) for k in range(n) for l in range(n)
     ]
     return terms
+
+
+# ---------------------------------------------------------------------------
+# Crank-Nicolson by general sparse matrices
+#
+# A = 1 + i lam H and B = 1 - i lam H are assembled as sparse matrices and A
+# is factored by a general sparse LU: the reference the tridiagonal LAPACK
+# solver in cslab.schrodinger is tested against.
+
+
+def crank_nicolson_sparse(diag, off, lam, u, steps):
+    """u after `steps` solves of A u' = B u for the tridiagonal H = (diag, off)."""
+    a_mat = csc_matrix(
+        diags([1j * lam * off, 1 + 1j * lam * diag, 1j * lam * off], offsets=[-1, 0, 1])
+    )
+    b_mat = csc_matrix(
+        diags([-1j * lam * off, 1 - 1j * lam * diag, -1j * lam * off], offsets=[-1, 0, 1])
+    )
+    solver = splu(a_mat)
+    for _ in range(steps):
+        u = solver.solve(b_mat @ u)
+    return u

@@ -7,6 +7,11 @@ import pytest
 from cslab.cli import main
 
 
+# a small harmonic evolve-quantum run; later flags override these
+QUANTUM = ["evolve-quantum", "--operator", "0.5 * D D + 0.5 * X X", "--p0", "0.1",
+           "--q0", "0.2", "--steps", "3", "--n_nodes", "64"]
+
+
 def run(args):
     return main([a for a in args if a is not None])
 
@@ -77,6 +82,13 @@ class TestExitCodes:
             ["evolve-quantum", "--operator", "0.5 * D D + 0.5 * X X",
              "--p0", "0.5", "--q0", "0.5", "--dt", "nan"],
             ["symbol", "--operator", "1.0 * X", "--omega", "nan"],
+            QUANTUM + ["--n_nodes", "2"],
+            QUANTUM + ["--p0", "1e300"],
+            QUANTUM + ["--q0", "1e300"],
+            QUANTUM + ["--omega", "1e-300"],
+            QUANTUM + ["--family", "affine", "--operator", "1.0 * D X D", "--q0", "1e300"],
+            QUANTUM + ["--operator", "1.0 * X^400 + -1.0 * X^400 + 0.5 * D D"],
+            QUANTUM + ["--hbar", "1e200"],
         ],
     )
     def test_non_finite_input_fails_closed(self, tmp_path, argv):

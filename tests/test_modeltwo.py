@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cslab.errors import DomainError, NumericError, PreconditionError
+from cslab.errors import AccuracyError, DomainError, NumericError, PreconditionError
 from cslab.modeltwo import (
     LadderPolynomial,
     RadialDensity,
@@ -96,6 +96,32 @@ class TestDisplacedExpectation:
         rep = ReducibleRep(3, 1.0, 0.2)
         with pytest.raises(DomainError):
             displaced_expectation(h_p_operator(rep), rep, [1.0], [1.0])
+
+    def test_h1_skips_the_hermiticity_check(self, monkeypatch):
+        calls = []
+        check = LadderPolynomial.is_hermitian
+
+        def counted(poly, *args, **kwargs):
+            calls.append(poly)
+            return check(poly, *args, **kwargs)
+
+        monkeypatch.setattr(LadderPolynomial, "is_hermitian", counted)
+        rep = ReducibleRep(3, 1.0, 0.4)
+        p, q = np.array([1.0, -0.5, 0.2]), np.array([0.3, 1.1, -0.7])
+        got = h1_expectation(rep, 0.7, p, q)
+        assert got == pytest.approx(h1_closed_form(rep, 0.7, p, q), rel=1e-13)
+        assert calls == []
+
+    def test_nan_residue_of_hermitian_polynomial_raises(self):
+        rep = ReducibleRep(2, 1.0, 0.5)
+        with pytest.raises(AccuracyError):
+            displaced_expectation(h_p_operator(rep), rep, [math.nan, 0.0], [0.3, 1.0])
+
+    def test_imaginary_value_of_non_hermitian_polynomial_returns_real_part(self):
+        rep = ReducibleRep(1, 1.5, 0.4)
+        lone_a = LadderPolynomial.from_factors(1.0, [("A", 0)])
+        assert not lone_a.is_hermitian()
+        assert displaced_expectation(lone_a, rep, [0.8], [-1.1]) == 0.8
 
     def test_normal_order_enforced_structurally(self):
         with pytest.raises(DomainError):

@@ -17,6 +17,7 @@ from cslab.schrodinger import (
     hamiltonian_tridiagonal,
     oscillation_window,
     track_expectations,
+    tridiagonal_product,
 )
 from cslab.states import (
     AFFINE_DOMAIN,
@@ -27,6 +28,8 @@ from cslab.states import (
     gaussian_fiducial,
 )
 from cslab.symbols import parse_operator, weak_symbol_affine
+
+from oracles import crank_nicolson_sparse
 
 HARMONIC = parse_operator("0.5 * D D + 0.5 * X X")
 DXD = parse_operator("1.0 * D X D")
@@ -112,6 +115,46 @@ class TestEvolve:
         traj = track_expectations(evolve(psi0, setup, snapshot_every=100))
         x_exact = q0 * np.cos(omega * traj.times) + (p0 / omega) * np.sin(omega * traj.times)
         assert np.max(np.abs(traj.q - x_exact)) <= 1e-4
+
+
+class TestTridiagonalSolver:
+    """The LAPACK tridiagonal route against the sparse LU in tests/oracles.py."""
+
+    @staticmethod
+    def _setup(case):
+        if case == "harmonic":
+            f = gaussian_fiducial(1.0, 1.0)
+            grid = uniform_grid(-9, 9, 512)
+            psi0 = canonical_coherent(f, PhasePoint(0.4, 0.2), grid=grid)
+            setup = EvolutionSetup(HARMONIC, grid, DIRICHLET_BOTH, 1e-3, 200)
+        else:
+            f = affine_fiducial(2.0, 1.0)
+            grid = half_line_window(f, 2.0, 512)
+            psi0 = affine_coherent(f, PhasePoint(0.5, 1.0, domain=AFFINE_DOMAIN), grid=grid)
+            setup = EvolutionSetup(DXD, grid, DIRICHLET_AT_ZERO, 1e-3, 200)
+        return psi0.normalized(), setup
+
+    @pytest.mark.parametrize("backward", [False, True])
+    @pytest.mark.parametrize("case", ["harmonic", "dxd"])
+    def test_evolve_matches_sparse_lu(self, case, backward):
+        psi0, setup = self._setup(case)
+        result = evolve(psi0, setup, snapshot_every=setup.steps, backward=backward)
+        diag, off = hamiltonian_tridiagonal(setup)
+        lam = setup.dt / (2 * setup.hbar) * (-1 if backward else 1)
+        sl = setup.unknown_slice()
+        want = crank_nicolson_sparse(diag, off, lam, psi0.values[sl], setup.steps)
+        assert np.max(np.abs(result.final().values[sl] - want)) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["harmonic", "dxd"])
+    def test_product_matches_dense_matrix(self, case):
+        _, setup = self._setup(case)
+        diag, off = hamiltonian_tridiagonal(setup)
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        rng = np.random.default_rng(3)
+        u = rng.normal(size=diag.size) + 1j * rng.normal(size=diag.size)
+        want = dense @ u
+        got = tridiagonal_product(diag, off, u)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestHalfLineModelOne:
