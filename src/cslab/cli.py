@@ -55,8 +55,6 @@ from .states import (
     affine_fiducial,
     canonical_coherent,
     canonical_family,
-    default_affine_grid,
-    default_canonical_grid,
     gaussian_fiducial,
     state_labels,
     verify_centering,
@@ -103,7 +101,6 @@ SCHEMAS: dict[str, dict[str, Param]] = {
         "hbar": Param("float", 1.0),
         "p_list": Param("floats", (0.0,)),
         "q_list": Param("floats", (1.0,)),
-        "n_nodes": Param("int", 0, help="family grid nodes (0 = automatic)"),
     },
     "curvature": {
         "family": _FAMILY,
@@ -112,7 +109,6 @@ SCHEMAS: dict[str, dict[str, Param]] = {
         "hbar": Param("float", 1.0),
         "p": Param("float", 0.0),
         "q_list": Param("floats", (0.5, 1.0, 4.0)),
-        "n_nodes": Param("int", 0),
     },
     "evolve-classical": {
         "operator": Param("str", required=True),
@@ -404,18 +400,18 @@ def run_symbol(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
     return payload
 
 
-def _family(params: dict, q_anchor: float) -> CoherentFamily:
+def _family(params: dict) -> CoherentFamily:
+    # analytic families: the metric comes from closed-form moments, no grid
     f = _fiducial(params)
-    n = params.get("n_nodes") or 0
     if params["family"] == "affine":
-        return affine_family(f, default_affine_grid(f, q=q_anchor, n=n or None))
-    return canonical_family(f, default_canonical_grid(f, q=q_anchor, n=n or None))
+        return affine_family(f)
+    return canonical_family(f)
 
 
 def run_metric(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
     rows = []
+    family = _family(params)
     for q in params["q_list"]:
-        family = _family(params, q)
         for p in params["p_list"]:
             g = fs_metric(family, PhasePoint(p, q, domain=family.domain))
             rows.append({"p": p, "q": q, "g_pp": g.g_pp, "g_pq": g.g_pq, "g_qq": g.g_qq})
@@ -426,9 +422,9 @@ def run_metric(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
 
 def run_curvature(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
     rows = []
+    family = _family(params)
+    field = metric_field_from_family(family)
     for q in params["q_list"]:
-        family = _family(params, q)
-        field = metric_field_from_family(family)
         value = scalar_curvature(field, PhasePoint(params["p"], q, domain=family.domain))
         rows.append({"p": params["p"], "q": q, "curvature": value})
     payload = {"family": params["family"], "points": rows}

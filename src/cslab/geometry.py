@@ -28,10 +28,10 @@ from .errors import AccuracyError, DomainError
 from .grids import WaveFunction, inner_product
 from .states import (
     AFFINE_DOMAIN,
+    GAUSSIAN,
     CoherentFamily,
     PhasePoint,
-    coherent_density,
-    tangent_multipliers,
+    coherent_moments,
 )
 
 
@@ -99,7 +99,7 @@ def _metric_at_step(family, p, q, step_p, step_q) -> MetricTensor:
     return MetricTensor(g_pp, g_pq, g_qq)
 
 
-# relative accuracy both metric routes must reach
+# relative accuracy the difference route must reach
 METRIC_RTOL = 1e-5
 
 
@@ -111,47 +111,37 @@ def fs_metric(
     """Fubini-Study metric of a coherent family at ``pt``, in the family's hbar.
 
     Analytic families (a :class:`CoherentFamily` of a Gaussian or affine-Beta
-    fiducial) use their exact tangents and the one density at (p, q); the
-    state's quadrature norm must be 1 to ``METRIC_RTOL``.  Any other family
-    (sampled fiducials, plain callables on one fixed grid) goes by central
-    differences with one Richardson extrapolation, whose two consecutive
-    extrapolants must agree to ``METRIC_RTOL``; ``step`` applies to that
-    route only, and hbar is that of the states the family builds.
+    fiducial) use the closed form of their exact tangents, which builds no
+    grid.  Any other family (sampled fiducials, plain callables on one fixed
+    grid) goes by central differences with one Richardson extrapolation,
+    whose two consecutive extrapolants must agree to ``METRIC_RTOL``;
+    ``step`` applies to that route only, and hbar is that of the states the
+    family builds.
     """
     if isinstance(family, CoherentFamily) and family.analytic:
-        g = _exact_metric(family, pt)
+        g = _closed_form_metric(family, pt)
     else:
         g = _difference_metric(family, pt, step)
     g.require_positive_definite()
     return g
 
 
-def _exact_metric(family: CoherentFamily, pt: PhasePoint) -> MetricTensor:
-    """2 hbar [<dpsi|dpsi> - |<psi|dpsi>|^2] as weighted sums over |psi|^2.
+def _closed_form_metric(family: CoherentFamily, pt: PhasePoint) -> MetricTensor:
+    """2 hbar [<dpsi|dpsi> - |<psi|dpsi>|^2] from the variance of x.
 
-    With d_p psi = i u psi and d_q psi = (v - i c) psi, c = p / hbar, the
-    diagonal entries are variances of u and v.  The terms in c come from the
-    phase factor and vanish for a state of norm 1; they are kept so that the
-    result is the formula above evaluated on the grid.
+    The exact tangents are d_p psi = i u psi and d_q psi = (v - i p/hbar) psi
+    with u = (x - q)/hbar and v = k u, where k = omega on the canonical
+    sheet and beta/q^2 on the affine one.  The p/hbar terms cancel, so the
+    entries are 2 hbar Var(u), 2 hbar Cov(u, v) and 2 hbar Var(v): with
+    Var(x) from :func:`coherent_moments`, g_pp = 2 Var(x)/hbar, g_pq = 0 and
+    g_qq = 2 k^2 Var(x)/hbar.  An overflow gives inf or NaN, which the
+    positive-definiteness guard rejects.
     """
-    f, grid = family.fiducial, family.grid
-    hbar = f.hbar
+    f = family.fiducial
     pt = PhasePoint(pt.p, pt.q, domain=family.domain)
-    rho = grid.weights * coherent_density(f, pt, grid)
-    norm = float(rho.sum())
-    if not abs(norm - 1.0) <= METRIC_RTOL:
-        raise AccuracyError(
-            f"state norm {norm!r} on the metric grid is off by more than {METRIC_RTOL:g}"
-        )
-    u, v = tangent_multipliers(f, pt, grid.nodes)
-    c = pt.p / hbar
-    mean_u = float(np.dot(rho, u))
-    mean_v = float(np.dot(rho, v))
-    return MetricTensor(
-        2 * hbar * (float(np.dot(rho, u * u)) - mean_u**2),
-        2 * hbar * c * mean_u * (norm - 1.0),
-        2 * hbar * (float(np.dot(rho, v * v)) - mean_v**2 + c**2 * norm * (1.0 - norm)),
-    )
+    _, var_x = coherent_moments(f, pt)
+    k = f.omega if f.kind == GAUSSIAN else f.beta / pt.q / pt.q
+    return MetricTensor(2 * var_x / f.hbar, 0.0, 2 * k * k * var_x / f.hbar)
 
 
 def _difference_metric(
@@ -196,6 +186,8 @@ def _difference_metric(
 
 _FIVE_POINT_FIRST = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 _FIVE_POINT_SECOND = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+# largest relative rounding of a stencil step by the coordinate it is added to
+STENCIL_RTOL = 1e-8
 
 
 def scalar_curvature(
@@ -215,6 +207,11 @@ def scalar_curvature(
     h_q = step / math.sqrt(center.g_qq)
     if pt.domain == AFFINE_DOMAIN and pt.q - 2 * h_q <= 0:
         raise DomainError("curvature stencil leaves the affine domain q > 0")
+    # a step below the float spacing of the point, or zero from an infinite
+    # metric entry, would leave the stencil differencing one metric with itself
+    for x, h in ((pt.p, h_p), (pt.q, h_q)):
+        if not abs((x + h) - x - h) < STENCIL_RTOL * h:
+            raise AccuracyError(f"stencil step {h:.3g} is not resolved at {x:.17g}")
 
     offsets = (-2, -1, 0, 1, 2)
     E = np.empty((5, 5))

@@ -45,6 +45,9 @@ from .symbols import D_FACTOR, X_FACTOR, OperatorExpr
 
 DIRICHLET_BOTH = "dirichlet-both"
 DIRICHLET_AT_ZERO = "dirichlet-at-zero"
+# largest share of the norm of psi0 that evolve may drop on the pinned
+# nodes; it matches the normalization tolerance evolve requires of psi0
+PINNED_NORM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -167,7 +170,9 @@ def evolve(
     """Run Crank-Nicolson and return strided snapshots.
 
     ``snapshot_every`` defaults to about 512 snapshots per run; pass 1 to
-    keep every step.  ``backward`` negates the time step.
+    keep every step.  ``backward`` negates the time step.  The pinned
+    Dirichlet values of ``psi0`` are dropped, so they may carry at most
+    ``PINNED_NORM_TOL`` of its norm.
     """
     if not psi0.grid.same_as(setup.grid):
         raise GridMismatchError("initial state must live on the setup grid")
@@ -176,6 +181,13 @@ def evolve(
         snapshot_every = max(1, setup.steps // 512)
 
     sl = setup.unknown_slice()
+    rho = setup.grid.weights * np.abs(psi0.values) ** 2
+    pinned_norm = float(rho.sum() - rho[sl].sum())
+    if not pinned_norm <= PINNED_NORM_TOL:  # a NaN norm fails too
+        raise NumericError(
+            f"psi0 carries {pinned_norm:.3e} of its norm on the pinned Dirichlet nodes "
+            f"(limit {PINNED_NORM_TOL:g}); widen the window or add nodes"
+        )
     diag, off = hamiltonian_tridiagonal(setup)
     sign = -1.0 if backward else 1.0
     lam = sign * setup.dt / (2 * setup.hbar)

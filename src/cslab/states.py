@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import CoverageError, DomainError
+from .errors import CoverageError, DomainError, NumericError, PreconditionError
 from .grids import (
     FULL_LINE,
     Grid,
@@ -149,6 +149,10 @@ def affine_values(beta: float, hbar: float, u: np.ndarray) -> np.ndarray:
     return np.exp(affine_log_norm(beta, hbar) + a * np.log(u) - b * u)
 
 
+# ---------------------------------------------------------------------------
+# closed-form moments
+
+
 def _affine_moment(beta: float, hbar: float, power: int) -> float:
     """Exact moment of x**power in |xi|^2 via Gamma-function ratios."""
     nu = 2.0 * beta / hbar
@@ -164,6 +168,50 @@ def _affine_moment(beta: float, hbar: float, power: int) -> float:
     for t in range(1, k + 1):
         out *= nu / (nu - t)
     return out
+
+
+def fiducial_moment(f: Fiducial, k: int) -> float:
+    """Exact moment of x**k in the fiducial density |eta|^2 or |xi|^2.
+
+    Gaussian moments are (k-1)!! (hbar / 2 omega)^(k/2) for even k and 0
+    for odd k; affine moments are Gamma-function ratios and may be of
+    negative order.  A divergent moment raises :class:`DomainError`.
+    """
+    if f.kind == AFFINE:
+        return _affine_moment(f.beta, f.hbar, k)
+    if f.kind != GAUSSIAN:
+        raise DomainError("closed-form moments need a Gaussian or affine fiducial")
+    if k < 0:
+        raise DomainError("negative position powers on the full line")
+    if k % 2:
+        return 0.0
+    val = 1.0
+    var = f.hbar / (2 * f.omega)
+    for t in range(1, k, 2):  # (k-1)!! var^(k/2)
+        val *= t
+    try:
+        return val * var ** (k // 2)
+    except OverflowError as exc:
+        raise NumericError(f"moment x**{k} of the Gaussian fiducial overflows") from exc
+
+
+def coherent_moments(f: Fiducial, pt: PhasePoint) -> tuple[float, float]:
+    """Mean and variance of x in |psi_{p,q}|^2, from the fiducial's moments.
+
+    Transport shifts x by q on the canonical sheet and dilates it by q on
+    the affine one, so with m_k the fiducial moments the mean is q + m_1 or
+    q m_1 and the variance m_2 - m_1^2 or q^2 (m_2 - m_1^2).  Products,
+    not powers: an overflow gives inf for the callers' guards.
+    """
+    if (f.kind, pt.domain) not in ((GAUSSIAN, CANONICAL_DOMAIN), (AFFINE, AFFINE_DOMAIN)):
+        raise DomainError(
+            f"no closed-form moments for a {f.kind} fiducial on the {pt.domain} sheet"
+        )
+    m1 = fiducial_moment(f, 1)
+    var = fiducial_moment(f, 2) - m1 * m1
+    if pt.domain == AFFINE_DOMAIN:
+        return pt.q * m1, pt.q * pt.q * var
+    return pt.q + m1, var
 
 
 # ---------------------------------------------------------------------------
@@ -297,61 +345,27 @@ def affine_coherent(
     return WaveFunction(grid, values, f.hbar)
 
 
-def coherent_density(f: Fiducial, pt: PhasePoint, grid: Grid) -> np.ndarray:
-    """|psi_{p,q}|^2 at the grid nodes for a Gaussian or affine-Beta fiducial.
-
-    The phase exp(i p (x - q) / hbar) has modulus one, so no complex value
-    is formed; the grid checks are those of the state constructors.
-    """
-    x = grid.nodes
-    if f.kind == GAUSSIAN and pt.domain == CANONICAL_DOMAIN:
-        _require_coverage(f, pt, grid)
-        return gaussian_values(f.omega, f.hbar, x - pt.q) ** 2
-    if f.kind == AFFINE and pt.domain == AFFINE_DOMAIN:
-        return affine_values(f.beta, f.hbar, x / pt.q) ** 2 / pt.q
-    raise DomainError(
-        f"no closed-form density for a {f.kind} fiducial on the {pt.domain} sheet"
-    )
-
-
-def tangent_multipliers(
-    f: Fiducial, pt: PhasePoint, x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact tangents of a transported analytic fiducial as real multipliers:
-
-        d psi/dp = i u psi,    d psi/dq = (v - i p / hbar) psi,
-
-    with u = (x - q) / hbar on both sheets and
-
-        v = omega u                        (Gaussian canonical),
-        v = -1/(2q) - a/q + b x/q^2        (affine; b = beta/hbar, a = b - 1/2)
-          = beta u / q^2.
-    """
-    u = (x - pt.q) / f.hbar
-    if f.kind == GAUSSIAN:
-        return u, f.omega * u
-    if f.kind == AFFINE:
-        return u, (f.beta / pt.q**2) * u
-    raise DomainError("closed-form tangents need a Gaussian or affine fiducial")
-
-
 # ---------------------------------------------------------------------------
-# families on a common grid (for geometry)
+# families (for geometry)
 
 
 @dataclass(frozen=True)
 class CoherentFamily:
-    """(p, q) -> coherent state of one fiducial on one fixed grid.
+    """(p, q) -> coherent state of one fiducial, optionally on one fixed grid.
 
-    A shared grid is what makes overlaps between members defined.  Families
-    of Gaussian and affine-Beta fiducials are ``analytic``: their densities
-    and tangents have closed forms (:func:`coherent_density`,
-    :func:`tangent_multipliers`).
+    A shared grid is what makes overlaps between members defined.  Gaussian
+    and affine-Beta families are ``analytic``: their metric and labels come
+    from closed-form moments (:func:`coherent_moments`) and need no grid;
+    other families are differenced on their grid, so they must have one.
     """
 
     fiducial: Fiducial
-    grid: Grid
     domain: str
+    grid: Grid | None = None
+
+    def __post_init__(self):
+        if self.grid is None and not self.analytic:
+            raise PreconditionError(f"a {self.fiducial.kind} family needs a shared grid")
 
     @property
     def analytic(self) -> bool:
@@ -364,14 +378,14 @@ class CoherentFamily:
         return canonical_coherent(self.fiducial, pt, grid=self.grid)
 
 
-def canonical_family(f: Fiducial, grid: Grid) -> CoherentFamily:
-    """(p, q) -> eta_{p,q} on one fixed grid (required for overlaps)."""
-    return CoherentFamily(f, grid, CANONICAL_DOMAIN)
+def canonical_family(f: Fiducial, grid: Grid | None = None) -> CoherentFamily:
+    """(p, q) -> eta_{p,q}, on one fixed grid when overlaps are needed."""
+    return CoherentFamily(f, CANONICAL_DOMAIN, grid)
 
 
-def affine_family(f: Fiducial, grid: Grid) -> CoherentFamily:
-    """(p, q) -> xi_{p,q} on one fixed half-line grid."""
-    return CoherentFamily(f, grid, AFFINE_DOMAIN)
+def affine_family(f: Fiducial, grid: Grid | None = None) -> CoherentFamily:
+    """(p, q) -> xi_{p,q}, on one fixed half-line grid when overlaps are needed."""
+    return CoherentFamily(f, AFFINE_DOMAIN, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -412,25 +426,15 @@ def verify_centering(f: Fiducial, tol: float = 1e-7) -> CenteringReport:
 def state_labels(f: Fiducial, pt: PhasePoint) -> tuple[float, float]:
     """Read back (p, q) from the moments of the state transported to ``pt``.
 
-    For Gaussian and affine-Beta fiducials the moments are weighted sums
-    over the density of :func:`coherent_density` on the window the state
-    constructors pick for ``pt``: with N = sum w |psi|^2 and
-    X = sum w x |psi|^2, the phase exp(i p (x - q) / hbar) contributes
-    p |psi|^2 to the momentum density and p x |psi|^2 to the dilation
-    density, so the p label is p N on the canonical sheet and p X / X = p
-    on the affine one.  What the read-back tests is therefore N and X.
-    The window needs no nodes for the phase, which is never formed.
+    For Gaussian and affine-Beta fiducials the q label is the mean of x in
+    |psi_{p,q}|^2 (:func:`coherent_moments`).  The phase
+    exp(i p (x - q) / hbar) contributes p |psi|^2 to the momentum density
+    and p x |psi|^2 to the dilation density, so on a state of norm 1 the p
+    label is p on the canonical sheet and p X / X = p on the affine one.
     Sampled fiducials build the state and difference it.
     """
     if f.kind == SAMPLED:
         state = canonical_coherent(f, pt)
         return momentum_expectation(state), position_moment(state, 1)
-    if f.kind == AFFINE:
-        grid = default_affine_grid(f, q=pt.q)
-    else:
-        grid = default_canonical_grid(f, q=pt.q)
-    rho = grid.weights * coherent_density(f, pt, grid)
-    x_mom = float(np.dot(rho, grid.nodes))
-    if pt.domain == AFFINE_DOMAIN:
-        return pt.p, x_mom
-    return pt.p * float(rho.sum()), x_mom
+    mean, _ = coherent_moments(f, pt)
+    return pt.p, mean

@@ -28,14 +28,14 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import AccuracyError, ConfigError, DomainError, PreconditionError
+from .errors import AccuracyError, ConfigError, DomainError, NumericError, PreconditionError
 from .grids import Grid, WaveFunction, derivative, inner_product, uniform_grid
 from .states import (
     AFFINE,
     GAUSSIAN,
     Fiducial,
-    _affine_moment,
     affine_log_norm,
+    fiducial_moment,
     fiducial_wavefunction,
     verify_centering,
 )
@@ -254,7 +254,10 @@ def _apply_x_canonical(poly: Poly, m: int) -> Poly:
     # multiply by (q + x)^m
     out: Poly = {}
     for r in range(m + 1):
-        binom = math.comb(m, r)
+        try:
+            binom = float(math.comb(m, r))
+        except OverflowError as exc:
+            raise NumericError(f"binomial coefficient C({m}, {r}) overflows a float") from exc
         for (i, j, k), c in poly.items():
             _poly_add(out, (i, j + m - r, k + r), binom * c)
     return out
@@ -305,25 +308,10 @@ def _push_factors(factors: tuple[Factor, ...], f: Fiducial) -> Poly:
     return poly
 
 
-def _gaussian_moment(omega: float, hbar: float, k: int) -> float:
-    if k < 0:
-        raise DomainError("negative position powers on the full line")
-    if k % 2:
-        return 0.0
-    val = 1.0
-    var = hbar / (2 * omega)
-    for t in range(1, k, 2):  # (k-1)!! var^(k/2)
-        val *= t
-    return val * var ** (k // 2)
-
-
 def _reduce_moments(poly: Poly, f: Fiducial) -> dict[tuple[int, int], complex]:
     out: dict[tuple[int, int], complex] = {}
     for (i, j, k), c in poly.items():
-        if f.kind == GAUSSIAN:
-            mom = _gaussian_moment(f.omega, f.hbar, k)
-        else:
-            mom = _affine_moment(f.beta, f.hbar, k)
+        mom = fiducial_moment(f, k)
         if mom == 0.0:
             continue
         key = (i, j)

@@ -8,7 +8,16 @@ import time
 
 import numpy as np
 
-from oracles import quadrature_expectations, quadrature_overlap
+from oracles import (
+    ORACLE_CURVATURE_ATOL,
+    ORACLE_LABEL_ATOL,
+    ORACLE_METRIC_RTOL,
+    density_labels,
+    exact_metric,
+    exact_metric_field,
+    quadrature_expectations,
+    quadrature_overlap,
+)
 
 from cslab.dynamics import integrate, model_one_reference
 from cslab.geometry import fs_metric, metric_field_from_family, scalar_curvature
@@ -63,12 +72,14 @@ def test_01_centering_reproduces_labels():
     t0 = time.perf_counter()
     rng = np.random.default_rng(20)
     worst = 0.0
+    points = []
     f_can = gaussian_fiducial(1.0, 1.0)
     for _ in range(10):
         p, q = rng.uniform(-2, 2, 2)
         pt = PhasePoint(p, q)
         p_read, q_read = state_labels(f_can, pt)
         worst = max(worst, abs(p_read - p), abs(q_read - q))
+        points.append((f_can, pt, (p_read, q_read)))
     f_aff = affine_fiducial(1.0, 1.0)
     for _ in range(10):
         p = float(rng.uniform(-2, 2))
@@ -76,55 +87,84 @@ def test_01_centering_reproduces_labels():
         pt = PhasePoint(p, q, domain=AFFINE_DOMAIN)
         p_read, q_read = state_labels(f_aff, pt)
         worst = max(worst, abs(p_read - p), abs(q_read - q))
+        points.append((f_aff, pt, (p_read, q_read)))
     elapsed = time.perf_counter() - t0
+    oracle_worst = 0.0
+    for f, pt, labels in points:
+        oracle = density_labels(f, pt, n=150_001)
+        oracle_worst = max(oracle_worst, *(abs(a - b) for a, b in zip(labels, oracle)))
     report(
         1,
-        worst <= 1e-7 and elapsed < 5.0,
-        f"20-point label error {worst:.2e} (<= 1e-7), {elapsed:.2f}s (< 5s)",
+        worst <= 1e-7 and elapsed < 5.0 and oracle_worst <= ORACLE_LABEL_ATOL,
+        f"20-point label error {worst:.2e} (<= 1e-7), {elapsed:.2f}s (< 5s), "
+        f"vs quadrature oracle {oracle_worst:.2e} (<= {ORACLE_LABEL_ATOL:g})",
+    )
+
+
+def _oracle_deviation(fam, pt, g):
+    """Largest relative deviation of the metric g from the quadrature oracle."""
+    oracle = exact_metric(fam, pt)
+    scale = max(g.g_pp, g.g_qq)
+    return max(
+        abs(g.g_pp - oracle.g_pp) / g.g_pp,
+        abs(g.g_qq - oracle.g_qq) / g.g_qq,
+        abs(g.g_pq - oracle.g_pq) / scale,
     )
 
 
 def test_02_cartesian_metric():
-    worst_diag = worst_off = 0.0
+    worst_diag = worst_off = worst_oracle = 0.0
     for omega in (0.5, 1.0, 2.0):
         f = gaussian_fiducial(omega, 1.0)
-        grid = default_canonical_grid(f, q=2.0, p=2.0)
+        grid = default_canonical_grid(f, q=2.0, n=150_001)
         fam = canonical_family(f, grid)
         for p in (-1.5, 0.0, 1.5):
             for q in (-1.0, 0.0, 1.0):
-                g = fs_metric(fam, PhasePoint(p, q))
+                pt = PhasePoint(p, q)
+                g = fs_metric(fam, pt)
                 worst_diag = max(
                     worst_diag, abs(g.g_pp - 1 / omega), abs(g.g_qq - omega)
                 )
                 worst_off = max(worst_off, abs(g.g_pq))
+                worst_oracle = max(worst_oracle, _oracle_deviation(fam, pt, g))
     report(
         2,
-        worst_diag <= 1e-6 and worst_off <= 1e-8,
-        f"diag err {worst_diag:.2e} (<= 1e-6), off-diag {worst_off:.2e} (<= 1e-8)",
+        worst_diag <= 1e-6 and worst_off <= 1e-8 and worst_oracle <= ORACLE_METRIC_RTOL,
+        f"diag err {worst_diag:.2e} (<= 1e-6), off-diag {worst_off:.2e} (<= 1e-8), "
+        f"vs quadrature oracle {worst_oracle:.2e} (<= {ORACLE_METRIC_RTOL:g})",
     )
 
 
 def test_03_poincare_geometry():
-    worst_metric = worst_curv = 0.0
+    worst_metric = worst_curv = worst_oracle = worst_oracle_curv = 0.0
     for beta in (1.0, 4.0):
         f = affine_fiducial(beta, 1.0)
         for q in (0.5, 1.0, 4.0):
             grid = default_affine_grid(f, q=q, n=150_000)
             fam = affine_family(f, grid)
-            g = fs_metric(fam, PhasePoint(0.4, q, domain=AFFINE_DOMAIN))
+            pt = PhasePoint(0.4, q, domain=AFFINE_DOMAIN)
+            g = fs_metric(fam, pt)
             worst_metric = max(
                 worst_metric,
                 abs(g.g_pp - q**2 / beta),
                 abs(g.g_qq - beta / q**2),
                 abs(g.g_pq),
             )
-            field = metric_field_from_family(fam)
-            curv = scalar_curvature(field, PhasePoint(0.0, q, domain=AFFINE_DOMAIN))
+            worst_oracle = max(worst_oracle, _oracle_deviation(fam, pt, g))
+            center = PhasePoint(0.0, q, domain=AFFINE_DOMAIN)
+            curv = scalar_curvature(metric_field_from_family(fam), center)
             worst_curv = max(worst_curv, abs(curv - (-2.0 / beta)))
+            oracle_curv = scalar_curvature(exact_metric_field(fam), center)
+            worst_oracle_curv = max(worst_oracle_curv, abs(curv - oracle_curv))
     report(
         3,
-        worst_metric <= 1e-5 and worst_curv <= 1e-3,
-        f"metric err {worst_metric:.2e} (<= 1e-5), curvature err {worst_curv:.2e} (<= 1e-3)",
+        worst_metric <= 1e-5
+        and worst_curv <= 1e-3
+        and worst_oracle <= ORACLE_METRIC_RTOL
+        and worst_oracle_curv <= ORACLE_CURVATURE_ATOL,
+        f"metric err {worst_metric:.2e} (<= 1e-5), curvature err {worst_curv:.2e} (<= 1e-3), "
+        f"vs quadrature oracle {worst_oracle:.2e} (<= {ORACLE_METRIC_RTOL:g}) and "
+        f"{worst_oracle_curv:.2e} (<= {ORACLE_CURVATURE_ATOL:g})",
     )
 
 

@@ -1,9 +1,11 @@
 """Scenario runner: schemas, exit codes, determinism, provenance."""
 
 import json
+import sys
 
 import pytest
 
+import cslab.grids
 from cslab.cli import main
 
 
@@ -89,6 +91,12 @@ class TestExitCodes:
             QUANTUM + ["--family", "affine", "--operator", "1.0 * D X D", "--q0", "1e300"],
             QUANTUM + ["--operator", "1.0 * X^400 + -1.0 * X^400 + 0.5 * D D"],
             QUANTUM + ["--hbar", "1e200"],
+            ["metric", "--family", "affine", "--q_list", "1e200"],
+            ["curvature", "--family", "affine", "--q_list", "1e200"],
+            ["symbol", "--operator", "1.0 * X^1100"],
+            ["symbol", "--operator", "1.0 * X^400", "--omega", "1e-10"],
+            ["curvature", "--omega", "1e300"],
+            QUANTUM + ["--omega", "1e300"],
         ],
     )
     def test_non_finite_input_fails_closed(self, tmp_path, argv):
@@ -176,12 +184,37 @@ class TestGeometryCommands:
     def test_metric_affine(self, tmp_path):
         code = run(
             ["metric", "--family", "affine", "--beta", "1.0", "--q_list", "2.0",
-             "--n_nodes", "150000", "--out", str(tmp_path), "--quiet"]
+             "--out", str(tmp_path), "--quiet"]
         )
         assert code == 0
         point = read_json(tmp_path / "metric.json")["points"][0]
         assert point["g_pp"] == pytest.approx(4.0, abs=1e-5)
         assert point["g_qq"] == pytest.approx(0.25, abs=1e-5)
+
+    @pytest.mark.parametrize("subcommand", ["metric", "curvature"])
+    def test_n_nodes_is_rejected(self, tmp_path, subcommand):
+        # the closed-form metric builds no grid, so a node count would be ignored
+        with pytest.raises(SystemExit) as exc:
+            run([subcommand, "--n_nodes", "150000", "--out", str(tmp_path), "--quiet"])
+        assert exc.value.code == 2
+        scenario = tmp_path / "nodes.scn"
+        scenario.write_text("n_nodes = 150000\n")
+        assert run([subcommand, "--scenario", str(scenario), "--out", str(tmp_path)]) == 2
+        assert list(tmp_path.iterdir()) == [scenario]
+
+    @pytest.mark.parametrize("family", ["canonical", "affine"])
+    @pytest.mark.parametrize("subcommand", ["metric", "curvature", "centering"])
+    def test_analytic_sheet_builds_no_grid(self, tmp_path, monkeypatch, family, subcommand):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the analytic sheet built a grid")
+
+        for name in ("uniform_grid", "half_line_grid"):
+            original = getattr(cslab.grids, name)
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("cslab") and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, no_grid)
+        code = run([subcommand, "--family", family, "--out", str(tmp_path), "--quiet"])
+        assert code == 0
 
     def test_curvature_affine(self, tmp_path):
         code = run(

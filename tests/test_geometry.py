@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-import cslab.geometry
+import oracles
+from oracles import (
+    ORACLE_CURVATURE_ATOL,
+    ORACLE_METRIC_RTOL,
+    exact_metric,
+    exact_metric_field,
+)
+
 from cslab.errors import AccuracyError, DomainError, PreconditionError
 from cslab.geometry import (
     MetricTensor,
@@ -157,11 +164,11 @@ class TestAffineMetric:
 
 
 class TestExactRoute:
-    """Exact tangents of analytic families against the finite-difference route."""
+    """The exact-tangent quadrature oracle against the finite-difference route."""
 
     @staticmethod
     def _assert_routes_agree(fam, pt):
-        exact = fs_metric(fam, pt)
+        exact = exact_metric(fam, pt)
         # a plain callable hides the fiducial, so fs_metric differences it
         differenced = fs_metric(lambda p, q: fam(p, q), pt)
         scale = max(differenced.g_pp, differenced.g_qq)
@@ -187,16 +194,66 @@ class TestExactRoute:
         f = affine_fiducial(1.0, 1.0)
         fam = affine_family(f, default_affine_grid(f, q=1.0, n=2000))
         with pytest.raises(AccuracyError):
-            fs_metric(fam, PhasePoint(0.0, 1.0, domain=AFFINE_DOMAIN))
+            exact_metric(fam, PhasePoint(0.0, 1.0, domain=AFFINE_DOMAIN))
 
     def test_nan_density_fails_closed(self, monkeypatch):
         monkeypatch.setattr(
-            cslab.geometry, "coherent_density", lambda f, pt, grid: np.full(grid.n, np.nan)
+            oracles, "coherent_density", lambda f, pt, grid: np.full(grid.n, np.nan)
         )
         f = affine_fiducial(1.0, 1.0)
         fam = affine_family(f, default_affine_grid(f, q=1.0))
         with pytest.raises(AccuracyError):
-            fs_metric(fam, PhasePoint(0.0, 1.0, domain=AFFINE_DOMAIN))
+            exact_metric(fam, PhasePoint(0.0, 1.0, domain=AFFINE_DOMAIN))
+
+
+class TestClosedForm:
+    """Closed-form moments against the quadrature oracle on 150k-node grids."""
+
+    @staticmethod
+    def _assert_matches_oracle(fam, pt):
+        closed = fs_metric(fam, pt)
+        oracle = exact_metric(fam, pt)
+        scale = max(closed.g_pp, closed.g_qq)
+        assert closed.g_pq == 0.0
+        assert abs(oracle.g_pq) <= ORACLE_METRIC_RTOL * scale
+        assert closed.g_pp == pytest.approx(oracle.g_pp, rel=ORACLE_METRIC_RTOL)
+        assert closed.g_qq == pytest.approx(oracle.g_qq, rel=ORACLE_METRIC_RTOL)
+
+    @pytest.mark.parametrize("omega", [0.5, 2.0])
+    def test_canonical_metric(self, omega):
+        f = gaussian_fiducial(omega, 0.7)
+        fam = canonical_family(f, default_canonical_grid(f, q=2.0, n=150_001))
+        for p, q in [(0.0, 0.0), (1.0, -1.0), (2.0, 1.5)]:
+            self._assert_matches_oracle(fam, PhasePoint(p, q))
+
+    @pytest.mark.parametrize("beta", [1.0, 4.0])
+    @pytest.mark.parametrize("q", [0.5, 1.0, 4.0])
+    def test_affine_metric_and_curvature(self, beta, q):
+        f = affine_fiducial(beta, 1.0)
+        fam = affine_family(f, default_affine_grid(f, q=q, n=150_000))
+        self._assert_matches_oracle(fam, PhasePoint(0.7, q, domain=AFFINE_DOMAIN))
+        pt = PhasePoint(0.0, q, domain=AFFINE_DOMAIN)
+        closed = scalar_curvature(metric_field_from_family(fam), pt)
+        oracle = scalar_curvature(exact_metric_field(fam), pt)
+        assert abs(closed - oracle) <= ORACLE_CURVATURE_ATOL
+
+    def test_needs_no_grid(self):
+        f = affine_fiducial(2.0, 1.0)
+        g = fs_metric(affine_family(f), PhasePoint(0.3, 1.5, domain=AFFINE_DOMAIN))
+        assert (g.g_pp, g.g_pq, g.g_qq) == pytest.approx((1.5**2 / 2.0, 0.0, 2.0 / 1.5**2))
+
+    @pytest.mark.parametrize("q", [1e200, 1e-200])
+    def test_overflow_fails_closed(self, q):
+        # q^2 overflows to inf or underflows to 0: the metric is not positive definite
+        fam = affine_family(affine_fiducial(1.0, 1.0))
+        with pytest.raises(AccuracyError):
+            fs_metric(fam, PhasePoint(0.0, q, domain=AFFINE_DOMAIN))
+
+    def test_sampled_family_needs_a_grid(self):
+        grid = uniform_grid(-12, 12, 2001)
+        f = sampled_fiducial(WaveFunction(grid, np.pi**-0.25 * np.exp(-(grid.nodes**2) / 2)))
+        with pytest.raises(PreconditionError):
+            canonical_family(f)
 
 
 class TestInfinitesimalConsistency:
@@ -229,9 +286,8 @@ class TestCurvature:
     @pytest.mark.parametrize("beta,expected", [(1.0, -2.0), (4.0, -0.5)])
     def test_poincare_curvature(self, beta, expected):
         f = affine_fiducial(beta, 1.0)
+        field = metric_field_from_family(affine_family(f))
         for q in (0.5, 1.0, 4.0):
-            grid = default_affine_grid(f, q=q, n=150_000)
-            field = metric_field_from_family(affine_family(f, grid))
             val = scalar_curvature(field, PhasePoint(0.0, q, domain=AFFINE_DOMAIN))
             assert val == pytest.approx(expected, abs=1e-3)
 
@@ -249,8 +305,18 @@ class TestCurvature:
         assert val == pytest.approx(-2.0 / beta, abs=1e-6)
 
     def test_stencil_domain_guard(self):
-        f = affine_fiducial(1.0, 1.0)
-        grid = default_affine_grid(f, q=0.05, n=40_000)
-        field = metric_field_from_family(affine_family(f, grid))
+        field = metric_field_from_family(affine_family(affine_fiducial(1.0, 1.0)))
         with pytest.raises(DomainError):
             scalar_curvature(field, PhasePoint(0.0, 0.05, domain=AFFINE_DOMAIN), step=0.5)
+
+    @pytest.mark.parametrize("p,q", [(0.0, 1e308), (1e300, 0.0), (0.0, float("nan"))])
+    def test_unresolved_stencil_fails_closed(self, p, q):
+        # a flat field would read curvature 0 from offsets that round to the point
+        field = metric_field_from_family(canonical_family(gaussian_fiducial(1.0, 1.0)))
+        with pytest.raises(AccuracyError):
+            scalar_curvature(field, PhasePoint(p, q))
+
+    def test_infinite_metric_entry_fails_closed(self):
+        # g_qq = inf passes the positive-definiteness guard but gives a zero q step
+        with pytest.raises(AccuracyError):
+            scalar_curvature(lambda p, q: MetricTensor(1.0, 0.0, float("inf")), PhasePoint(0.0, 1.0))

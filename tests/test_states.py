@@ -6,6 +6,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from oracles import (
+    ORACLE_LABEL_ATOL,
+    coherent_density,
+    density_labels,
+    tangent_multipliers,
+)
+
 from cslab.errors import CoverageError, DomainError
 from cslab.grids import (
     WaveFunction,
@@ -26,14 +33,15 @@ from cslab.states import (
     affine_family,
     canonical_coherent,
     canonical_family,
-    coherent_density,
+    coherent_moments,
     default_affine_grid,
     default_canonical_grid,
+    fiducial_moment,
     fiducial_wavefunction,
     gaussian_fiducial,
+    gaussian_values,
     sampled_fiducial,
     state_labels,
-    tangent_multipliers,
     verify_centering,
 )
 
@@ -229,25 +237,32 @@ class TestCentering:
 
 
 class TestLabelRoutes:
-    """Density-route labels against the transported complex state, differenced."""
+    """Density-oracle labels against the transported complex state, differenced,
+    and the closed-form labels against the density oracle."""
 
     @pytest.mark.parametrize("p,q", [(-1.3, 2.5), (0.8, -0.6), (2.0, 0.0)])
     def test_canonical_sheet(self, p, q):
         f = gaussian_fiducial(0.8, 1.3)
         pt = PhasePoint(p, q)
         state = canonical_coherent(f, pt)
-        p_read, q_read = state_labels(f, pt)
+        p_read, q_read = density_labels(f, pt)
         assert p_read == pytest.approx(momentum_expectation(state), abs=1e-4)
         assert q_read == pytest.approx(position_moment(state, 1), abs=1e-12)
+        closed = state_labels(f, pt)
+        oracle = density_labels(f, pt, n=150_001)
+        assert closed == pytest.approx(oracle, abs=ORACLE_LABEL_ATOL)
 
     @pytest.mark.parametrize("p,q", [(2.0, 3.0), (-0.7, 0.5), (1.1, 1.0)])
     def test_affine_sheet(self, p, q):
         f = affine_fiducial(1.5, 1.0)
         pt = PhasePoint(p, q, domain=AFFINE_DOMAIN)
         state = affine_coherent(f, pt)
-        p_read, q_read = state_labels(f, pt)
+        p_read, q_read = density_labels(f, pt)
         assert p_read * q_read == pytest.approx(dilation_expectation(state), abs=1e-4)
         assert q_read == pytest.approx(position_moment(state, 1), abs=1e-12)
+        closed = state_labels(f, pt)
+        oracle = density_labels(f, pt, n=150_000)
+        assert closed == pytest.approx(oracle, abs=ORACLE_LABEL_ATOL)
 
     def test_wrong_sheet_rejected(self):
         with pytest.raises(DomainError):
@@ -256,8 +271,45 @@ class TestLabelRoutes:
             state_labels(affine_fiducial(1.0, 1.0), PhasePoint(0.0, 1.0))
 
 
+class TestClosedFormMoments:
+    """The one moment source against adaptive quadrature of the densities."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 6])
+    def test_gaussian(self, k):
+        omega, hbar = 0.7, 1.3
+        want, _ = quad(lambda x: x**k * gaussian_values(omega, hbar, x) ** 2, -np.inf, np.inf)
+        assert fiducial_moment(gaussian_fiducial(omega, hbar), k) == pytest.approx(
+            want, rel=1e-10, abs=1e-12
+        )
+
+    @pytest.mark.parametrize("k", [-1, 0, 1, 2, 3])
+    def test_affine(self, k):
+        beta, hbar = 2.5, 1.0
+        f = affine_fiducial(beta, hbar)
+        want, _ = quad(lambda x: x**k * affine_values(beta, hbar, x) ** 2, 0, np.inf)
+        assert fiducial_moment(f, k) == pytest.approx(want, rel=1e-10)
+
+    def test_divergent_and_sampled_moments_rejected(self):
+        with pytest.raises(DomainError):
+            fiducial_moment(affine_fiducial(1.0, 1.0), -2)
+        grid = uniform_grid(-12, 12, 2001)
+        f = sampled_fiducial(WaveFunction(grid, np.pi**-0.25 * np.exp(-(grid.nodes**2) / 2)))
+        with pytest.raises(DomainError):
+            fiducial_moment(f, 2)
+
+    def test_transported_mean_and_variance(self):
+        assert coherent_moments(gaussian_fiducial(2.0, 1.0), PhasePoint(0.3, -1.5)) == (
+            -1.5,
+            0.25,
+        )
+        pt = PhasePoint(0.3, 3.0, domain=AFFINE_DOMAIN)
+        assert coherent_moments(affine_fiducial(4.0, 1.0), pt) == (3.0, 9.0 / 8.0)
+        with pytest.raises(DomainError):
+            coherent_moments(affine_fiducial(4.0, 1.0), PhasePoint(0.3, 3.0))
+
+
 class TestExactTangents:
-    """Closed-form densities and tangents of the analytic families."""
+    """Quadrature-oracle densities and tangents of the analytic families."""
 
     @staticmethod
     def _families():
