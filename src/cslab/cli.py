@@ -338,8 +338,10 @@ def run_centering(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
     else:
         q_range = (-params["q_scale"], params["q_scale"])
     for key, (low, high) in (("p_scale", p_range), ("q_scale", q_range)):
-        if not math.isfinite(high - low):
-            raise ConfigError(f"{key} = {params[key]!r} gives no finite sampling range")
+        if not 0 <= high - low < math.inf:
+            raise ConfigError(
+                f"{key} = {params[key]!r} gives no finite, non-negative sampling range"
+            )
     points = []
     max_err = 0.0
     for _ in range(params["n_points"]):

@@ -175,6 +175,14 @@ def _fd_gradient(evaluator: Callable[[float, float], float], affine: bool):
     return gradient
 
 
+def _monomial_sum(terms: list[tuple[float, int, int]], p: float, q: float) -> float:
+    """Sum of c p^i q^j over (c, i, j); a float power that overflows is numerical."""
+    try:
+        return sum(c * p**i * q**j for c, i, j in terms)
+    except OverflowError as exc:
+        raise NumericError(f"a symbol monomial at (p, q) = ({p!r}, {q!r}) overflows") from exc
+
+
 @dataclass
 class SymbolFn:
     """Classical Hamiltonian H(p, q) with evaluation and gradient."""
@@ -205,14 +213,15 @@ class SymbolFn:
         q powers may be negative (Laurent) for affine symbols.
         """
         poly = {k: float(v) for k, v in poly.items() if abs(v) > 1e-300}
+        value = [(c, i, j) for (i, j), c in poly.items()]
+        d_dp = [(c * i, i - 1, j) for (i, j), c in poly.items() if i]
+        d_dq = [(c * j, i, j - 1) for (i, j), c in poly.items() if j]
 
         def evaluator(p: float, q: float) -> float:
-            return sum(c * p**i * q**j for (i, j), c in poly.items())
+            return _monomial_sum(value, p, q)
 
         def gradient(p: float, q: float) -> tuple[float, float]:
-            dp = sum(c * i * p ** (i - 1) * q**j for (i, j), c in poly.items() if i)
-            dq = sum(c * j * p**i * q ** (j - 1) for (i, j), c in poly.items() if j)
-            return dp, dq
+            return _monomial_sum(d_dp, p, q), _monomial_sum(d_dq, p, q)
 
         return SymbolFn(evaluator, gradient, hbar, provenance, True, poly=poly)
 

@@ -2,8 +2,9 @@
 
 Everything here deliberately bypasses the library's algebra: expectations
 and overlaps are computed by direct 2-D Gauss-Legendre quadrature over the
-explicit displaced wave functions, and sheet metrics and labels by weighted
-sums over the coherent densities on a grid.
+explicit displaced wave functions, sheet metrics and labels by weighted
+sums over the coherent densities on a grid, and characteristic functions by
+a 2-D radial-angular rule.
 """
 
 import math
@@ -15,6 +16,7 @@ from scipy.sparse.linalg import splu
 
 from cslab.errors import AccuracyError, DomainError
 from cslab.geometry import MetricTensor
+from cslab.modeltwo import _gauss_legendre, _log_solid_angle
 from cslab.states import (
     AFFINE,
     AFFINE_DOMAIN,
@@ -266,3 +268,28 @@ def density_labels(f, pt, n=None):
     if pt.domain == AFFINE_DOMAIN:
         return pt.p, x_mom
     return pt.p * float(rho.sum()), x_mom
+
+
+# ---------------------------------------------------------------------------
+# characteristic functions by a 2-D radial-angular rule
+#
+# The exp(i lambda cos theta) kernel on an n_r x n_theta Gauss-Legendre
+# product rule: the reference the 0F1 series of
+# cslab.modeltwo.characteristic_radial is tested against.
+
+
+def characteristic_kernel(density, p_r, hbar=1.0, n_r=800, n_theta=800):
+    """Complex characteristic function of a radial density by the 2-D kernel."""
+    N = density.N
+    xr, wr = _gauss_legendre(n_r)
+    r = (xr + 1) / 2 * density.r_max
+    wr = wr / 2 * density.r_max
+    radial = np.exp(density._log_radial(r) + _log_solid_angle(N - 1))
+
+    xt, wt = _gauss_legendre(n_theta)
+    theta = (xt + 1) / 2 * math.pi
+    wt = wt / 2 * math.pi
+    angular = np.sin(theta) ** (N - 2) * wt
+
+    kernel = np.exp(1j * np.outer(p_r * r / hbar, np.cos(theta)))
+    return complex(np.einsum("i,j,ij->", radial * wr, angular, kernel))

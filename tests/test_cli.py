@@ -97,11 +97,24 @@ class TestExitCodes:
             ["symbol", "--operator", "1.0 * X^400", "--omega", "1e-10"],
             ["curvature", "--omega", "1e300"],
             QUANTUM + ["--omega", "1e300"],
+            ["symbol", "--operator", "1.0 * X^300", "--q_list=1e200"],
+            ["symbol", "--operator", "1.0 * X^50 D X^50", "--q_list=1e200"],
+            ["symbol", "--family", "affine", "--operator", "1.0 * X^50 D X^50",
+             "--q_list=1e200"],
+            ["symbol", "--operator", "1.0 * " + " ".join(["D"] * 20), "--p_list=1e200"],
         ],
     )
     def test_non_finite_input_fails_closed(self, tmp_path, argv):
         code = run(argv + ["--out", str(tmp_path), "--quiet"])
         assert code in (2, 3)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("family", ["canonical", "affine"])
+    @pytest.mark.parametrize("scale", ["--p_scale=-1", "--q_scale=-1"])
+    def test_negative_centering_scale_exits_2(self, tmp_path, capsys, family, scale):
+        code = run(["centering", "--family", family, scale, "--out", str(tmp_path), "--quiet"])
+        assert code == 2
+        assert "non-negative" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("p_scale", ["1e6", "1e300"])
@@ -354,7 +367,7 @@ class TestCharfnCommand:
                 math.exp(-0.25 * entry["p_r"] ** 2), rel=1e-12
             )
 
-    @pytest.mark.parametrize("n", [256, 400])
+    @pytest.mark.parametrize("n", [256, 400, 700, 1024, 4096])
     def test_large_n_writes_finite_json(self, tmp_path, n):
         code = run(
             ["charfn", "--p_r_list", "1.0", "--n_list", str(n),
@@ -385,10 +398,11 @@ class TestCharfnCommand:
         assert "b=inf" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_underflowing_density_exits_3(self, tmp_path, capsys):
+    def test_series_cancellation_exits_3(self, tmp_path, capsys):
+        # the alternating 0F1 series at p_r = 12 may lose O(1) to cancellation
         code = run(
-            ["charfn", "--p_r_list", "1.0", "--n_list", "700",
-             "--out", str(tmp_path), "--quiet"]
+            ["charfn", "--n_list", "4", "--p_r_list", "12", "--out", str(tmp_path), "--quiet"]
         )
         assert code == 3
-        assert "normalization" in capsys.readouterr().err
+        assert "cancellation" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

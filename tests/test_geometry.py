@@ -305,9 +305,16 @@ class TestCurvature:
         assert val == pytest.approx(-2.0 / beta, abs=1e-6)
 
     def test_stencil_domain_guard(self):
+        # at beta = hbar = 1 the q step is step * q, so q - 2 h_q = -0.2 q
         field = metric_field_from_family(affine_family(affine_fiducial(1.0, 1.0)))
         with pytest.raises(DomainError):
-            scalar_curvature(field, PhasePoint(0.0, 0.05, domain=AFFINE_DOMAIN), step=0.5)
+            scalar_curvature(field, PhasePoint(0.0, 0.05, domain=AFFINE_DOMAIN), step=0.6)
+
+    def test_stencil_inside_domain_passes_guard(self):
+        # q - 2 h_q = 0.2 q > 0: the stencil stays on the sheet
+        field = metric_field_from_family(affine_family(affine_fiducial(1.0, 1.0)))
+        value = scalar_curvature(field, PhasePoint(0.0, 0.05, domain=AFFINE_DOMAIN), step=0.4)
+        assert np.isfinite(value)
 
     @pytest.mark.parametrize("p,q", [(0.0, 1e308), (1e300, 0.0), (0.0, float("nan"))])
     def test_unresolved_stencil_fails_closed(self, p, q):

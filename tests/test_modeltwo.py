@@ -12,6 +12,7 @@ from cslab.modeltwo import (
     LadderPolynomial,
     RadialDensity,
     ReducibleRep,
+    _angular_series,
     characteristic_exact_gaussian,
     characteristic_radial,
     displaced_expectation,
@@ -33,6 +34,7 @@ from cslab.modeltwo import (
 
 
 from oracles import (
+    characteristic_kernel,
     h1_terms,
     ladder_dagger,
     ladder_evaluate,
@@ -363,6 +365,8 @@ class TestCharacteristic:
         density = RadialDensity(lambda r: np.full_like(r, np.nan), 4, 10.0)
         with pytest.raises(PreconditionError):
             density.require_normalized()
+        with pytest.raises(PreconditionError):
+            characteristic_radial(density, 1.0)
 
     def test_solid_angle_in_high_dimension(self):
         assert solid_angle(3) == pytest.approx(4 * math.pi, rel=1e-14)
@@ -380,9 +384,49 @@ class TestCharacteristic:
     def test_descent_error_monotone_in_n(self, p_r):
         errors = [
             characteristic_radial(gaussian_radial_density(n, 1.0), p_r).difference
-            for n in (4, 8, 16, 32, 64, 128, 256, 400)
+            for n in (4, 8, 16, 32, 64, 128, 256, 400, 700, 1024, 4096)
         ]
         assert all(b < a for a, b in zip(errors, errors[1:]))
+
+    @pytest.mark.parametrize("n", [3, 4, 8, 16, 64, 128, 256])
+    def test_series_matches_kernel_oracle(self, n):
+        density = gaussian_radial_density(n, 1.0)
+        for p_r in (0.0, 0.5, 1.0, 2.0, 5.0):
+            want = characteristic_kernel(density, p_r).real
+            assert abs(characteristic_radial(density, p_r).exact - want) <= 1e-13
+
+    def test_series_matches_kernel_for_non_gaussian_density(self):
+        # rho ~ exp(-r^4), normalized by int_0^inf exp(-r^4) r^(N-1) dr = Gamma(N/4)/4;
+        # only rho is given, so the weights take its log
+        n = 5
+        norm = 4 / (solid_angle(n) * math.gamma(n / 4))
+        density = RadialDensity(lambda r: norm * np.exp(-(r**4)), n, 4.0)
+        for p_r in (0.0, 0.5, 1.0, 2.0, 5.0):
+            want = characteristic_kernel(density, p_r).real
+            assert abs(characteristic_radial(density, p_r).exact - want) <= 1e-13
+
+    def test_nan_momentum_raises(self):
+        with pytest.raises(AccuracyError, match="not finite"):
+            characteristic_radial(gaussian_radial_density(4, 1.0), float("nan"))
+
+    def test_nan_weight_stops_series(self):
+        z = np.linspace(0.0, 4.0, 9)
+        w = np.full(9, 0.1)
+        w[4] = np.nan
+        with pytest.raises(AccuracyError, match="not finite"):
+            _angular_series(2.0, z, w)
+
+    def test_momentum_overflowing_series_raises(self):
+        # p_r^2 and z = p_r^2 r^2 / 4 are finite; the second term overflows
+        with pytest.raises(AccuracyError, match="not finite"):
+            characteristic_radial(gaussian_radial_density(4, 1.0), 1e150)
+
+    def test_cancellation_bound_stops_large_momentum(self):
+        # the bound is eps exp(p_r^2 / 4) for this density: 4.6e-11 at p_r = 7
+        density = gaussian_radial_density(4, 1.0)
+        characteristic_radial(density, 7.0)
+        with pytest.raises(AccuracyError, match="cancellation"):
+            characteristic_radial(density, 7.5)
 
 
 class TestMeasureSuperposition:
