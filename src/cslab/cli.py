@@ -43,7 +43,6 @@ from .schrodinger import (
     half_line_window,
     oscillation_window,
     snapshot_csv,
-    track_expectations,
 )
 from .states import (
     AFFINE_DOMAIN,
@@ -464,6 +463,8 @@ def run_evolve_classical(params: dict, rng: np.random.Generator, out: Outputs) -
 
 
 def run_evolve_quantum(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
+    if params["snapshot_every"] < 0:
+        raise ConfigError(f"snapshot_every = {params['snapshot_every']} is negative")
     op = parse_operator(params["operator"])
     f = _fiducial(params)
     n = params["n_nodes"]
@@ -479,13 +480,12 @@ def run_evolve_quantum(params: dict, rng: np.random.Generator, out: Outputs) -> 
         boundary = DIRICHLET_BOTH
     psi0 = psi0.normalized()
     setup = EvolutionSetup(op, grid, boundary, params["dt"], params["steps"], f.hbar)
-    stride = params["snapshot_every"] or None
-    result = evolve(psi0, setup, snapshot_every=stride)
-    traj = track_expectations(result)
+    result = evolve(psi0, setup, snapshot_every=params["snapshot_every"] or None)
+    traj = result.trajectory
     payload = {
         "operator": params["operator"],
         "nodes": grid.n,
-        "snapshots": len(result.states),
+        "snapshots": len(traj.times),
         "energy_initial": float(traj.energy[0]),
         "energy_drift": traj.energy_drift(),
         "x_final": float(traj.q[-1]),
@@ -493,7 +493,7 @@ def run_evolve_quantum(params: dict, rng: np.random.Generator, out: Outputs) -> 
     }
     out.json(payload)
     out.csv_trajectory(traj)
-    out.csv_snapshot(result.final(), "_final_state")
+    out.csv_snapshot(result.final, "_final_state")
     out.svg(
         traj.times.tolist(),
         [("<x>", traj.q.tolist()), ("<p>", traj.p.tolist())],

@@ -13,13 +13,15 @@ Boundaries are homogeneous Dirichlet, either at both window ends (full
 line) or at x = 0 and the far end (half line).  Crank-Nicolson is the
 Cayley form of the discrete Hamiltonian, hence unitary in the discrete
 norm up to solver roundoff: one LAPACK tridiagonal factorization per run
-and one tridiagonal product per step, guarded by the solve residual.
+and one tridiagonal product per step, guarded by the solve residual.  The
+run is measured as it steps, <H> from that same product, and no state but
+the last is kept.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO
 
 import numpy as np
@@ -58,6 +60,8 @@ class EvolutionSetup:
     dt: float
     steps: int
     hbar: float = 1.0
+    # (diag, off) of the discrete Hamiltonian, built once by __post_init__
+    tridiagonal: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.boundary not in (DIRICHLET_BOTH, DIRICHLET_AT_ZERO):
@@ -71,6 +75,7 @@ class EvolutionSetup:
         if self.grid.nodes[self.unknown_slice()].size < 3:
             raise DomainError("the tridiagonal solver needs three unpinned grid nodes")
         diag, off = hamiltonian_tridiagonal(self)  # validates the operator form
+        object.__setattr__(self, "tridiagonal", (diag, off))
         rho = spectral_radius_estimate(diag, off)
         if not self.dt * rho / (2 * self.hbar) <= 1e6:  # a NaN radius fails too
             raise PreconditionError(
@@ -151,14 +156,12 @@ def spectral_radius_estimate(diag: np.ndarray, off: np.ndarray) -> float:
 
 @dataclass
 class EvolutionResult:
-    """Snapshots of a Crank-Nicolson run (always includes t=0 and the end)."""
+    """A run's setup, its last state, and its trajectory: t, <p>, <x> and <H>
+    at t = 0, every ``snapshot_every`` steps and the end."""
 
-    times: np.ndarray
-    states: list[WaveFunction]
     setup: EvolutionSetup
-
-    def final(self) -> WaveFunction:
-        return self.states[-1]
+    trajectory: Trajectory
+    final: WaveFunction
 
 
 def evolve(
@@ -167,10 +170,10 @@ def evolve(
     snapshot_every: int | None = None,
     backward: bool = False,
 ) -> EvolutionResult:
-    """Run Crank-Nicolson and return strided snapshots.
+    """Run Crank-Nicolson and measure the state at strided steps.
 
-    ``snapshot_every`` defaults to about 512 snapshots per run; pass 1 to
-    keep every step.  ``backward`` negates the time step.  The pinned
+    ``snapshot_every`` defaults to about 512 recorded steps per run; pass 1
+    to record every step.  ``backward`` negates the time step.  The pinned
     Dirichlet values of ``psi0`` are dropped, so they may carry at most
     ``PINNED_NORM_TOL`` of its norm.
     """
@@ -179,6 +182,8 @@ def evolve(
     psi0.require_normalized(1e-6)
     if snapshot_every is None:
         snapshot_every = max(1, setup.steps // 512)
+    if snapshot_every < 1:
+        raise DomainError(f"snapshot_every must be >= 1, got {snapshot_every}")
 
     sl = setup.unknown_slice()
     rho = setup.grid.weights * np.abs(psi0.values) ** 2
@@ -188,7 +193,7 @@ def evolve(
             f"psi0 carries {pinned_norm:.3e} of its norm on the pinned Dirichlet nodes "
             f"(limit {PINNED_NORM_TOL:g}); widen the window or add nodes"
         )
-    diag, off = hamiltonian_tridiagonal(setup)
+    diag, off = setup.tridiagonal
     sign = -1.0 if backward else 1.0
     lam = sign * setup.dt / (2 * setup.hbar)
     # A = 1 + i lam H; b = B u = u - i lam H u and A u - b share one H u per step
@@ -199,15 +204,17 @@ def evolve(
     u = np.array(psi0.values[sl], dtype=complex)
     h = setup.grid.spacing
     norm0 = math.sqrt(float(np.sum(np.abs(u) ** 2)) * h)
+    records = []  # (t, <p>, <x>, <H>), the columns of the Trajectory
 
-    def embed(vec: np.ndarray) -> WaveFunction:
+    def record(t: float, vec: np.ndarray, hu: np.ndarray) -> WaveFunction:
         full = np.zeros(setup.grid.n, dtype=complex)
         full[sl] = vec
-        return WaveFunction(setup.grid, full, setup.hbar)
+        state = WaveFunction(setup.grid, full, setup.hbar)
+        records.append((t, *track_expectations(state, setup, hu)))
+        return state
 
-    times = [0.0]
-    states = [embed(u)]
     hu = tridiagonal_product(diag, off, u)
+    final = record(0.0, u, hu)
     for step in range(1, setup.steps + 1):
         b = u - 1j * lam * hu
         u, info = zgttrs(*factors, b)
@@ -221,8 +228,7 @@ def evolve(
                 f"(dt={setup.dt:g}, n={diag.size})"
             )
         if step % snapshot_every == 0 or step == setup.steps:
-            times.append(sign * step * setup.dt)
-            states.append(embed(u))
+            final = record(sign * step * setup.dt, u, hu)
 
     norm1 = math.sqrt(float(np.sum(np.abs(u) ** 2)) * h)
     budget = 1e-8 * (setup.steps / 1000 + 1)
@@ -231,31 +237,17 @@ def evolve(
             f"unitarity violated: norm drift {abs(norm1 - norm0):.2e} "
             f"over {setup.steps} steps"
         )
-    return EvolutionResult(np.array(times), states, setup)
+    return EvolutionResult(setup, Trajectory(*zip(*records)), final)
 
 
-def track_expectations(result: EvolutionResult) -> Trajectory:
-    """Per-snapshot <x>, <-i hbar d/dx> and <H> as a Trajectory record."""
-    setup = result.setup
-    sl = setup.unknown_slice()
-    diag, off = hamiltonian_tridiagonal(setup)
-    h = setup.grid.spacing
-    qs, ps, es = [], [], []
-    for state in result.states:
-        w = state.grid.weights
-        x = state.grid.nodes
-        rho = np.abs(state.values) ** 2
-        qs.append(float(np.sum(w * x * rho)))
-        dpsi = derivative(state, 1)
-        ps.append(
-            float(
-                (-1j * setup.hbar * np.sum(w * np.conj(state.values) * dpsi.values)).real
-            )
-        )
-        u = state.values[sl]
-        hu = tridiagonal_product(diag, off, u)
-        es.append(float((np.sum(np.conj(u) * hu) * h).real))
-    return Trajectory(result.times.copy(), np.array(ps), np.array(qs), np.array(es))
+def track_expectations(state: WaveFunction, setup: EvolutionSetup, hu: np.ndarray) -> tuple:
+    """<-i hbar d/dx>, <x> and <H> of one state; hu is H on its unpinned values."""
+    w = state.grid.weights
+    q = float(np.sum(w * state.grid.nodes * np.abs(state.values) ** 2))
+    dpsi = derivative(state, 1)
+    p = float((-1j * setup.hbar * np.sum(w * np.conj(state.values) * dpsi.values)).real)
+    u = state.values[setup.unknown_slice()]
+    return p, q, float((np.sum(np.conj(u) * hu) * setup.grid.spacing).real)
 
 
 def snapshot_csv(state: WaveFunction, stream: IO[str]) -> None:

@@ -40,7 +40,6 @@ from cslab.schrodinger import (
     EvolutionSetup,
     evolve,
     oscillation_window,
-    track_expectations,
 )
 from cslab.states import (
     AFFINE_DOMAIN,
@@ -260,7 +259,7 @@ def test_07_restricted_vs_full_harmonic():
     period = 2 * math.pi / omega
     dt = 1e-4
     setup = EvolutionSetup(op, grid, DIRICHLET_BOTH, dt, int(round(period / dt)), hbar)
-    traj = track_expectations(evolve(psi0, setup, snapshot_every=100))
+    traj = evolve(psi0, setup, snapshot_every=100).trajectory
 
     symbol = weak_symbol_canonical(op, f)
     # run the restricted flow past the quantum endpoint so the time

@@ -102,6 +102,7 @@ class TestExitCodes:
             ["symbol", "--family", "affine", "--operator", "1.0 * X^50 D X^50",
              "--q_list=1e200"],
             ["symbol", "--operator", "1.0 * " + " ".join(["D"] * 20), "--p_list=1e200"],
+            QUANTUM + ["--snapshot_every=-1"],
         ],
     )
     def test_non_finite_input_fails_closed(self, tmp_path, argv):
@@ -116,6 +117,15 @@ class TestExitCodes:
         assert code == 2
         assert "non-negative" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_negative_snapshot_stride_exits_2(self, tmp_path, capsys):
+        code = run(QUANTUM + ["--snapshot_every=-1", "--out", str(tmp_path), "--quiet"])
+        assert code == 2
+        assert "snapshot_every = -1 is negative" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        # 0 still picks the automatic stride: every one of the 3 steps here
+        assert run(QUANTUM + ["--snapshot_every=0", "--out", str(tmp_path), "--quiet"]) == 0
+        assert read_json(tmp_path / "evolve_quantum.json")["snapshots"] == 4
 
     @pytest.mark.parametrize("p_scale", ["1e6", "1e300"])
     def test_large_momentum_reads_back_on_envelope_window(self, tmp_path, p_scale):

@@ -1,13 +1,15 @@
 """Crank-Nicolson benchmarks against the restricted dynamics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import cslab.schrodinger
 from cslab.dynamics import integrate
 from cslab.errors import DomainError, GridMismatchError, PreconditionError
-from cslab.grids import uniform_grid
+from cslab.grids import WaveFunction, momentum_expectation, position_moment, uniform_grid
 from cslab.schrodinger import (
     DIRICHLET_AT_ZERO,
     DIRICHLET_BOTH,
@@ -16,7 +18,6 @@ from cslab.schrodinger import (
     half_line_window,
     hamiltonian_tridiagonal,
     oscillation_window,
-    track_expectations,
     tridiagonal_product,
 )
 from cslab.states import (
@@ -67,6 +68,22 @@ class TestEvolutionSetup:
         with pytest.raises(PreconditionError):
             EvolutionSetup(HARMONIC, grid, DIRICHLET_BOTH, 1e4, 10)
 
+    def test_hamiltonian_built_once_per_setup(self, monkeypatch):
+        calls = []
+        build = cslab.schrodinger.hamiltonian_tridiagonal
+
+        def counting(setup):
+            calls.append(setup)
+            return build(setup)
+
+        monkeypatch.setattr(cslab.schrodinger, "hamiltonian_tridiagonal", counting)
+        f = gaussian_fiducial(1.0, 1.0)
+        grid = uniform_grid(-8, 8, 256)
+        psi0 = canonical_coherent(f, PhasePoint(0.2, 0.1), grid=grid).normalized()
+        setup = EvolutionSetup(HARMONIC, grid, DIRICHLET_BOTH, 1e-3, 20)
+        evolve(psi0, setup, snapshot_every=1)
+        assert len(calls) == 1
+
     def test_dxd_discretization_is_symmetric(self):
         f = affine_fiducial(2.0, 1.0)
         grid = half_line_window(f, 2.0, 512)
@@ -78,13 +95,38 @@ class TestEvolutionSetup:
 
 
 class TestEvolve:
+    @pytest.mark.parametrize("stride", [0, -1, -5])
+    def test_stride_below_one_rejected(self, stride):
+        f = gaussian_fiducial(1.0, 1.0)
+        grid = uniform_grid(-8, 8, 256)
+        psi0 = canonical_coherent(f, PhasePoint(0.0, 0.0), grid=grid).normalized()
+        setup = EvolutionSetup(HARMONIC, grid, DIRICHLET_BOTH, 1e-3, 10)
+        with pytest.raises(DomainError):
+            evolve(psi0, setup, snapshot_every=stride)
+
+    def test_memory_does_not_grow_with_recorded_steps(self):
+        # one recorded step per Crank-Nicolson step; a list of the 1001
+        # states alone would be 1001 * 4096 * 16 bytes = 65.6 MB
+        f = gaussian_fiducial(1.0, 1.0)
+        grid = oscillation_window(f, 0.5, 0.3, 4096)
+        psi0 = canonical_coherent(f, PhasePoint(0.5, 0.3), grid=grid).normalized()
+        setup = EvolutionSetup(HARMONIC, grid, DIRICHLET_BOTH, 1e-3, 1000)
+        tracemalloc.start()
+        try:
+            result = evolve(psi0, setup, snapshot_every=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.trajectory.n == 1001
+        assert peak < 4e6
+
     def test_ground_state_is_stationary(self):
         f = gaussian_fiducial(1.0, 1.0)
         grid = uniform_grid(-7, 7, 8193)
         psi0 = canonical_coherent(f, PhasePoint(0.0, 0.0), grid=grid).normalized()
         setup = EvolutionSetup(HARMONIC, grid, DIRICHLET_BOTH, 5e-4, 2000)
         result = evolve(psi0, setup, snapshot_every=2000)
-        drift = np.max(np.abs(np.abs(result.final().values) - np.abs(psi0.values)))
+        drift = np.max(np.abs(np.abs(result.final.values) - np.abs(psi0.values)))
         assert drift <= 1e-6
 
     def test_unitarity_over_many_steps(self):
@@ -93,14 +135,14 @@ class TestEvolve:
         psi0 = canonical_coherent(f, PhasePoint(0.4, 0.2), grid=grid).normalized()
         setup = EvolutionSetup(HARMONIC, grid, DIRICHLET_BOTH, 1e-3, 10_000)
         result = evolve(psi0, setup, snapshot_every=10_000)
-        assert abs(result.final().norm() - 1.0) <= 1e-8
+        assert abs(result.final.norm() - 1.0) <= 1e-8
 
     def test_free_packet_conserves_momentum(self):
         f = gaussian_fiducial(1.0, 1.0)
         grid = uniform_grid(-24, 24, 4096)
         psi0 = canonical_coherent(f, PhasePoint(1.0, 0.0), grid=grid).normalized()
         setup = EvolutionSetup(parse_operator("0.5 * D D"), grid, DIRICHLET_BOTH, 1e-3, 2000)
-        traj = track_expectations(evolve(psi0, setup, snapshot_every=200))
+        traj = evolve(psi0, setup, snapshot_every=200).trajectory
         assert np.max(np.abs(traj.p - traj.p[0])) <= 1e-8
 
     def test_ehrenfest_match_for_matched_oscillator(self):
@@ -112,7 +154,7 @@ class TestEvolve:
         period = 2 * math.pi / omega
         dt = 2e-4
         setup = EvolutionSetup(HARMONIC, grid, DIRICHLET_BOTH, dt, int(round(period / dt)))
-        traj = track_expectations(evolve(psi0, setup, snapshot_every=100))
+        traj = evolve(psi0, setup, snapshot_every=100).trajectory
         x_exact = q0 * np.cos(omega * traj.times) + (p0 / omega) * np.sin(omega * traj.times)
         assert np.max(np.abs(traj.q - x_exact)) <= 1e-4
 
@@ -143,7 +185,34 @@ class TestTridiagonalSolver:
         lam = setup.dt / (2 * setup.hbar) * (-1 if backward else 1)
         sl = setup.unknown_slice()
         want = crank_nicolson_sparse(diag, off, lam, psi0.values[sl], setup.steps)
-        assert np.max(np.abs(result.final().values[sl] - want)) <= 1e-12
+        assert np.max(np.abs(result.final.values[sl] - want)) <= 1e-12
+
+    @pytest.mark.parametrize("backward", [False, True])
+    @pytest.mark.parametrize("case", ["harmonic", "dxd"])
+    def test_trajectory_matches_sparse_lu(self, case, backward):
+        psi0, setup = self._setup(case)
+        stride = 40
+        traj = evolve(psi0, setup, snapshot_every=stride, backward=backward).trajectory
+        diag, off = hamiltonian_tridiagonal(setup)
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        sign = -1 if backward else 1
+        lam = sign * setup.dt / (2 * setup.hbar)
+        sl = setup.unknown_slice()
+        u = psi0.values[sl]
+        rows = []
+        for k in range(setup.steps // stride + 1):
+            if k:
+                u = crank_nicolson_sparse(diag, off, lam, u, stride)
+            full = np.zeros(setup.grid.n, dtype=complex)
+            full[sl] = u
+            state = WaveFunction(setup.grid, full, setup.hbar)
+            energy = (np.conj(u) @ dense @ u).real * setup.grid.spacing
+            rows.append((sign * k * stride * setup.dt, momentum_expectation(state),
+                         position_moment(state), energy))
+        want = np.array(rows)
+        got = np.column_stack([traj.times, traj.p, traj.q, traj.energy])
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12
 
     @pytest.mark.parametrize("case", ["harmonic", "dxd"])
     def test_product_matches_dense_matrix(self, case):
@@ -165,7 +234,7 @@ class TestHalfLineModelOne:
         psi0 = affine_coherent(f, PhasePoint(1.0, 1.0, domain=AFFINE_DOMAIN), grid=grid)
         psi0 = psi0.normalized()
         setup = EvolutionSetup(DXD, grid, DIRICHLET_AT_ZERO, 2e-4, 2500, hbar)
-        traj = track_expectations(evolve(psi0, setup, snapshot_every=125))
+        traj = evolve(psi0, setup, snapshot_every=125).trajectory
         assert traj.energy_drift() <= 1e-6
         symbol = weak_symbol_affine(DXD, f)
         assert traj.energy[0] == pytest.approx(symbol(1.0, 1.0), rel=1e-4)
@@ -184,8 +253,7 @@ class TestHalfLineModelOne:
             setup = EvolutionSetup(DXD, grid, DIRICHLET_AT_ZERO, 1e-4, 5000, hbar)
             errs = []
             for backward in (False, True):
-                result = evolve(psi0, setup, snapshot_every=250, backward=backward)
-                traj = track_expectations(result)
+                traj = evolve(psi0, setup, snapshot_every=250, backward=backward).trajectory
                 ref = integrate(symbol, start, -0.5 if backward else 0.5, 1e-4)
                 order = np.argsort(ref.times)
                 classical_q = np.interp(traj.times, ref.times[order], ref.q[order])
@@ -207,7 +275,7 @@ class TestRefinement:
             grid = oscillation_window(f, p0, q0, n)
             psi0 = canonical_coherent(f, PhasePoint(p0, q0), grid=grid).normalized()
             setup = EvolutionSetup(HARMONIC, grid, DIRICHLET_BOTH, dt, int(round(period / dt)))
-            traj = track_expectations(evolve(psi0, setup, snapshot_every=250))
+            traj = evolve(psi0, setup, snapshot_every=250).trajectory
             x_exact = q0 * np.cos(omega * traj.times) + p0 * np.sin(omega * traj.times)
             return np.max(np.abs(traj.q - x_exact))
 
