@@ -439,7 +439,7 @@ def run_evolve_classical(params: dict, rng: np.random.Generator, out: Outputs) -
     op = parse_operator(params["operator"])
     f = _fiducial(params)
     symbol = weak_symbol(op, f)
-    domain = AFFINE_DOMAIN if params["family"] == "affine" else "canonical"
+    domain = AFFINE_DOMAIN if params["family"] == "affine" else CANONICAL_DOMAIN
     start = PhasePoint(params["p0"], params["q0"], domain=domain)
     traj = integrate(symbol, start, params["t_final"], params["dt"])
     payload = {
@@ -507,7 +507,7 @@ def run_evolve_quantum(params: dict, rng: np.random.Generator, out: Outputs) -> 
 def run_model_one(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
     hbar, beta = params["hbar"], params["beta"]
     c = hbar * beta / 2.0
-    enhanced = polynomial_symbol({(2, 1): 1.0, (0, -1): c}, hbar, "affine")
+    enhanced = polynomial_symbol({(2, 1): 1.0, (0, -1): c}, hbar, AFFINE_DOMAIN)
     start = PhasePoint(params["p0"], params["q0"], domain=AFFINE_DOMAIN)
     dt = params["dt"]
     back = integrate(enhanced, start, params["t_min"], dt)
@@ -532,7 +532,7 @@ def run_model_one(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
         "enhanced_singular": traj.singular,
     }
     if params["include_classical"]:
-        classical = polynomial_symbol({(2, 1): 1.0}, hbar, "affine")
+        classical = polynomial_symbol({(2, 1): 1.0}, hbar, AFFINE_DOMAIN)
         direction = params["t_min"] if params["p0"] > 0 else params["t_max"]
         run = integrate(classical, start, direction, dt)
         payload["classical_singular"] = run.singular

@@ -17,8 +17,8 @@ from typing import Callable, IO
 import numpy as np
 
 from .errors import DomainError, IntegrationError, PreconditionError
-from .states import PhasePoint
-from .symbols import AFFINE_MAP, SymbolFn
+from .states import AFFINE_DOMAIN, PhasePoint
+from .symbols import SymbolFn
 
 Q_FLOOR = 1e-6
 GRADIENT_OVERFLOW = 1e12
@@ -74,7 +74,7 @@ def integrate(
     """
     if not (math.isfinite(dt) and dt > 0):
         raise DomainError("dt must be finite and positive")
-    affine = symbol.provenance == AFFINE_MAP
+    affine = symbol.provenance == AFFINE_DOMAIN
     if affine and start.q <= 0:
         raise DomainError("affine dynamics requires q > 0")
 

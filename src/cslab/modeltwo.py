@@ -15,8 +15,13 @@ the expectation of any normal-ordered polynomial is the polynomial evaluated
 at those c-numbers; everything in this module is exact arithmetic, valid
 uniformly in the number of degrees of freedom N.
 
-The quartic Hamiltonian  H1 = H_p + H_r + 4 nu :H_r^2:  (with
-H_p = (1/2) sum A+A and H_r = (1/2) sum B+B) then reproduces
+Ladder polynomials are lists of normal-ordered terms, evaluated term by
+term at those eigenvalues.  The quartic Hamiltonian
+H1 = H_p + H_r + 4 nu :H_r^2:  (with H_p = (1/2) sum A+A and
+H_r = (1/2) sum B+B) is never expanded for evaluation: at c-numbers
+:H_r^2: is the square of the value of H_r, so H1 costs two O(N) pair
+sums, and its N^2-term form (``h1_operator``) is kept for tests.  It
+reproduces
 
     <p,q| H1 |p,q> = (1/2)[p^2 + (1+zeta^2) m^2 q^2] + nu zeta^4 m^4 (q^2)^2
 
@@ -26,6 +31,7 @@ m^2 = m0^2/(1+zeta^2) and nu = lambda0/(zeta^4 m^4).
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -83,12 +89,8 @@ class ReducibleRep:
 
 
 def _normalize_index(index) -> MultiIndex:
-    if isinstance(index, dict):
-        items = index.items()
-    else:
-        items = index
     out: dict[int, int] = {}
-    for site, power in items:
+    for site, power in index:
         if power < 0:
             raise DomainError("multi-index powers must be non-negative")
         if power:
@@ -96,77 +98,26 @@ def _normalize_index(index) -> MultiIndex:
     return tuple(sorted(out.items()))
 
 
-def _pack(indices: Sequence[MultiIndex]) -> tuple[np.ndarray, np.ndarray]:
-    """Padded (T, k) site and power arrays of normalized multi-indices."""
-    width = max((len(index) for index in indices), default=0)
-    sites = np.zeros((len(indices), width), dtype=np.intp)
-    powers = np.zeros((len(indices), width), dtype=np.intp)
-    for t, index in enumerate(indices):
-        for j, (site, power) in enumerate(index):
-            sites[t, j] = site
-            powers[t, j] = power
-    return sites, powers
-
-
-def _widen(index: np.ndarray, width: int) -> np.ndarray:
-    """Pad a (T, k) index array with zero columns to (T, width)."""
-    if index.shape[1] == width:
-        return index
-    out = np.zeros((len(index), width), dtype=index.dtype)
-    out[:, : index.shape[1]] = index
-    return out
-
-
-def _stack(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
-    width = max(top.shape[1], bottom.shape[1])
-    return np.concatenate([_widen(top, width), _widen(bottom, width)])
-
-
-def _aggregate(keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct key rows in lexicographic order and their summed coefficients.
-
-    Sums that vanish are dropped; NaN sums are kept, so they never compare
-    equal to anything.
-    """
-    if keys.shape[1]:
-        order = np.lexsort(keys.T[::-1])
-        keys, coeffs = keys[order], coeffs[order]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
-    starts = np.flatnonzero(first)
-    sums = np.add.reduceat(coeffs, starts) if len(starts) else coeffs
-    keep = ~(np.abs(sums) <= 1e-300)
-    return keys[starts][keep], sums[keep]
-
-
 @dataclass(frozen=True, eq=False)
 class LadderPolynomial:
     """Normal-ordered polynomial: every term has daggers left of annihilators.
 
-    Terms are stored as flat arrays.  ``coeffs[t]`` is the coefficient of
-    term t.  For each slot s of ``SLOTS`` = (A+, B+, A, B), row t of
-    ``sites[s]`` and ``powers[s]`` is the term's multi-index in that slot:
-    distinct sites in increasing order, then padding at site 0 with power 0.
+    ``terms`` holds one (coeff, A+, B+, A, B) tuple per term, each of the four
+    a normalized multi-index: distinct sites in increasing order, each with
+    a positive power.  Equal monomials are not merged, so ``len(poly.terms)``
+    is the number of terms the polynomial was built from.
     """
 
-    coeffs: np.ndarray
-    sites: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    powers: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-    @property
-    def terms(self) -> np.ndarray:
-        """One coefficient per term, so ``len(poly.terms)`` is the term count."""
-        return self.coeffs
+    terms: tuple[tuple[complex, MultiIndex, MultiIndex, MultiIndex, MultiIndex], ...]
 
     @staticmethod
     def build(terms) -> "LadderPolynomial":
         """Polynomial from (coeff, adag, bdag, a, b) tuples of multi-indices."""
-        terms = [(complex(c), adag, bdag, a, b) for c, adag, bdag, a, b in terms]
-        packed = [_pack([_normalize_index(t[s + 1]) for t in terms]) for s in range(4)]
         return LadderPolynomial(
-            np.array([t[0] for t in terms], dtype=complex),
-            tuple(sites for sites, _ in packed),
-            tuple(powers for _, powers in packed),
+            tuple(
+                (complex(c), *(_normalize_index(index) for index in (adag, bdag, a, b)))
+                for c, adag, bdag, a, b in terms
+            )
         )
 
     @staticmethod
@@ -181,71 +132,56 @@ class LadderPolynomial:
         for kind, site in factors:
             if kind not in SLOTS:
                 raise DomainError(f"unknown ladder factor {kind!r}")
-            if kind in ("A+", "B+"):
-                if seen_annihilator:
-                    raise DomainError(
-                        f"factor {kind} right of an annihilator: not normal ordered"
-                    )
-            else:
-                seen_annihilator = True
+            if kind in ("A+", "B+") and seen_annihilator:
+                raise DomainError(f"factor {kind} right of an annihilator: not normal ordered")
+            seen_annihilator = seen_annihilator or kind in ("A", "B")
             slots[SLOTS.index(kind)].append((site, 1))
         return LadderPolynomial.build([(coeff, *slots)])
 
     def __add__(self, other: "LadderPolynomial") -> "LadderPolynomial":
-        return LadderPolynomial(
-            np.concatenate([self.coeffs, other.coeffs]),
-            tuple(_stack(a, b) for a, b in zip(self.sites, other.sites)),
-            tuple(_stack(a, b) for a, b in zip(self.powers, other.powers)),
-        )
+        return LadderPolynomial(self.terms + other.terms)
 
     def scaled(self, factor: complex) -> "LadderPolynomial":
-        return LadderPolynomial(self.coeffs * factor, self.sites, self.powers)
+        factor = complex(factor)
+        return LadderPolynomial(tuple((c * factor, *index) for c, *index in self.terms))
 
     def dagger(self) -> "LadderPolynomial":
         """Adjoint: conjugate coefficients, swap A+ with A and B+ with B."""
-        swap = (2, 3, 0, 1)
         return LadderPolynomial(
-            np.conj(self.coeffs),
-            tuple(self.sites[s] for s in swap),
-            tuple(self.powers[s] for s in swap),
+            tuple((c.conjugate(), a, b, adag, bdag) for c, adag, bdag, a, b in self.terms)
         )
 
-    def _keys(self, widths: Sequence[int], radix: int) -> np.ndarray:
-        """(T, sum(widths)) rows that are equal exactly for equal monomials."""
-        return np.concatenate(
-            [
-                _widen(sites, w) * radix + _widen(powers, w)
-                for sites, powers, w in zip(self.sites, self.powers, widths)
-            ],
-            axis=1,
-        )
+    def _monomials(self) -> dict[tuple[MultiIndex, ...], complex]:
+        """Summed coefficient of each distinct monomial; sums that vanish are
+        dropped, NaN sums kept, so they never compare equal to anything."""
+        sums: dict[tuple[MultiIndex, ...], complex] = {}
+        for term in self.terms:
+            key = term[1:]
+            sums[key] = sums.get(key, 0j) + term[0]
+        return {key: c for key, c in sums.items() if not abs(c) <= 1e-300}
 
     def is_hermitian(self, rtol: float = 1e-12) -> bool:
-        adjoint = self.dagger()
-        width_a = max(self.sites[0].shape[1], self.sites[2].shape[1])
-        width_b = max(self.sites[1].shape[1], self.sites[3].shape[1])
-        widths = (width_a, width_b, width_a, width_b)
-        radix = 1 + max(int(p.max(initial=0)) for p in self.powers)
-        mine, mine_sums = _aggregate(self._keys(widths, radix), self.coeffs)
-        theirs, their_sums = _aggregate(adjoint._keys(widths, radix), adjoint.coeffs)
-        if mine.shape != theirs.shape or np.any(mine != theirs):
+        mine = self._monomials()
+        theirs = self.dagger()._monomials()
+        if mine.keys() != theirs.keys():
             return False
-        scale = float(np.max(np.abs(mine_sums))) if len(mine_sums) else 1.0
-        return bool(np.all(np.abs(mine_sums - their_sums) <= rtol * scale))
+        scale = max(map(abs, mine.values()), default=1.0)
+        return all(abs(c - theirs[key]) <= rtol * scale for key, c in mine.items())
 
 
-def _evaluate(
-    poly: LadderPolynomial,
-    left_alpha: np.ndarray,
-    left_beta: np.ndarray,
-    right_alpha: np.ndarray,
-    right_beta: np.ndarray,
-) -> complex:
-    values = (np.conj(left_alpha), np.conj(left_beta), right_alpha, right_beta)
-    product = poly.coeffs
-    for v, sites, powers in zip(values, poly.sites, poly.powers):
-        product = product * np.prod(v[sites] ** powers, axis=1)
-    return complex(np.sum(product))
+def _evaluate(poly: LadderPolynomial, values: tuple[list, ...]) -> complex:
+    """Sum of the terms at the values of the slots (A+, B+, A, B); a power
+    that overflows is a NumericError."""
+    products = []
+    try:
+        for term, *indices in poly.terms:
+            for index, v in zip(indices, values):
+                for site, power in index:
+                    term *= v[site] ** power
+            products.append(term)
+    except OverflowError as exc:
+        raise NumericError(f"a ladder monomial overflows: {exc}") from exc
+    return complex(np.sum(products))
 
 
 def _vectors(rep: ReducibleRep, p, q) -> tuple[np.ndarray, np.ndarray]:
@@ -256,63 +192,80 @@ def _vectors(rep: ReducibleRep, p, q) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
+def _slot_values(rep: ReducibleRep, p_left, q_left, p_right, q_right) -> tuple[list, ...]:
+    """Values of the slots (A+, B+, A, B) between <p',q'| and |p,q>: the
+    conjugated eigenvalues of the left state, then those of the right one."""
+    pl, ql = _vectors(rep, p_left, q_left)
+    pr, qr = _vectors(rep, p_right, q_right)
+    daggers = np.conj(rep.alpha(pl, ql)), np.conj(rep.beta(ql))
+    return tuple(v.tolist() for v in (*daggers, rep.alpha(pr, qr), rep.beta(qr)))
+
+
+def _real_value(value: complex, hermitian: Callable[[], bool]) -> float:
+    """Real part of a diagonal expectation.  An imaginary residue of a
+    ``hermitian()`` operator is an AccuracyError, a non-finite value a
+    NumericError."""
+    if not abs(value.imag) <= 1e-12 * (1 + abs(value.real)) and hermitian():
+        raise AccuracyError(f"Hermitian polynomial produced imaginary residue {value.imag:.2e}")
+    if not cmath.isfinite(value):
+        raise NumericError(f"ladder expectation {value!r} is not finite")
+    return value.real
+
+
 def displaced_expectation(poly: LadderPolynomial, rep: ReducibleRep, p, q) -> float:
     """<p,q| :poly: |p,q> = poly at <A_n> = p_n - i m q_n, <B_n> = -i m zeta q_n."""
-    p, q = _vectors(rep, p, q)
-    alpha = rep.alpha(p, q)
-    beta = rep.beta(q)
-    value = _evaluate(poly, alpha, beta, alpha, beta)
-    if not abs(value.imag) <= 1e-12 * (1 + abs(value.real)) and poly.is_hermitian():
-        raise AccuracyError(
-            f"Hermitian polynomial produced imaginary residue {value.imag:.2e}"
-        )
-    return float(value.real)
+    return _real_value(_evaluate(poly, _slot_values(rep, p, q, p, q)), poly.is_hermitian)
 
 
 # ---------------------------------------------------------------------------
 # the quartic model
 
 
-def _pair_operator(rep: ReducibleRep, slot: int) -> LadderPolynomial:
-    """(1/2) sum_n X+_n X_n for the ladder pair whose dagger is SLOTS[slot]."""
-    n = np.arange(rep.N)[:, None]
-    one = np.ones_like(n)
-    none = np.zeros((rep.N, 0), dtype=np.intp)
-    sites = [none] * 4
-    powers = [none] * 4
-    sites[slot] = sites[slot + 2] = n
-    powers[slot] = powers[slot + 2] = one
-    return LadderPolynomial(np.full(rep.N, 0.5 + 0j), tuple(sites), tuple(powers))
-
-
 def h_p_operator(rep: ReducibleRep) -> LadderPolynomial:
     """(1/2) sum_n A+_n A_n (free-looking kinetic-plus-trap block)."""
-    return _pair_operator(rep, 0)
+    return LadderPolynomial(tuple((0.5 + 0j, ((n, 1),), (), ((n, 1),), ()) for n in range(rep.N)))
 
 
 def h_r_operator(rep: ReducibleRep) -> LadderPolynomial:
     """(1/2) sum_n B+_n B_n (the partner block)."""
-    return _pair_operator(rep, 1)
+    return LadderPolynomial(tuple((0.5 + 0j, (), ((n, 1),), (), ((n, 1),)) for n in range(rep.N)))
 
 
 def quartic_operator(rep: ReducibleRep, nu: float) -> LadderPolynomial:
     """4 nu :H_r^2: = nu sum_{m,n} B+_m B+_n B_m B_n."""
     N = rep.N
-    mm, nn = divmod(np.arange(N * N), N)
-    same = mm == nn
     # one term per ordered pair (m, n); m == n is the single site m at power 2
-    sites = np.stack([np.minimum(mm, nn), np.where(same, 0, np.maximum(mm, nn))], axis=1)
-    powers = np.stack([np.where(same, 2, 1), np.where(same, 0, 1)], axis=1)
-    none = np.zeros((N * N, 0), dtype=np.intp)
-    return LadderPolynomial(
-        np.full(N * N, complex(nu)), (none, sites, none, sites), (none, powers, none, powers)
+    pairs = (
+        ((m, 2),) if m == n else ((min(m, n), 1), (max(m, n), 1))
+        for m in range(N)
+        for n in range(N)
     )
+    c = complex(nu)
+    return LadderPolynomial(tuple((c, (), pair, (), pair) for pair in pairs))
+
+
+def _require_nu(nu: float) -> None:
+    if not nu >= 0:
+        raise DomainError("nu must be non-negative")
 
 
 def h1_operator(rep: ReducibleRep, nu: float) -> LadderPolynomial:
-    if not nu >= 0:
-        raise DomainError("nu must be non-negative")
+    """H1 as its explicit 2N + N^2 terms: the oracle the pair-sum route is tested against."""
+    _require_nu(nu)
     return h_p_operator(rep) + h_r_operator(rep) + quartic_operator(rep, nu)
+
+
+def _h1_value(rep: ReducibleRep, nu: float, values: tuple[list, ...]) -> complex:
+    """H1 at the slot values as H_p + H_r + 4 nu H_r H_r.
+
+    At c-numbers, 4 nu :H_r^2: = nu sum_{m,n} conj(b_m) conj(b_n) b'_m b'_n
+    is nu (sum_m conj(b_m) b'_m)^2, four nu times the square of the value of
+    H_r, so two O(N) pair sums give H1 without its N^2 quartic terms.
+    """
+    _require_nu(nu)
+    h_p = _evaluate(h_p_operator(rep), values)
+    h_r = _evaluate(h_r_operator(rep), values)
+    return h_p + h_r + 4 * nu * h_r * h_r
 
 
 def h1_closed_form(rep: ReducibleRep, nu: float, p, q) -> float:
@@ -324,8 +277,9 @@ def h1_closed_form(rep: ReducibleRep, nu: float, p, q) -> float:
 
 
 def h1_expectation(rep: ReducibleRep, nu: float, p, q) -> float:
-    """Diagonal expectation of H1, evaluated through the ladder engine."""
-    return displaced_expectation(h1_operator(rep, nu), rep, p, q)
+    """Diagonal expectation of H1 from its two pair sums.  H1 is Hermitian by
+    construction: a residue is an AccuracyError without a hermiticity check."""
+    return _real_value(_h1_value(rep, nu, _slot_values(rep, p, q, p, q)), lambda: True)
 
 
 def match_target(m0_sq: float, lambda0: float, zeta: float) -> tuple[float, float]:
@@ -359,22 +313,25 @@ def matrix_element(
     poly: LadderPolynomial, rep: ReducibleRep, p_left, q_left, p_right, q_right
 ) -> complex:
     """<p',q'| :poly: |p,q> = poly(conj-left, right eigenvalues) * overlap."""
-    pl, ql = _vectors(rep, p_left, q_left)
-    pr, qr = _vectors(rep, p_right, q_right)
-    factor = _evaluate(
-        poly, rep.alpha(pl, ql), rep.beta(ql), rep.alpha(pr, qr), rep.beta(qr)
-    )
-    return factor * overlap_reducible(rep, pl, ql, pr, qr)
+    points = (p_left, q_left, p_right, q_right)
+    return _evaluate(poly, _slot_values(rep, *points)) * overlap_reducible(rep, *points)
 
 
 def h1_matrix_element(
     rep: ReducibleRep, nu: float, p_left, q_left, p_right, q_right
 ) -> complex:
-    return matrix_element(h1_operator(rep, nu), rep, p_left, q_left, p_right, q_right)
+    """<p',q'| H1 |p,q> from the two pair sums, as in ``h1_expectation``."""
+    points = (p_left, q_left, p_right, q_right)
+    return _h1_value(rep, nu, _slot_values(rep, *points)) * overlap_reducible(rep, *points)
 
 
 # ---------------------------------------------------------------------------
 # rotationally symmetric characteristic functions
+
+
+# radial Gauss-Legendre nodes of the normalization check and, by default,
+# of the characteristic function, so that both use one rule
+RADIAL_NODES = 800
 
 
 @functools.cache
@@ -383,6 +340,8 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     numpy builds a rule by an O(n^3) eigen-solve, which costs far more than
     any one integral below, so each node count is built once per process.
+    The normalization check and ``characteristic_radial`` share the
+    RADIAL_NODES-point rule, so a process builds that one only.
     """
     x, w = leggauss(n)
     x.flags.writeable = False
@@ -426,15 +385,24 @@ class RadialDensity:
         """Induced radial weight rho(r) r^(N-1) times the full solid angle."""
         return np.exp(self._log_radial(r) + _log_solid_angle(self.N))
 
-    def normalization(self, n_nodes: int = 2000) -> float:
+    def _rule(self, n_nodes: int = RADIAL_NODES) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes r in [0, r_max] and weights w, sum(w f(r)) ~ int f rho d^N x."""
         x, w = _gauss_legendre(n_nodes)
         r = (x + 1) / 2 * self.r_max
-        return float(np.sum(w / 2 * self.r_max * self.weight(r)))
+        return r, self.weight(r) * (w / 2 * self.r_max)
+
+    def normalization(self) -> float:
+        """int rho d^N x on the RADIAL_NODES-point rule."""
+        return float(np.sum(self._rule()[1]))
 
     def require_normalized(self, tol: float = 1e-8) -> None:
-        dev = abs(self.normalization() - 1.0)
-        if not dev <= tol:
-            raise PreconditionError(f"radial density normalization off by {dev:.3e}")
+        _require_unit_mass(self.normalization(), tol)
+
+
+def _require_unit_mass(total: float, tol: float = 1e-8) -> None:
+    dev = abs(total - 1.0)
+    if not dev <= tol:
+        raise PreconditionError(f"radial density normalization off by {dev:.3e}")
 
 
 def gaussian_radial_density(N: int, m_prime: float, hbar: float = 1.0) -> RadialDensity:
@@ -513,7 +481,7 @@ def characteristic_radial(
     density: RadialDensity,
     p_r: float,
     hbar: float = 1.0,
-    n_r: int = 800,
+    n_r: int = RADIAL_NODES,
     n_theta: int = 800,
 ) -> CharacteristicResult:
     """Characteristic function of a radial density, exactly and by steepest
@@ -532,10 +500,12 @@ def characteristic_radial(
     integrand concentrates at theta = pi/2; the quadratic-order descent
     approximation of the average is exp(-lambda^2 / 2N).
 
-    Both sums are divided by the rule's own sum of weights.  rho is
-    normalized (``require_normalized`` checks it to 1e-8), and the division
-    cancels the rounding the weights share from their log-space form, which
-    at N in the hundreds is ~1e-13 relative.
+    Both sums are divided by the rule's own sum of weights.  That sum is
+    rho's normalization, which must be 1 to within 1e-8 (PreconditionError
+    otherwise); at the default ``n_r`` it is ``density.normalization()`` on
+    the same rule, so no second rule is built.  The division cancels the
+    rounding the weights share from their log-space form, which at N in the
+    hundreds is ~1e-13 relative.
 
     Cancellation bound: each t_k(r) carries the roundings of its 2k
     multiplications and of one addition, so the computed series at r is
@@ -554,13 +524,10 @@ def characteristic_radial(
     N = density.N
     if N < 3:
         raise DomainError("the angular reduction requires N >= 3")
-    density.require_normalized()
-    p_sq = _power(p_r, 2)
-
-    x, w = _gauss_legendre(n_r)
-    r = (x + 1) / 2 * density.r_max
-    w = density.weight(r) * (w / 2 * density.r_max)
+    r, w = density._rule(n_r)
     w_sum = float(np.sum(w))
+    _require_unit_mass(w_sum)
+    p_sq = _power(p_r, 2)
     scaled = (r / hbar) ** 2
 
     angular, size = _angular_series(N / 2, p_sq * scaled / 4, w)

@@ -32,6 +32,8 @@ from .errors import AccuracyError, ConfigError, DomainError, NumericError, Preco
 from .grids import Grid, WaveFunction, derivative, inner_product, uniform_grid
 from .states import (
     AFFINE,
+    AFFINE_DOMAIN,
+    CANONICAL_DOMAIN,
     GAUSSIAN,
     Fiducial,
     affine_log_norm,
@@ -42,9 +44,6 @@ from .states import (
 
 X_FACTOR = "X"
 D_FACTOR = "D"
-
-CANONICAL = "canonical"
-AFFINE_MAP = "affine"
 
 
 @dataclass(frozen=True)
@@ -190,17 +189,17 @@ class SymbolFn:
     evaluator: Callable[[float, float], float]
     gradient: Callable[[float, float], tuple[float, float]]
     hbar: float
-    provenance: str  # "canonical" or "affine"
+    provenance: str  # CANONICAL_DOMAIN or AFFINE_DOMAIN
     closed_form: bool
     poly: dict[tuple[int, int], float] | None = field(default=None, repr=False)
 
     def __call__(self, p: float, q: float) -> float:
-        if self.provenance == AFFINE_MAP and q <= 0:
+        if self.provenance == AFFINE_DOMAIN and q <= 0:
             raise DomainError("affine symbols are defined for q > 0 only")
         return self.evaluator(p, q)
 
     def grad(self, p: float, q: float) -> tuple[float, float]:
-        if self.provenance == AFFINE_MAP and q <= 0:
+        if self.provenance == AFFINE_DOMAIN and q <= 0:
             raise DomainError("affine symbols are defined for q > 0 only")
         return self.gradient(p, q)
 
@@ -233,12 +232,12 @@ class SymbolFn:
         gradient: Callable[[float, float], tuple[float, float]] | None = None,
     ) -> "SymbolFn":
         if gradient is None:
-            gradient = _fd_gradient(evaluator, provenance == AFFINE_MAP)
+            gradient = _fd_gradient(evaluator, provenance == AFFINE_DOMAIN)
         return SymbolFn(evaluator, gradient, hbar, provenance, False)
 
 
 def polynomial_symbol(
-    poly: dict[tuple[int, int], float], hbar: float = 1.0, provenance: str = CANONICAL
+    poly: dict[tuple[int, int], float], hbar: float = 1.0, provenance: str = CANONICAL_DOMAIN
 ) -> SymbolFn:
     return SymbolFn.from_poly(poly, hbar, provenance)
 
@@ -340,7 +339,7 @@ def _closed_form_symbol(op: OperatorExpr, f: Fiducial) -> SymbolFn:
         raise AccuracyError(
             f"closed-form symbol of a Hermitian operator has imaginary part {max_imag:.2e}"
         )
-    provenance = CANONICAL if f.kind == GAUSSIAN else AFFINE_MAP
+    provenance = CANONICAL_DOMAIN if f.kind == GAUSSIAN else AFFINE_DOMAIN
     return SymbolFn.from_poly({k: v.real for k, v in total.items()}, f.hbar, provenance)
 
 
@@ -455,7 +454,7 @@ def weak_symbol_canonical(op: OperatorExpr, f: Fiducial) -> SymbolFn:
         # cancels their leading h^2 error
         return _check_real((4.0 * fine - coarse) / 3.0, hermitian)
 
-    return SymbolFn.from_callable(evaluator, f.hbar, CANONICAL)
+    return SymbolFn.from_callable(evaluator, f.hbar, CANONICAL_DOMAIN)
 
 
 def _respline(sample: WaveFunction) -> Grid:

@@ -85,8 +85,9 @@ def quadrature_overlap(m, zeta, hbar, pl, ql, pr, qr):
 # ladder polynomials, term by term
 #
 # A term is (coeff, adag, bdag, a, b); each index lists (site, power) pairs
-# in any order, repeats allowed.  These loops are the references the
-# compiled array engine in cslab.modeltwo is tested against.
+# in any order, repeats allowed.  These loops, which neither normalize the
+# indices nor share code with cslab.modeltwo, are the references its
+# term-list engine is tested against.
 
 
 def ladder_evaluate(terms, left_alpha, left_beta, right_alpha, right_beta):

@@ -1,7 +1,9 @@
 """Scenario runner: schemas, exit codes, determinism, provenance."""
 
+import importlib
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -416,3 +418,23 @@ class TestCharfnCommand:
         assert code == 3
         assert "cancellation" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestTracerContract:
+    """perfbench/tracer.py wraps cslab entry points by name; dropping one fails here."""
+
+    def test_model_two_and_charfn_calls_are_traced(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        tracer = importlib.import_module("tracer").Tracer()
+        tracer.install()
+        try:
+            model_two = run(["model-two", "--N", "3", "--zeta", "0.5", "--p", "1,0,0",
+                             "--q", "0,1,0", "--out", str(tmp_path), "--quiet"])
+            charfn = run(["charfn", "--n_list", "4", "--p_r_list", "1.0",
+                          "--out", str(tmp_path), "--quiet"])
+        finally:
+            tracer.uninstall()
+        assert (model_two, charfn) == (0, 0)
+        summary = tracer.summary()
+        assert summary["modeltwo.h1_calls"] == 1
+        assert summary["modeltwo.charfn_calls"] == 1

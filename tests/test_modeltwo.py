@@ -1,6 +1,7 @@
 """Ladder engine, reducible overlaps and characteristic functions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from cslab.modeltwo import (
     RadialDensity,
     ReducibleRep,
     _angular_series,
+    _gauss_legendre,
     characteristic_exact_gaussian,
     characteristic_radial,
     displaced_expectation,
@@ -119,6 +121,22 @@ class TestDisplacedExpectation:
         with pytest.raises(AccuracyError):
             displaced_expectation(h_p_operator(rep), rep, [math.nan, 0.0], [0.3, 1.0])
 
+    def test_non_finite_values_are_numeric_errors(self):
+        rep = ReducibleRep(1, 1.0, 0.5)
+        # the complex power (B_0)^2 overflows at q = 1e200
+        with pytest.raises(NumericError):
+            displaced_expectation(quartic_operator(rep, 1.0), rep, [0.0], [1e200])
+        # the product A+_0 A_0 overflows to inf without an exception
+        with pytest.raises(NumericError):
+            displaced_expectation(h_p_operator(rep), rep, [1e200], [1.0])
+        # a non-Hermitian polynomial at an infinite eigenvalue
+        lone_a = LadderPolynomial.from_factors(1.0, [("A", 0)])
+        with pytest.raises(NumericError):
+            displaced_expectation(lone_a, rep, [math.inf], [1.0])
+        # H_r is finite, 4 nu H_r H_r is not
+        with pytest.raises(NumericError):
+            h1_expectation(rep, 1.0, [1.0], [1e100])
+
     def test_imaginary_value_of_non_hermitian_polynomial_returns_real_part(self):
         rep = ReducibleRep(1, 1.5, 0.4)
         lone_a = LadderPolynomial.from_factors(1.0, [("A", 0)])
@@ -133,7 +151,8 @@ class TestDisplacedExpectation:
 
 
 class TestCompiledEngine:
-    """The array engine against the term-by-term loops in tests/oracles.py."""
+    """The term-list engine against the independent loops in tests/oracles.py,
+    and H1's pair-sum route against its expanded 2N + N^2 terms."""
 
     @settings(max_examples=200, deadline=None)
     @given(_terms, _terms, _coeffs, st.integers(0, 2**32 - 1))
@@ -182,6 +201,23 @@ class TestCompiledEngine:
         got = matrix_element(poly, rep, pl, ql, pr, qr) / overlap_reducible(rep, pl, ql, pr, qr)
         assert abs(got - want) <= 1e-12 * size
 
+    @pytest.mark.parametrize("n", [1, 3, 12])
+    def test_h1_pair_sums_match_expanded_operator(self, n):
+        rng = np.random.default_rng(100 + n)
+        rep = ReducibleRep(n, 1.3, 0.6)
+        poly = h1_operator(rep, 0.7)
+        pl, ql, pr, qr = rng.normal(0, 1, (4, n))
+        left, right = (rep.alpha(pl, ql), rep.beta(ql)), (rep.alpha(pr, qr), rep.beta(qr))
+
+        _, size = ladder_evaluate(h1_terms(n, 0.7), *left, *right)
+        overlap = abs(overlap_reducible(rep, pl, ql, pr, qr))
+        got = h1_matrix_element(rep, 0.7, pl, ql, pr, qr)
+        assert abs(got - matrix_element(poly, rep, pl, ql, pr, qr)) <= 1e-12 * size * overlap
+
+        _, size = ladder_evaluate(h1_terms(n, 0.7), *left, *left)
+        got = h1_expectation(rep, 0.7, pl, ql)
+        assert abs(got - displaced_expectation(poly, rep, pl, ql)) <= 1e-12 * size
+
 
 class TestH1:
     def test_zeta_zero_kills_the_quartic(self):
@@ -218,6 +254,26 @@ class TestH1:
             h1_closed_form(ReducibleRep(1, 1.0, 0.5), 1.0, [0.0], [1e100])
         with pytest.raises(NumericError):
             match_target(1e200, 1.0, 0.5)
+
+    @pytest.mark.parametrize("n", [256, 1024, 4096])
+    def test_closed_form_at_large_n(self, n):
+        rng = np.random.default_rng(n)
+        rep = ReducibleRep(n, 1.2, 0.6)
+        p, q = rng.normal(0, 1, (2, n))
+        closed = h1_closed_form(rep, 0.7, p, q)
+        assert abs(h1_expectation(rep, 0.7, p, q) - closed) <= 1e-12 * (1 + abs(closed))
+
+    def test_large_n_expands_no_quartic_terms(self):
+        # expanded, the 4096^2 quartic terms peaked at 3.2 GB; the pair sums take ~2 MB
+        rep = ReducibleRep(4096, 1.2, 0.6)
+        p, q = np.random.default_rng(7).normal(0, 1, (2, 4096))
+        tracemalloc.start()
+        try:
+            h1_expectation(rep, 0.7, p, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
     def test_target_matching_round_trip(self):
         rng = np.random.default_rng(3)
@@ -346,6 +402,12 @@ class TestCharacteristic:
         density = RadialDensity(lambda r: np.exp(-(r**2)), 4, 10.0)
         with pytest.raises(PreconditionError):
             characteristic_radial(density, 1.0)
+
+    def test_one_rule_per_process(self):
+        # the normalization check runs on the rule the integral uses
+        _gauss_legendre.cache_clear()
+        characteristic_radial(gaussian_radial_density(8, 1.0), 1.0)
+        assert _gauss_legendre.cache_info().currsize == 1
 
     def test_small_n_rejected(self):
         with pytest.raises(DomainError):
