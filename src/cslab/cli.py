@@ -660,6 +660,10 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericError, CslabError) as exc:
         print(f"numerical failure in {args.subcommand}: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # a defect, or a dependency that failed to import
+        message = f"{type(exc).__name__}: {exc}"
+        print(f"internal error in {args.subcommand}: {message}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -201,15 +201,20 @@ def _slot_values(rep: ReducibleRep, p_left, q_left, p_right, q_right) -> tuple[l
     return tuple(v.tolist() for v in (*daggers, rep.alpha(pr, qr), rep.beta(qr)))
 
 
+def _require_finite(value, what: str):
+    """``value`` itself; a NaN or infinite value is a NumericError."""
+    if not cmath.isfinite(value):
+        raise NumericError(f"non-finite {what}: {value!r}")
+    return value
+
+
 def _real_value(value: complex, hermitian: Callable[[], bool]) -> float:
     """Real part of a diagonal expectation.  An imaginary residue of a
     ``hermitian()`` operator is an AccuracyError, a non-finite value a
     NumericError."""
     if not abs(value.imag) <= 1e-12 * (1 + abs(value.real)) and hermitian():
         raise AccuracyError(f"Hermitian polynomial produced imaginary residue {value.imag:.2e}")
-    if not cmath.isfinite(value):
-        raise NumericError(f"ladder expectation {value!r} is not finite")
-    return value.real
+    return _require_finite(value, "ladder expectation").real
 
 
 def displaced_expectation(poly: LadderPolynomial, rep: ReducibleRep, p, q) -> float:
@@ -269,11 +274,13 @@ def _h1_value(rep: ReducibleRep, nu: float, values: tuple[list, ...]) -> complex
 
 
 def h1_closed_form(rep: ReducibleRep, nu: float, p, q) -> float:
+    """(|p|^2 + m0^2 |q|^2) / 2 + lambda0 |q|^4; an overflow is a NumericError."""
     p, q = _vectors(rep, p, q)
-    p2 = float(p @ p)
-    q2 = float(q @ q)
+    with np.errstate(over="ignore"):  # an overflowing |p|^2 is the inf stopped below
+        p2 = float(p @ p)
+        q2 = float(q @ q)
     m0_sq, lam0 = rep.couplings(nu)
-    return 0.5 * (p2 + m0_sq * q2) + lam0 * _power(q2, 2)
+    return _require_finite(0.5 * (p2 + m0_sq * q2) + lam0 * _power(q2, 2), "closed-form H1")
 
 
 def h1_expectation(rep: ReducibleRep, nu: float, p, q) -> float:
@@ -314,7 +321,8 @@ def matrix_element(
 ) -> complex:
     """<p',q'| :poly: |p,q> = poly(conj-left, right eigenvalues) * overlap."""
     points = (p_left, q_left, p_right, q_right)
-    return _evaluate(poly, _slot_values(rep, *points)) * overlap_reducible(rep, *points)
+    value = _evaluate(poly, _slot_values(rep, *points)) * overlap_reducible(rep, *points)
+    return _require_finite(value, "ladder matrix element")
 
 
 def h1_matrix_element(
@@ -322,7 +330,8 @@ def h1_matrix_element(
 ) -> complex:
     """<p',q'| H1 |p,q> from the two pair sums, as in ``h1_expectation``."""
     points = (p_left, q_left, p_right, q_right)
-    return _h1_value(rep, nu, _slot_values(rep, *points)) * overlap_reducible(rep, *points)
+    value = _h1_value(rep, nu, _slot_values(rep, *points)) * overlap_reducible(rep, *points)
+    return _require_finite(value, "H1 matrix element")
 
 
 # ---------------------------------------------------------------------------

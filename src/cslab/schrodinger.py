@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import IO
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .dynamics import Trajectory
 from .errors import (
@@ -177,6 +176,8 @@ def evolve(
     Dirichlet values of ``psi0`` are dropped, so they may carry at most
     ``PINNED_NORM_TOL`` of its norm.
     """
+    from scipy.linalg.lapack import zgttrf, zgttrs
+
     if not psi0.grid.same_as(setup.grid):
         raise GridMismatchError("initial state must live on the setup grid")
     psi0.require_normalized(1e-6)

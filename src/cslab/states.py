@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import CoverageError, DomainError, NumericError, PreconditionError
 from .grids import (
@@ -281,6 +280,8 @@ def fiducial_wavefunction(f: Fiducial, grid: Grid | None = None) -> WaveFunction
 
 def _resample(sample: WaveFunction, x: np.ndarray) -> np.ndarray:
     """Cubic-spline values of a sampled fiducial at x, zero outside its window."""
+    from scipy.interpolate import CubicSpline
+
     spline_re = CubicSpline(sample.grid.nodes, sample.values.real)
     spline_im = CubicSpline(sample.grid.nodes, sample.values.imag)
     inside = (x >= sample.grid.lower) & (x <= sample.grid.upper)

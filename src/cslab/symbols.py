@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import AccuracyError, ConfigError, DomainError, NumericError, PreconditionError
 from .grids import Grid, WaveFunction, derivative, inner_product, uniform_grid
@@ -388,6 +387,8 @@ def symbol_quadrature_affine(op: OperatorExpr, f: Fiducial, p: float, q: float) 
     (pointwise) and the half-line integral is done numerically; only the
     Gamma-function moment identities of the closed form are bypassed.
     """
+    from scipy.integrate import quad
+
     if q <= 0:
         raise DomainError("affine symbols are defined for q > 0 only")
     coeffs = _affine_integrand_coeffs(op, f, p, q)
@@ -500,6 +501,8 @@ def compute_C(f: Fiducial, rtol: float = 1e-8) -> KineticDilationConstant:
     of |xi|^2; the quadrature value integrates the defining expression with
     the exact derivative xi'(x) = xi(x) ((b - 1/2)/x - b).
     """
+    from scipy.integrate import quad
+
     if f.kind != AFFINE:
         raise PreconditionError("C is defined for AffineBeta fiducials")
     b = f.beta / f.hbar

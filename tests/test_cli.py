@@ -2,13 +2,17 @@
 
 import importlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 import cslab.grids
-from cslab.cli import main
+from cslab.cli import _RUNNERS, SCHEMAS, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 # a small harmonic evolve-quantum run; later flags override these
@@ -139,6 +143,75 @@ class TestExitCodes:
         for point in read_json(tmp_path / "centering.json")["points"]:
             assert abs(point["p_read"] - point["p"]) <= 1e-12 * abs(point["p"])
             assert abs(point["q_read"] - point["q"]) <= 1e-9
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize(
+        "exc", [ZeroDivisionError("float division by zero"), ImportError("no module named scipy")]
+    )
+    def test_runner_exception_exits_3_without_traceback(self, tmp_path, capsys, monkeypatch, exc):
+        def broken(params, rng, out):
+            raise exc
+
+        monkeypatch.setitem(_RUNNERS, "metric", broken)
+        assert run(["metric", "--out", str(tmp_path), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert f"internal error in metric: {type(exc).__name__}: {exc}" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+
+# one fresh interpreter: the scipy modules loaded after import, after the
+# eight subcommands that need none, and after one evolve-quantum run
+COLD_START = """
+import json, sys
+from cslab.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+out, eight, quantum = sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3])
+loaded = {"import": scipy_modules()}
+codes = [main(argv + ["--out", out, "--quiet"]) for argv in eight]
+loaded["eight"] = scipy_modules()
+codes.append(main(quantum + ["--out", out, "--quiet"]))
+loaded["quantum"] = scipy_modules()
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+COLD_ARGVS = [
+    ["centering", "--n_points", "2"],
+    ["symbol", "--operator", "0.5 * D D + 0.5 * X X"],
+    ["metric"],
+    ["curvature"],
+    ["evolve-classical", "--operator", "0.5 * D D + 0.5 * X X", "--p0", "0.5", "--q0", "0.5"],
+    ["model-one", "--t_min", "-1", "--t_max", "1"],
+    ["model-two", "--N", "2", "--zeta", "0.5", "--p", "1,0", "--q", "0,1"],
+    ["charfn", "--n_list", "4", "--p_r_list", "1.0"],
+]
+
+
+class TestColdStart:
+    def test_only_evolve_quantum_loads_scipy(self, tmp_path):
+        assert {argv[0] for argv in COLD_ARGVS} == set(SCHEMAS) - {"evolve-quantum"}
+        quantum = QUANTUM + ["--steps", "10"]
+        child = subprocess.run(
+            [sys.executable, "-c", COLD_START, str(tmp_path), json.dumps(COLD_ARGVS),
+             json.dumps(quantum)],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        result = json.loads(child.stdout)
+        assert result["codes"] == [0] * 9
+        assert result["loaded"]["import"] == []
+        assert result["loaded"]["eight"] == []
+        quantum_loaded = result["loaded"]["quantum"]
+        assert "scipy.linalg" in quantum_loaded
+        for name in ("special", "optimize", "integrate", "interpolate", "sparse"):
+            assert not any(m.split(".")[:2] == ["scipy", name] for m in quantum_loaded), name
 
 
 class TestCenteringCommand:

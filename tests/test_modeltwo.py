@@ -255,6 +255,15 @@ class TestH1:
         with pytest.raises(NumericError):
             match_target(1e200, 1.0, 0.5)
 
+    @pytest.mark.parametrize(
+        "p, q",
+        [([1e154, 1e154], [0.0, 0.0]), ([0.0, 0.0], [1e154, 1e154]), ([math.nan, 0.0], [0.0, 0.0])],
+    )
+    def test_closed_form_fails_closed(self, p, q):
+        # |p|^2 or |q|^2 overflows in the dot product itself, before any float power
+        with pytest.raises(NumericError, match="non-finite closed-form H1"):
+            h1_closed_form(ReducibleRep(2, 1.0, 0.5), 1.0, p, q)
+
     @pytest.mark.parametrize("n", [256, 1024, 4096])
     def test_closed_form_at_large_n(self, n):
         rng = np.random.default_rng(n)
@@ -333,6 +342,17 @@ class TestMatrixElements:
             one = h1_matrix_element(rep, 0.6, pl, ql, pr, qr)
             two = h1_matrix_element(rep, 0.6, pr, qr, pl, ql)
             assert one == pytest.approx(np.conj(two), rel=1e-12)
+
+    @pytest.mark.parametrize("q_right", [1e100, -1e100])
+    def test_h1_element_fails_closed(self, q_right):
+        # the brace overflows to inf while the overlap underflows to 0
+        with pytest.raises(NumericError, match="non-finite H1 matrix element"):
+            h1_matrix_element(ReducibleRep(1, 1.0, 0.5), 1.0, [1.0], [1e100], [1.0], [q_right])
+
+    def test_ladder_element_fails_closed(self):
+        rep = ReducibleRep(1, 1.0, 0.5)
+        with pytest.raises(NumericError, match="non-finite ladder matrix element"):
+            matrix_element(h_p_operator(rep), rep, [1e200], [1.0], [1e200], [1.0])
 
 
 class TestOverlap:
