@@ -29,7 +29,6 @@ from .states import (
     canonical_coherent,
     canonical_family,
     gaussian_fiducial,
-    sampled_fiducial,
     verify_centering,
 )
 from .symbols import (

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .dynamics import Trajectory, integrate, model_one_floor
 from .errors import ConfigError, CslabError, NumericError
-from .geometry import fs_metric, metric_field_from_family, scalar_curvature
+from .geometry import fs_metric, scalar_curvature
 from .grids import WaveFunction
 from .modeltwo import (
     ReducibleRep,
@@ -402,7 +402,7 @@ def run_symbol(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
 
 
 def _family(params: dict) -> CoherentFamily:
-    # analytic families: the metric comes from closed-form moments, no grid
+    # no grid: the metric comes from closed-form moments
     f = _fiducial(params)
     if params["family"] == "affine":
         return affine_family(f)
@@ -424,9 +424,8 @@ def run_metric(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
 def run_curvature(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
     rows = []
     family = _family(params)
-    field = metric_field_from_family(family)
     for q in params["q_list"]:
-        value = scalar_curvature(field, PhasePoint(params["p"], q, domain=family.domain))
+        value = scalar_curvature(family, PhasePoint(params["p"], q, domain=family.domain))
         rows.append({"p": params["p"], "q": q, "curvature": value})
     payload = {"family": params["family"], "points": rows}
     if params["family"] == "affine":

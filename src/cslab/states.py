@@ -25,20 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoverageError, DomainError, NumericError, PreconditionError
-from .grids import (
-    FULL_LINE,
-    Grid,
-    WaveFunction,
-    half_line_grid,
-    momentum_expectation,
-    position_moment,
-    uniform_grid,
-)
+from .errors import CoverageError, DomainError, NumericError
+from .grids import FULL_LINE, Grid, WaveFunction, half_line_grid, uniform_grid
 
 GAUSSIAN = "GaussianCanonical"
 AFFINE = "AffineBeta"
-SAMPLED = "Sampled"
 
 CANONICAL_DOMAIN = "canonical"
 AFFINE_DOMAIN = "affine"
@@ -55,7 +46,8 @@ class PhasePoint:
     def __post_init__(self):
         if self.domain not in (CANONICAL_DOMAIN, AFFINE_DOMAIN):
             raise DomainError(f"unknown phase-point domain {self.domain!r}")
-        if self.domain == AFFINE_DOMAIN and self.q <= 0:
+        # written so that NaN fails
+        if self.domain == AFFINE_DOMAIN and not self.q > 0:
             raise DomainError("affine phase points require q > 0")
 
 
@@ -68,15 +60,14 @@ def _finite_positive(value: float | None) -> bool:
 class Fiducial:
     """Basic wave function from which a coherent family is generated.
 
-    Use the factory functions :func:`gaussian_fiducial`,
-    :func:`affine_fiducial` and :func:`sampled_fiducial`.
+    Use the factory functions :func:`gaussian_fiducial` and
+    :func:`affine_fiducial`.
     """
 
     kind: str
     hbar: float = 1.0
     omega: float | None = None
     beta: float | None = None
-    sample: WaveFunction | None = None
 
     def __post_init__(self):
         if not _finite_positive(self.hbar):
@@ -91,10 +82,6 @@ class Fiducial:
                 # keeps x**(beta/hbar - 1/2) bounded near 0 and the
                 # kinetic-moment integrals convergent
                 raise DomainError("affine fiducial requires beta/hbar >= 1")
-        elif self.kind == SAMPLED:
-            if self.sample is None:
-                raise DomainError("sampled fiducial requires a wave function")
-            self.sample.require_normalized(1e-6)
         else:
             raise DomainError(f"unknown fiducial kind {self.kind!r}")
 
@@ -103,14 +90,7 @@ class Fiducial:
         """Position spread used for window sizing."""
         if self.kind == GAUSSIAN:
             return math.sqrt(self.hbar / (2 * self.omega))
-        if self.kind == AFFINE:
-            return math.sqrt(self.hbar / (2 * self.beta))
-        return math.sqrt(
-            max(
-                position_moment(self.sample, 2) - position_moment(self.sample, 1) ** 2,
-                1e-12,
-            )
-        )
+        return math.sqrt(self.hbar / (2 * self.beta))
 
 
 def gaussian_fiducial(omega: float = 1.0, hbar: float = 1.0) -> Fiducial:
@@ -119,10 +99,6 @@ def gaussian_fiducial(omega: float = 1.0, hbar: float = 1.0) -> Fiducial:
 
 def affine_fiducial(beta: float = 1.0, hbar: float = 1.0) -> Fiducial:
     return Fiducial(AFFINE, hbar=hbar, beta=beta)
-
-
-def sampled_fiducial(sample: WaveFunction) -> Fiducial:
-    return Fiducial(SAMPLED, hbar=sample.hbar, sample=sample)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +154,6 @@ def fiducial_moment(f: Fiducial, k: int) -> float:
     """
     if f.kind == AFFINE:
         return _affine_moment(f.beta, f.hbar, k)
-    if f.kind != GAUSSIAN:
-        raise DomainError("closed-form moments need a Gaussian or affine fiducial")
     if k < 0:
         raise DomainError("negative position powers on the full line")
     if k % 2:
@@ -221,9 +195,7 @@ def default_canonical_grid(
     f: Fiducial, q: float = 0.0, p: float = 0.0, n: int | None = None
 ) -> Grid:
     """Full-line window [-L, L] with L = max(10 sqrt(hbar/omega), |q| + 10 sqrt(hbar/omega))."""
-    width = (
-        10 * math.sqrt(f.hbar / f.omega) if f.kind == GAUSSIAN else 14.2 * f.sigma
-    )
+    width = 10 * math.sqrt(f.hbar / f.omega)
     L = max(width, abs(q) + width)
     if not math.isfinite(L):
         raise DomainError(f"canonical window half-width {L} is not finite")
@@ -263,31 +235,12 @@ def default_affine_grid(f: Fiducial, q: float = 1.0, n: int | None = None) -> Gr
 
 
 def fiducial_wavefunction(f: Fiducial, grid: Grid | None = None) -> WaveFunction:
-    """The fiducial itself as a WaveFunction (identity transport).
-
-    Sampled fiducials are spline-resampled when a different grid is given.
-    """
+    """The fiducial itself as a WaveFunction (identity transport)."""
     if f.kind == GAUSSIAN:
         grid = grid or default_canonical_grid(f)
         return WaveFunction(grid, gaussian_values(f.omega, f.hbar, grid.nodes), f.hbar)
-    if f.kind == AFFINE:
-        grid = grid or default_affine_grid(f)
-        return WaveFunction(grid, affine_values(f.beta, f.hbar, grid.nodes), f.hbar)
-    if grid is None or grid.same_as(f.sample.grid):
-        return f.sample
-    return WaveFunction(grid, _resample(f.sample, grid.nodes), f.hbar)
-
-
-def _resample(sample: WaveFunction, x: np.ndarray) -> np.ndarray:
-    """Cubic-spline values of a sampled fiducial at x, zero outside its window."""
-    from scipy.interpolate import CubicSpline
-
-    spline_re = CubicSpline(sample.grid.nodes, sample.values.real)
-    spline_im = CubicSpline(sample.grid.nodes, sample.values.imag)
-    inside = (x >= sample.grid.lower) & (x <= sample.grid.upper)
-    values = np.zeros(x.shape, dtype=complex)
-    values[inside] = spline_re(x[inside]) + 1j * spline_im(x[inside])
-    return values
+    grid = grid or default_affine_grid(f)
+    return WaveFunction(grid, affine_values(f.beta, f.hbar, grid.nodes), f.hbar)
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +273,7 @@ def canonical_coherent(
     _require_coverage(f, pt, grid)
     x = grid.nodes
     phase = np.exp(1j * pt.p * (x - pt.q) / f.hbar)
-    if f.kind == GAUSSIAN:
-        envelope = gaussian_values(f.omega, f.hbar, x - pt.q)
-    else:
-        envelope = _resample(f.sample, x - pt.q)
+    envelope = gaussian_values(f.omega, f.hbar, x - pt.q)
     return WaveFunction(grid, phase * envelope, f.hbar)
 
 
@@ -333,7 +283,7 @@ def affine_coherent(
     """Affine coherent state xi_{p,q} on a half-line grid (q > 0)."""
     if f.kind != AFFINE:
         raise DomainError("affine transport requires an AffineBeta fiducial")
-    if pt.q <= 0:
+    if not pt.q > 0:  # NaN fails too
         raise DomainError("affine transport requires q > 0")
     if grid is None:
         grid = default_affine_grid(f, q=pt.q)
@@ -354,23 +304,14 @@ def affine_coherent(
 class CoherentFamily:
     """(p, q) -> coherent state of one fiducial, optionally on one fixed grid.
 
-    A shared grid is what makes overlaps between members defined.  Gaussian
-    and affine-Beta families are ``analytic``: their metric and labels come
-    from closed-form moments (:func:`coherent_moments`) and need no grid;
-    other families are differenced on their grid, so they must have one.
+    A shared grid is what makes overlaps between members defined.  The
+    metric and the labels of a family come from closed-form moments
+    (:func:`coherent_moments`) and need no grid.
     """
 
     fiducial: Fiducial
     domain: str
     grid: Grid | None = None
-
-    def __post_init__(self):
-        if self.grid is None and not self.analytic:
-            raise PreconditionError(f"a {self.fiducial.kind} family needs a shared grid")
-
-    @property
-    def analytic(self) -> bool:
-        return self.fiducial.kind in (GAUSSIAN, AFFINE)
 
     def __call__(self, p: float, q: float) -> WaveFunction:
         pt = PhasePoint(p, q, domain=self.domain)
@@ -410,9 +351,9 @@ def verify_centering(f: Fiducial, tol: float = 1e-7) -> CenteringReport:
     Canonical fiducials must have vanishing position and momentum moments;
     the affine fiducial must have unit position moment and vanishing
     dilation moment.  The moments are the labels read back at the reference
-    point, (0, 0) or (0, 1); the dilation moment is p q.  For analytic
-    fiducials the p label there is 0 by construction, so the check tests
-    the position moment.  Failures are reported, never corrected.
+    point, (0, 0) or (0, 1); the dilation moment is p q.  The p label
+    there is 0 by construction, so the check tests the position moment.
+    Failures are reported, never corrected.
     """
     if f.kind == AFFINE:
         p_read, q_read = state_labels(f, PhasePoint(0.0, 1.0, domain=AFFINE_DOMAIN))
@@ -432,10 +373,6 @@ def state_labels(f: Fiducial, pt: PhasePoint) -> tuple[float, float]:
     exp(i p (x - q) / hbar) contributes p |psi|^2 to the momentum density
     and p x |psi|^2 to the dilation density, so on a state of norm 1 the p
     label is p on the canonical sheet and p X / X = p on the affine one.
-    Sampled fiducials build the state and difference it.
     """
-    if f.kind == SAMPLED:
-        state = canonical_coherent(f, pt)
-        return momentum_expectation(state), position_moment(state, 1)
     mean, _ = coherent_moments(f, pt)
     return pt.p, mean

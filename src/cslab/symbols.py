@@ -15,8 +15,8 @@ For the Gaussian and affine-Beta fiducials both maps are evaluated in
 closed form, at any operator degree, by pushing the factors through the
 fiducial exactly (the fiducial's log-derivative is a Laurent polynomial)
 and then applying the known Gaussian / Gamma-function moments.  A
-numerical-quadrature route is kept alongside as an independent
-cross-check and as the only route for sampled fiducials.
+numerical-quadrature route for each sheet is kept alongside as an
+independent cross-check of the closed form.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import AccuracyError, ConfigError, DomainError, NumericError, PreconditionError
-from .grids import Grid, WaveFunction, derivative, inner_product, uniform_grid
+from .grids import Grid, WaveFunction, derivative, inner_product
 from .states import (
     AFFINE,
     AFFINE_DOMAIN,
@@ -38,7 +38,6 @@ from .states import (
     affine_log_norm,
     fiducial_moment,
     fiducial_wavefunction,
-    verify_centering,
 )
 
 X_FACTOR = "X"
@@ -162,17 +161,6 @@ def parse_operator(text: str) -> OperatorExpr:
 # symbol functions
 
 
-def _fd_gradient(evaluator: Callable[[float, float], float], affine: bool):
-    def gradient(p: float, q: float) -> tuple[float, float]:
-        h = (1 + abs(p) + abs(q)) * 1e-5
-        hq = min(h, q / 2) if affine else h
-        dp = (evaluator(p + h, q) - evaluator(p - h, q)) / (2 * h)
-        dq = (evaluator(p, q + hq) - evaluator(p, q - hq)) / (2 * hq)
-        return dp, dq
-
-    return gradient
-
-
 def _monomial_sum(terms: list[tuple[float, int, int]], p: float, q: float) -> float:
     """Sum of c p^i q^j over (c, i, j); a float power that overflows is numerical."""
     try:
@@ -222,17 +210,6 @@ class SymbolFn:
             return _monomial_sum(d_dp, p, q), _monomial_sum(d_dq, p, q)
 
         return SymbolFn(evaluator, gradient, hbar, provenance, True, poly=poly)
-
-    @staticmethod
-    def from_callable(
-        evaluator: Callable[[float, float], float],
-        hbar: float,
-        provenance: str,
-        gradient: Callable[[float, float], tuple[float, float]] | None = None,
-    ) -> "SymbolFn":
-        if gradient is None:
-            gradient = _fd_gradient(evaluator, provenance == AFFINE_DOMAIN)
-        return SymbolFn(evaluator, gradient, hbar, provenance, False)
 
 
 def polynomial_symbol(
@@ -343,7 +320,7 @@ def _closed_form_symbol(op: OperatorExpr, f: Fiducial) -> SymbolFn:
 
 
 # ---------------------------------------------------------------------------
-# quadrature routes (sampled fiducials, and independent checks of the closed form)
+# quadrature routes (independent checks of the closed form)
 
 
 def _apply_on_grid(op_factors, values, grid: Grid, p: float, q: float, hbar: float):
@@ -389,7 +366,7 @@ def symbol_quadrature_affine(op: OperatorExpr, f: Fiducial, p: float, q: float) 
     """
     from scipy.integrate import quad
 
-    if q <= 0:
+    if not q > 0:  # NaN fails too
         raise DomainError("affine symbols are defined for q > 0 only")
     coeffs = _affine_integrand_coeffs(op, f, p, q)
     nu = 2.0 * f.beta / f.hbar
@@ -415,52 +392,11 @@ def symbol_quadrature_affine(op: OperatorExpr, f: Fiducial, p: float, q: float) 
     return re + 1j * im
 
 
-def _check_real(value: complex, hermitian: bool) -> float:
-    if hermitian and abs(value.imag) > 1e-10 * (1 + abs(value.real)):
-        raise AccuracyError(f"Hermitian symbol has imaginary part {value.imag:.2e}")
-    return value.real
-
-
 def weak_symbol_canonical(op: OperatorExpr, f: Fiducial) -> SymbolFn:
-    """Enhanced classical symbol on the canonical sheet.
-
-    Gaussian fiducials use the exact moment calculus at any degree; sampled
-    fiducials integrate each evaluation on the sample's grid and verify it
-    against one grid refinement.
-    """
+    """Enhanced classical symbol on the canonical sheet, in closed form."""
     if f.kind == AFFINE:
         raise PreconditionError("use weak_symbol_affine for affine fiducials")
-    if f.kind == GAUSSIAN:
-        return _closed_form_symbol(op, f)
-    f.sample.require_normalized(1e-8)
-    report = verify_centering(f, tol=1e-6)
-    if not report.passed:
-        raise PreconditionError(
-            f"sampled fiducial is not centered: <x>={report.x_moment:.3e}, "
-            f"<p>={report.conjugate_moment:.3e}"
-        )
-
-    hermitian = op.is_hermitian()
-    coarse_grid = f.sample.grid
-    fine_grid = _respline(f.sample)
-
-    def evaluator(p: float, q: float) -> float:
-        coarse = symbol_quadrature_canonical(op, f, p, q, coarse_grid)
-        fine = symbol_quadrature_canonical(op, f, p, q, fine_grid)
-        if abs(fine - coarse) > 1e-6 * (1 + abs(fine)):
-            raise AccuracyError(
-                f"symbol quadrature not converged: {coarse:.8e} vs {fine:.8e}"
-            )
-        # the finite differences are second order, so one Richardson step
-        # cancels their leading h^2 error
-        return _check_real((4.0 * fine - coarse) / 3.0, hermitian)
-
-    return SymbolFn.from_callable(evaluator, f.hbar, CANONICAL_DOMAIN)
-
-
-def _respline(sample: WaveFunction) -> Grid:
-    g = sample.grid
-    return uniform_grid(g.lower, g.upper, 2 * g.n - 1, kind=g.kind)
+    return _closed_form_symbol(op, f)
 
 
 def weak_symbol_affine(op: OperatorExpr, f: Fiducial) -> SymbolFn:
@@ -483,44 +419,15 @@ def weak_symbol(op: OperatorExpr, f: Fiducial) -> SymbolFn:
 # the kinetic-dilation constant C
 
 
-@dataclass(frozen=True)
-class KineticDilationConstant:
-    """C = hbar^2 integral x |xi'(x)|^2 dx, by quadrature and closed form."""
-
-    quadrature: float
-    closed_form: float
-
-    def __float__(self):
-        return self.closed_form
-
-
-def compute_C(f: Fiducial, rtol: float = 1e-8) -> KineticDilationConstant:
+def compute_C(f: Fiducial) -> float:
     """The q**-1 coefficient the affine sheet adds to kinetic terms.
 
-    The closed form hbar * beta / 2 follows from the Gamma-function moments
-    of |xi|^2; the quadrature value integrates the defining expression with
-    the exact derivative xi'(x) = xi(x) ((b - 1/2)/x - b).
+    C = hbar^2 integral x |xi'(x)|^2 dx equals hbar * beta / 2 by the
+    Gamma-function moments of |xi|^2.
     """
-    from scipy.integrate import quad
-
     if f.kind != AFFINE:
         raise PreconditionError("C is defined for AffineBeta fiducials")
-    b = f.beta / f.hbar
-    a = b - 0.5
-    nu = 2.0 * b
-    log_m2 = 2 * affine_log_norm(f.beta, f.hbar)
-
-    def integrand(x: float) -> float:
-        return x * math.exp(log_m2 + (nu - 1) * math.log(x) - nu * x) * (a / x - b) ** 2
-
-    val, err = quad(integrand, 0, np.inf, limit=400)
-    quad_value = f.hbar**2 * val
-    closed = f.hbar * f.beta / 2.0
-    if abs(quad_value - closed) > rtol * abs(closed):
-        raise AccuracyError(
-            f"C quadrature {quad_value!r} disagrees with closed form {closed!r}"
-        )
-    return KineticDilationConstant(quad_value, closed)
+    return f.hbar * f.beta / 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -3,19 +3,23 @@
 Everything here deliberately bypasses the library's algebra: expectations
 and overlaps are computed by direct 2-D Gauss-Legendre quadrature over the
 explicit displaced wave functions, sheet metrics and labels by weighted
-sums over the coherent densities on a grid, and characteristic functions by
-a 2-D radial-angular rule.
+sums over the coherent densities on a grid or by central differences of
+the states, curvature by the Brioschi formula on a stencil of metrics, the
+constant C by adaptive quadrature, and characteristic functions by a 2-D
+radial-angular rule.
 """
 
 import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.integrate import quad
 from scipy.sparse import csc_matrix, diags
 from scipy.sparse.linalg import splu
 
 from cslab.errors import AccuracyError, DomainError
 from cslab.geometry import MetricTensor
+from cslab.grids import WaveFunction, inner_product
 from cslab.modeltwo import _gauss_legendre, _log_solid_angle
 from cslab.states import (
     AFFINE,
@@ -24,6 +28,7 @@ from cslab.states import (
     GAUSSIAN,
     PhasePoint,
     _require_coverage,
+    affine_log_norm,
     affine_values,
     default_affine_grid,
     default_canonical_grid,
@@ -173,7 +178,8 @@ def crank_nicolson_sparse(diag, off, lam, u, steps):
 # replaced: the metric and the labels as weighted sums over |psi_{p,q}|^2 at
 # the grid nodes, guarded by the quadrature norm.
 
-# relative accuracy the quadrature norm must reach
+# relative accuracy the quadrature norm, and the two Richardson extrapolants
+# of the difference metric, must reach
 METRIC_RTOL = 1e-5
 
 # bounds on closed-form vs oracle differences on 150k-node grids, about 5x
@@ -251,6 +257,175 @@ def exact_metric(family, pt):
 def exact_metric_field(family):
     """(p, q) -> exact_metric of the family on its own sheet, for the curvature stencil."""
     return lambda p, q: exact_metric(family, PhasePoint(p, q, domain=family.domain))
+
+
+# ---------------------------------------------------------------------------
+# sheet metric by central differences of the states
+#
+# Needs only a (p, q) -> state callable on one fixed grid, so it checks the
+# exact tangents of the quadrature route above without sharing them.
+
+
+def _tangent(family, p, q, dp, dq, step):
+    plus = family(p + dp * step, q + dq * step)
+    minus = family(p - dp * step, q - dq * step)
+    values = (plus.values - minus.values) / (2 * step)
+    return WaveFunction(plus.grid, values, plus.hbar)
+
+
+def _metric_at_step(family, p, q, step_p, step_q):
+    psi = family(p, q)
+    hbar = psi.hbar
+    tp = _tangent(family, p, q, 1, 0, step_p)
+    tq = _tangent(family, p, q, 0, 1, step_q)
+    a = inner_product(psi, tp)
+    b = inner_product(psi, tq)
+    g_pp = 2 * hbar * (inner_product(tp, tp).real - abs(a) ** 2)
+    g_qq = 2 * hbar * (inner_product(tq, tq).real - abs(b) ** 2)
+    g_pq = 2 * hbar * (inner_product(tp, tq).real - (np.conj(a) * b).real)
+    return MetricTensor(g_pp, g_pq, g_qq)
+
+
+def difference_metric(family, pt, step=None):
+    """Fubini-Study metric of any (p, q) -> state callable on one fixed grid.
+
+    Central differences of the states with one Richardson extrapolation,
+    whose two consecutive extrapolants must agree to ``METRIC_RTOL``; hbar
+    is that of the states the family builds.
+    """
+    p, q = pt.p, pt.q
+    if step is None:
+        step = 1e-4 * (1 + abs(p) + abs(q))
+    # keep the q-direction step inside the affine domain; the ratio stays
+    # fixed across halvings so Richardson extrapolation remains valid
+    q_ratio = min(1.0, q / (8 * step)) if pt.domain == AFFINE_DOMAIN else 1.0
+
+    def levels(h):
+        return _metric_at_step(family, p, q, h, h * q_ratio)
+
+    g1, g2, g4 = levels(step), levels(step / 2), levels(step / 4)
+
+    def richardson(coarse, fine):
+        return MetricTensor(
+            (4 * fine.g_pp - coarse.g_pp) / 3,
+            (4 * fine.g_pq - coarse.g_pq) / 3,
+            (4 * fine.g_qq - coarse.g_qq) / 3,
+        )
+
+    r1 = richardson(g1, g2)
+    r2 = richardson(g2, g4)
+    scale = max(abs(r2.g_pp), abs(r2.g_qq), 1e-30)
+    dev = max(
+        abs(r1.g_pp - r2.g_pp), abs(r1.g_pq - r2.g_pq), abs(r1.g_qq - r2.g_qq)
+    )
+    if not dev <= METRIC_RTOL * scale:  # a NaN deviation fails too
+        raise AccuracyError(
+            f"metric extrapolation not converged (dev {dev:.2e} vs scale {scale:.2e})"
+        )
+    r2.require_positive_definite()
+    return r2
+
+
+# ---------------------------------------------------------------------------
+# scalar curvature by the Brioschi formula
+#
+# A metric field sampled on a 5x5 stencil and differentiated numerically:
+# the reference the closed form of cslab.geometry.scalar_curvature is
+# tested against.
+
+_FIVE_POINT_FIRST = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
+_FIVE_POINT_SECOND = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+# largest relative rounding of a stencil step by the coordinate it is added to
+STENCIL_RTOL = 1e-8
+
+
+def brioschi_curvature(field, pt, step=1e-2):
+    """Scalar curvature (twice the Gauss curvature) of a (p, q) -> MetricTensor field.
+
+    The field is sampled on a 5x5 stencil around ``pt`` with steps scaled
+    by the local metric, and differentiated with fourth-order central
+    stencils.
+    """
+    center = field(pt.p, pt.q)
+    center.require_positive_definite()
+    h_p = step / math.sqrt(center.g_pp)
+    h_q = step / math.sqrt(center.g_qq)
+    if pt.domain == AFFINE_DOMAIN and pt.q - 2 * h_q <= 0:
+        raise DomainError("curvature stencil leaves the affine domain q > 0")
+    # a step below the float spacing of the point, or zero from an infinite
+    # metric entry, would leave the stencil differencing one metric with itself
+    for x, h in ((pt.p, h_p), (pt.q, h_q)):
+        if not abs((x + h) - x - h) < STENCIL_RTOL * h:
+            raise AccuracyError(f"stencil step {h:.3g} is not resolved at {x:.17g}")
+
+    offsets = (-2, -1, 0, 1, 2)
+    E = np.empty((5, 5))
+    F = np.empty((5, 5))
+    G = np.empty((5, 5))
+    for i, di in enumerate(offsets):
+        for j, dj in enumerate(offsets):
+            if di == dj == 0:
+                g = center
+            else:
+                g = field(pt.p + di * h_p, pt.q + dj * h_q)
+            E[i, j], F[i, j], G[i, j] = g.g_pp, g.g_pq, g.g_qq
+
+    def d_u(values):  # derivative in p at the stencil center column
+        return float(_FIVE_POINT_FIRST @ values[:, 2]) / h_p
+
+    def d_v(values):
+        return float(_FIVE_POINT_FIRST @ values[2, :]) / h_q
+
+    def d_uu(values):
+        return float(_FIVE_POINT_SECOND @ values[:, 2]) / h_p**2
+
+    def d_vv(values):
+        return float(_FIVE_POINT_SECOND @ values[2, :]) / h_q**2
+
+    def d_uv(values):
+        rows = values @ _FIVE_POINT_FIRST / h_q  # v-derivative at each u-offset
+        return float(_FIVE_POINT_FIRST @ rows) / h_p
+
+    e, f, g = E[2, 2], F[2, 2], G[2, 2]
+    e_u, e_v, e_vv = d_u(E), d_v(E), d_vv(E)
+    f_u, f_v, f_uv = d_u(F), d_v(F), d_uv(F)
+    g_u, g_v, g_uu = d_u(G), d_v(G), d_uu(G)
+
+    m1 = np.array(
+        [
+            [-0.5 * e_vv + f_uv - 0.5 * g_uu, 0.5 * e_u, f_u - 0.5 * e_v],
+            [f_v - 0.5 * g_u, e, f],
+            [0.5 * g_v, f, g],
+        ]
+    )
+    m2 = np.array(
+        [
+            [0.0, 0.5 * e_v, 0.5 * g_u],
+            [0.5 * e_v, e, f],
+            [0.5 * g_u, f, g],
+        ]
+    )
+    det_g = e * g - f**2
+    gauss = (np.linalg.det(m1) - np.linalg.det(m2)) / det_g**2
+    return 2.0 * gauss
+
+
+# ---------------------------------------------------------------------------
+# the kinetic-dilation constant C by adaptive quadrature
+
+
+def kinetic_dilation_quadrature(f):
+    """C = hbar^2 integral x |xi'(x)|^2 dx with xi'(x) = xi(x) ((b - 1/2)/x - b)."""
+    b = f.beta / f.hbar
+    a = b - 0.5
+    nu = 2.0 * b
+    log_m2 = 2 * affine_log_norm(f.beta, f.hbar)
+
+    def integrand(x):
+        return x * math.exp(log_m2 + (nu - 1) * math.log(x) - nu * x) * (a / x - b) ** 2
+
+    val, _ = quad(integrand, 0, np.inf, limit=400)
+    return f.hbar**2 * val
 
 
 def density_labels(f, pt, n=None):

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+import cslab.cli
 import cslab.grids
+import cslab.symbols
 from cslab.cli import _RUNNERS, SCHEMAS, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -83,7 +85,6 @@ class TestExitCodes:
             ["centering", "--hbar", "nan"],
             ["metric", "--omega", "nan"],
             ["metric", "--family", "affine", "--beta", "nan"],
-            ["curvature", "--q_list", "1e308"],
             ["evolve-classical", "--operator", "0.5 * D D + 0.5 * X X",
              "--p0", "0.5", "--q0", "0.5", "--dt", "nan"],
             ["model-one", "--dt", "nan"],
@@ -101,7 +102,6 @@ class TestExitCodes:
             ["curvature", "--family", "affine", "--q_list", "1e200"],
             ["symbol", "--operator", "1.0 * X^1100"],
             ["symbol", "--operator", "1.0 * X^400", "--omega", "1e-10"],
-            ["curvature", "--omega", "1e300"],
             QUANTUM + ["--omega", "1e300"],
             ["symbol", "--operator", "1.0 * X^300", "--q_list=1e200"],
             ["symbol", "--operator", "1.0 * X^50 D X^50", "--q_list=1e200"],
@@ -109,12 +109,23 @@ class TestExitCodes:
              "--q_list=1e200"],
             ["symbol", "--operator", "1.0 * " + " ".join(["D"] * 20), "--p_list=1e200"],
             QUANTUM + ["--snapshot_every=-1"],
+            ["curvature", "--q_list", "nan"],
+            ["curvature", "--p", "nan"],
+            ["curvature", "--family", "affine", "--q_list", "nan"],
         ],
     )
     def test_non_finite_input_fails_closed(self, tmp_path, argv):
         code = run(argv + ["--out", str(tmp_path), "--quiet"])
         assert code in (2, 3)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag,value", [("--q_list", "1e308"), ("--omega", "1e300")])
+    def test_extreme_flat_sheet_has_zero_curvature(self, tmp_path, flag, value):
+        # the canonical metric is finite and constant there, so the sheet is flat
+        code = run(["curvature", flag, value, "--out", str(tmp_path), "--quiet"])
+        assert code == 0
+        points = read_json(tmp_path / "curvature.json")["points"]
+        assert [point["curvature"] for point in points] == [0.0] * len(points)
 
     @pytest.mark.parametrize("family", ["canonical", "affine"])
     @pytest.mark.parametrize("scale", ["--p_scale=-1", "--q_scale=-1"])
@@ -321,7 +332,7 @@ class TestGeometryCommands:
         )
         assert code == 0
         payload = read_json(tmp_path / "curvature.json")
-        assert payload["points"][0]["curvature"] == pytest.approx(-0.5, abs=1e-3)
+        assert payload["points"][0]["curvature"] == -0.5
         assert payload["constant_negative_curvature"] == -0.5
 
 
@@ -495,6 +506,35 @@ class TestCharfnCommand:
 
 class TestTracerContract:
     """perfbench/tracer.py wraps cslab entry points by name; dropping one fails here."""
+
+    @staticmethod
+    def _callables():
+        """Every callable a cslab module, SymbolFn or Outputs holds, by identity."""
+        owners = [mod for name, mod in sys.modules.items()
+                  if name == "cslab" or name.startswith("cslab.")]
+        owners += [cslab.symbols.SymbolFn, cslab.cli.Outputs]
+        return {(id(owner), key): value for owner in owners
+                for key, value in list(vars(owner).items()) if callable(value)}
+
+    def test_curvature_evaluates_one_metric_per_point(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        tracer = importlib.import_module("tracer").Tracer()
+        before = self._callables()
+        tracer.install()
+        try:
+            curvature = run(["curvature", "--family", "affine", "--q_list", "0.5,1,4",
+                             "--out", str(tmp_path), "--quiet"])
+            metric = run(["metric", "--out", str(tmp_path), "--quiet"])
+        finally:
+            tracer.uninstall()
+        assert (curvature, metric) == (0, 0)
+        summary = tracer.summary()
+        assert summary["geometry.curvature_calls"] == 3
+        # one metric per curvature point and the one point of the metric call
+        assert summary["geometry.metric_calls"] == 3 + 1
+        after = self._callables()
+        assert after.keys() == before.keys()
+        assert all(after[key] is before[key] for key in before)
 
     def test_model_two_and_charfn_calls_are_traced(self, tmp_path, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))

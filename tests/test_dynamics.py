@@ -110,11 +110,12 @@ class TestIntegrate:
         from cslab.errors import IntegrationError
         from cslab.symbols import SymbolFn
 
-        broken = SymbolFn.from_callable(
+        broken = SymbolFn(
             lambda p, q: p * q,
+            lambda p, q: (float("nan"), 0.0),
             1.0,
             "canonical",
-            gradient=lambda p, q: (float("nan"), 0.0),
+            closed_form=False,
         )
         with pytest.raises(IntegrationError) as excinfo:
             integrate(broken, PhasePoint(1.0, 1.0), 1.0, 1e-2)

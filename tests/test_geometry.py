@@ -7,18 +7,14 @@ import oracles
 from oracles import (
     ORACLE_CURVATURE_ATOL,
     ORACLE_METRIC_RTOL,
+    brioschi_curvature,
+    difference_metric,
     exact_metric,
     exact_metric_field,
 )
 
 from cslab.errors import AccuracyError, DomainError, PreconditionError
-from cslab.geometry import (
-    MetricTensor,
-    fs_metric,
-    metric_field_from_family,
-    ray_distance,
-    scalar_curvature,
-)
+from cslab.geometry import MetricTensor, fs_metric, ray_distance, scalar_curvature
 from cslab.grids import WaveFunction, uniform_grid
 from cslab.states import (
     AFFINE_DOMAIN,
@@ -30,8 +26,12 @@ from cslab.states import (
     default_affine_grid,
     default_canonical_grid,
     gaussian_fiducial,
-    sampled_fiducial,
 )
+
+
+def closed_form_field(family):
+    """(p, q) -> fs_metric of the family on its own sheet, for the curvature stencil."""
+    return lambda p, q: fs_metric(family, PhasePoint(p, q, domain=family.domain))
 
 
 def _hermite_pair():
@@ -131,15 +131,13 @@ class TestCanonicalMetric:
         assert g0.g_qq == pytest.approx(g1.g_qq, abs=1e-8)
 
     def test_wild_step_fails_extrapolation(self):
-        # a sampled fiducial has no closed-form tangents, so its metric goes
-        # by central differences and the Richardson guard
-        grid = uniform_grid(-12, 12, 4001)
-        f = sampled_fiducial(WaveFunction(grid, np.pi**-0.25 * np.exp(-(grid.nodes**2) / 2)))
-        fam = canonical_family(f, default_canonical_grid(gaussian_fiducial(1.0, 1.0), q=3.0))
-        g = fs_metric(fam, PhasePoint(0.0, 0.0))
+        # the two Richardson extrapolants of the difference oracle must agree
+        f = gaussian_fiducial(1.0, 1.0)
+        fam = canonical_family(f, default_canonical_grid(f, q=3.0))
+        g = difference_metric(fam, PhasePoint(0.0, 0.0))
         assert g.g_pp == pytest.approx(1.0, abs=1e-6)
         with pytest.raises(AccuracyError):
-            fs_metric(fam, PhasePoint(0.0, 0.0), step=2.0)
+            difference_metric(fam, PhasePoint(0.0, 0.0), step=2.0)
 
 
 class TestAffineMetric:
@@ -164,13 +162,12 @@ class TestAffineMetric:
 
 
 class TestExactRoute:
-    """The exact-tangent quadrature oracle against the finite-difference route."""
+    """The exact-tangent quadrature oracle against the finite-difference oracle."""
 
     @staticmethod
     def _assert_routes_agree(fam, pt):
         exact = exact_metric(fam, pt)
-        # a plain callable hides the fiducial, so fs_metric differences it
-        differenced = fs_metric(lambda p, q: fam(p, q), pt)
+        differenced = difference_metric(fam, pt)
         scale = max(differenced.g_pp, differenced.g_qq)
         for name in ("g_pp", "g_pq", "g_qq"):
             assert abs(getattr(exact, name) - getattr(differenced, name)) <= 1e-8 * scale, name
@@ -226,15 +223,21 @@ class TestClosedForm:
         for p, q in [(0.0, 0.0), (1.0, -1.0), (2.0, 1.5)]:
             self._assert_matches_oracle(fam, PhasePoint(p, q))
 
-    @pytest.mark.parametrize("beta", [1.0, 4.0])
+    @pytest.mark.parametrize(
+        "beta,hbar",
+        [(1.0, 1.0), (4.0, 1.0), (1.0, 0.5), (4.0, 2.0)],
+        ids=["1.0", "4.0", "1.0-hbar0.5", "4.0-hbar2.0"],
+    )
     @pytest.mark.parametrize("q", [0.5, 1.0, 4.0])
-    def test_affine_metric_and_curvature(self, beta, q):
-        f = affine_fiducial(beta, 1.0)
+    def test_affine_metric_and_curvature(self, beta, hbar, q):
+        # the curvature -2/beta does not depend on hbar
+        f = affine_fiducial(beta, hbar)
         fam = affine_family(f, default_affine_grid(f, q=q, n=150_000))
         self._assert_matches_oracle(fam, PhasePoint(0.7, q, domain=AFFINE_DOMAIN))
         pt = PhasePoint(0.0, q, domain=AFFINE_DOMAIN)
-        closed = scalar_curvature(metric_field_from_family(fam), pt)
-        oracle = scalar_curvature(exact_metric_field(fam), pt)
+        closed = scalar_curvature(fam, pt)
+        oracle = brioschi_curvature(exact_metric_field(fam), pt)
+        assert closed == -2.0 / beta
         assert abs(closed - oracle) <= ORACLE_CURVATURE_ATOL
 
     def test_needs_no_grid(self):
@@ -248,12 +251,6 @@ class TestClosedForm:
         fam = affine_family(affine_fiducial(1.0, 1.0))
         with pytest.raises(AccuracyError):
             fs_metric(fam, PhasePoint(0.0, q, domain=AFFINE_DOMAIN))
-
-    def test_sampled_family_needs_a_grid(self):
-        grid = uniform_grid(-12, 12, 2001)
-        f = sampled_fiducial(WaveFunction(grid, np.pi**-0.25 * np.exp(-(grid.nodes**2) / 2)))
-        with pytest.raises(PreconditionError):
-            canonical_family(f)
 
 
 class TestInfinitesimalConsistency:
@@ -278,18 +275,20 @@ class TestInfinitesimalConsistency:
 class TestCurvature:
     def test_flat_canonical_sheet(self):
         f = gaussian_fiducial(1.0, 1.0)
-        grid = default_canonical_grid(f, q=1.0, p=1.0)
-        field = metric_field_from_family(canonical_family(f, grid))
-        val = scalar_curvature(field, PhasePoint(0.3, -0.2))
-        assert abs(val) < 1e-4
+        fam = canonical_family(f)
+        assert scalar_curvature(fam, PhasePoint(0.3, -0.2)) == 0.0
+        # the stencil oracle agrees at its own accuracy
+        assert abs(brioschi_curvature(closed_form_field(fam), PhasePoint(0.3, -0.2))) < 1e-4
 
     @pytest.mark.parametrize("beta,expected", [(1.0, -2.0), (4.0, -0.5)])
     def test_poincare_curvature(self, beta, expected):
-        f = affine_fiducial(beta, 1.0)
-        field = metric_field_from_family(affine_family(f))
+        fam = affine_family(affine_fiducial(beta, 1.0))
         for q in (0.5, 1.0, 4.0):
-            val = scalar_curvature(field, PhasePoint(0.0, q, domain=AFFINE_DOMAIN))
-            assert val == pytest.approx(expected, abs=1e-3)
+            pt = PhasePoint(0.0, q, domain=AFFINE_DOMAIN)
+            assert scalar_curvature(fam, pt) == expected
+            assert brioschi_curvature(closed_form_field(fam), pt) == pytest.approx(
+                expected, abs=1e-3
+            )
 
     @pytest.mark.parametrize("beta", [1.0, 4.0])
     def test_stencil_evaluates_each_point_once(self, beta):
@@ -299,31 +298,33 @@ class TestCurvature:
             calls.append((p, q))
             return MetricTensor(q**2 / beta, 0.0, beta / q**2)
 
-        val = scalar_curvature(poincare, PhasePoint(0.3, 1.5, domain=AFFINE_DOMAIN))
+        val = brioschi_curvature(poincare, PhasePoint(0.3, 1.5, domain=AFFINE_DOMAIN))
         assert len(calls) == 25
         assert len(set(calls)) == 25
         assert val == pytest.approx(-2.0 / beta, abs=1e-6)
 
     def test_stencil_domain_guard(self):
         # at beta = hbar = 1 the q step is step * q, so q - 2 h_q = -0.2 q
-        field = metric_field_from_family(affine_family(affine_fiducial(1.0, 1.0)))
+        field = closed_form_field(affine_family(affine_fiducial(1.0, 1.0)))
         with pytest.raises(DomainError):
-            scalar_curvature(field, PhasePoint(0.0, 0.05, domain=AFFINE_DOMAIN), step=0.6)
+            brioschi_curvature(field, PhasePoint(0.0, 0.05, domain=AFFINE_DOMAIN), step=0.6)
 
     def test_stencil_inside_domain_passes_guard(self):
         # q - 2 h_q = 0.2 q > 0: the stencil stays on the sheet
-        field = metric_field_from_family(affine_family(affine_fiducial(1.0, 1.0)))
-        value = scalar_curvature(field, PhasePoint(0.0, 0.05, domain=AFFINE_DOMAIN), step=0.4)
+        field = closed_form_field(affine_family(affine_fiducial(1.0, 1.0)))
+        value = brioschi_curvature(field, PhasePoint(0.0, 0.05, domain=AFFINE_DOMAIN), step=0.4)
         assert np.isfinite(value)
 
     @pytest.mark.parametrize("p,q", [(0.0, 1e308), (1e300, 0.0), (0.0, float("nan"))])
     def test_unresolved_stencil_fails_closed(self, p, q):
         # a flat field would read curvature 0 from offsets that round to the point
-        field = metric_field_from_family(canonical_family(gaussian_fiducial(1.0, 1.0)))
+        field = closed_form_field(canonical_family(gaussian_fiducial(1.0, 1.0)))
         with pytest.raises(AccuracyError):
-            scalar_curvature(field, PhasePoint(p, q))
+            brioschi_curvature(field, PhasePoint(p, q))
 
     def test_infinite_metric_entry_fails_closed(self):
         # g_qq = inf passes the positive-definiteness guard but gives a zero q step
         with pytest.raises(AccuracyError):
-            scalar_curvature(lambda p, q: MetricTensor(1.0, 0.0, float("inf")), PhasePoint(0.0, 1.0))
+            brioschi_curvature(
+                lambda p, q: MetricTensor(1.0, 0.0, float("inf")), PhasePoint(0.0, 1.0)
+            )

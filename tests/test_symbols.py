@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from cslab.errors import AccuracyError, ConfigError, DomainError, PreconditionError
-from cslab.grids import WaveFunction, uniform_grid
-from cslab.states import affine_fiducial, gaussian_fiducial, sampled_fiducial
+from oracles import kinetic_dilation_quadrature
+
+from cslab.errors import ConfigError, DomainError, PreconditionError
+from cslab.grids import uniform_grid
+from cslab.states import affine_fiducial, gaussian_fiducial
 from cslab.symbols import (
     D,
     X,
@@ -137,37 +139,6 @@ class TestCanonicalSymbols:
             weak_symbol_canonical(parse_operator("1.0 * X"), affine_fiducial(1, 1))
 
 
-class TestSampledSymbols:
-    def _sampled_gaussian(self, n=8001):
-        grid = uniform_grid(-12, 12, n)
-        vals = np.pi**-0.25 * np.exp(-(grid.nodes**2) / 2)
-        return sampled_fiducial(WaveFunction(grid, vals))
-
-    def test_position_symbol(self):
-        s = weak_symbol_canonical(parse_operator("1.0 * X"), self._sampled_gaussian())
-        assert not s.closed_form
-        assert s(0.3, 1.7) == pytest.approx(1.7, abs=1e-9)
-
-    def test_harmonic_symbol(self):
-        s = weak_symbol_canonical(
-            parse_operator("0.5 * D D + 0.5 * X X"), self._sampled_gaussian()
-        )
-        assert s(1.0, 1.0) == pytest.approx(1.5, abs=1e-7)
-
-    def test_uncentered_sample_rejected(self):
-        grid = uniform_grid(-12, 12, 4001)
-        vals = np.pi**-0.25 * np.exp(-((grid.nodes - 0.05) ** 2) / 2)
-        f = sampled_fiducial(WaveFunction(grid, vals))
-        with pytest.raises(PreconditionError):
-            weak_symbol_canonical(parse_operator("1.0 * X"), f)
-
-    def test_coarse_sample_fails_refinement_check(self):
-        f = self._sampled_gaussian(n=81)
-        s = weak_symbol_canonical(parse_operator("0.5 * D D"), f)
-        with pytest.raises(AccuracyError):
-            s(0.0, 0.0)
-
-
 class TestAffineSymbols:
     @pytest.mark.parametrize("beta,hbar", [(1.0, 1.0), (2.0, 1.0), (1.0, 0.5)])
     def test_dxd_symbol(self, beta, hbar):
@@ -223,15 +194,16 @@ class TestComputeC:
         "beta,hbar,expected", [(1.0, 1.0, 0.5), (2.0, 1.0, 1.0), (1.0, 0.5, 0.25)]
     )
     def test_values(self, beta, hbar, expected):
-        c = compute_C(affine_fiducial(beta, hbar))
-        assert c.closed_form == expected
-        assert c.quadrature == pytest.approx(expected, rel=1e-8)
+        f = affine_fiducial(beta, hbar)
+        assert compute_C(f) == expected
+        assert kinetic_dilation_quadrature(f) == pytest.approx(compute_C(f), rel=1e-8)
 
     def test_scaling_in_beta_over_hbar(self):
         # C / hbar^2 depends on beta and hbar only through beta/(2 hbar)
         for beta, hbar in [(2.0, 2.0), (3.0, 1.5), (4.0, 2.0)]:
-            c = compute_C(affine_fiducial(beta, hbar))
-            assert float(c) / hbar**2 == pytest.approx(beta / (2 * hbar), rel=1e-12)
+            f = affine_fiducial(beta, hbar)
+            assert compute_C(f) / hbar**2 == pytest.approx(beta / (2 * hbar), rel=1e-12)
+            assert kinetic_dilation_quadrature(f) == pytest.approx(compute_C(f), rel=1e-8)
 
     def test_requires_affine(self):
         with pytest.raises(PreconditionError):
