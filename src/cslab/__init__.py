@@ -54,6 +54,7 @@ from .dynamics import (
     restricted_action,
     transform_invariance_check,
 )
+# track_expectations(u, hu, x_weights, setup) -> (<p>, <x>, <H>) on the unknown vector u
 from .schrodinger import EvolutionSetup, evolve, track_expectations
 from .modeltwo import (
     LadderPolynomial,

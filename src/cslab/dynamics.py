@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, IntegrationError, PreconditionError
 from .states import AFFINE_DOMAIN, PhasePoint
-from .symbols import SymbolFn
+from .symbols import AFFINE_DOMAIN_MESSAGE, SymbolFn
 
 Q_FLOOR = 1e-6
 GRADIENT_OVERFLOW = 1e12
@@ -54,8 +54,8 @@ class Trajectory:
 
     def write_csv(self, stream: IO[str]) -> None:
         stream.write("t,p,q,H\n")
-        for t, p, q, e in zip(self.times, self.p, self.q, self.energy):
-            stream.write(f"{t:.17g},{p:.17g},{q:.17g},{e:.17g}\n")
+        columns = (self.times.tolist(), self.p.tolist(), self.q.tolist(), self.energy.tolist())
+        stream.writelines(f"{t:.17g},{p:.17g},{q:.17g},{e:.17g}\n" for t, p, q, e in zip(*columns))
 
 
 def integrate(
@@ -89,8 +89,12 @@ def integrate(
     singular = False
     reason = None
 
+    gradient = symbol.gradient  # SymbolFn.grad without its call layer
+
     def rhs(pp, qq):
-        dp, dq = symbol.grad(pp, qq)
+        if affine and qq <= 0:
+            raise DomainError(AFFINE_DOMAIN_MESSAGE)
+        dp, dq = gradient(pp, qq)
         if not (math.isfinite(dp) and math.isfinite(dq)):
             raise IntegrationError(
                 "non-finite gradient", last_state=(times[-1], ps[-1], qs[-1])

@@ -14,8 +14,9 @@ line) or at x = 0 and the far end (half line).  Crank-Nicolson is the
 Cayley form of the discrete Hamiltonian, hence unitary in the discrete
 norm up to solver roundoff: one LAPACK tridiagonal factorization per run
 and one tridiagonal product per step, guarded by the solve residual.  The
-run is measured as it steps, <H> from that same product, and no state but
-the last is kept.
+run is measured as it steps, on the vector of unknowns with the grid's
+quadrature (<H> from that same product); the full-grid state is built
+once, at the end.
 """
 
 from __future__ import annotations
@@ -33,14 +34,7 @@ from .errors import (
     NumericError,
     PreconditionError,
 )
-from .grids import (
-    FULL_LINE,
-    Grid,
-    WaveFunction,
-    derivative,
-    half_line_grid,
-    uniform_grid,
-)
+from .grids import FULL_LINE, Grid, WaveFunction, half_line_grid, uniform_grid
 from .states import Fiducial
 from .symbols import D_FACTOR, X_FACTOR, OperatorExpr
 
@@ -174,7 +168,9 @@ def evolve(
     ``snapshot_every`` defaults to about 512 recorded steps per run; pass 1
     to record every step.  ``backward`` negates the time step.  The pinned
     Dirichlet values of ``psi0`` are dropped, so they may carry at most
-    ``PINNED_NORM_TOL`` of its norm.
+    ``PINNED_NORM_TOL`` of its norm.  Each record is measured on the
+    unknowns with the grid's quadrature (see :func:`track_expectations`);
+    the full-grid state is built once, for ``EvolutionResult.final``.
     """
     from scipy.linalg.lapack import zgttrf, zgttrs
 
@@ -186,8 +182,9 @@ def evolve(
     if snapshot_every < 1:
         raise DomainError(f"snapshot_every must be >= 1, got {snapshot_every}")
 
+    grid = setup.grid
     sl = setup.unknown_slice()
-    rho = setup.grid.weights * np.abs(psi0.values) ** 2
+    rho = grid.weights * np.abs(psi0.values) ** 2
     pinned_norm = float(rho.sum() - rho[sl].sum())
     if not pinned_norm <= PINNED_NORM_TOL:  # a NaN norm fails too
         raise NumericError(
@@ -201,60 +198,76 @@ def evolve(
     *factors, info = zgttrf(1j * lam * off, 1 + 1j * lam * diag, 1j * lam * off)
     if info != 0:
         raise NumericError(f"tridiagonal factorization failed (LAPACK info {info}, n={diag.size})")
+    # complex copies, so that each step's product multiplies like with like
+    diag, off = diag.astype(complex), off.astype(complex)
+    x_weights = (grid.weights * grid.nodes)[sl]
+    minus_ilam, plus_ilam = -1j * lam, 1j * lam
 
     u = np.array(psi0.values[sl], dtype=complex)
-    h = setup.grid.spacing
-    norm0 = math.sqrt(float(np.sum(np.abs(u) ** 2)) * h)
-    records = []  # (t, <p>, <x>, <H>), the columns of the Trajectory
-
-    def record(t: float, vec: np.ndarray, hu: np.ndarray) -> WaveFunction:
-        full = np.zeros(setup.grid.n, dtype=complex)
-        full[sl] = vec
-        state = WaveFunction(setup.grid, full, setup.hbar)
-        records.append((t, *track_expectations(state, setup, hu)))
-        return state
-
+    h = grid.spacing
+    norm0 = math.sqrt(np.vdot(u, u).real * h)
     hu = tridiagonal_product(diag, off, u)
-    final = record(0.0, u, hu)
+    records = [(0.0, *track_expectations(u, hu, x_weights, setup))]  # (t, <p>, <x>, <H>)
     for step in range(1, setup.steps + 1):
-        b = u - 1j * lam * hu
+        b = hu * minus_ilam
+        b += u
         u, info = zgttrs(*factors, b)
         if info != 0:
             raise NumericError(f"tridiagonal solve failed (LAPACK info {info}) at step {step}")
         hu = tridiagonal_product(diag, off, u)
-        res = np.linalg.norm(u + 1j * lam * hu - b)
-        if not res <= 1e-10 * max(np.linalg.norm(b), 1.0):  # a NaN residual fails too
+        r = hu * plus_ilam
+        r += u
+        r -= b
+        res = math.sqrt(np.vdot(r, r).real)
+        if not res <= 1e-10 * max(math.sqrt(np.vdot(b, b).real), 1.0):  # a NaN residual fails too
             raise NumericError(
                 f"tridiagonal solve residual {res:.2e} at step {step} "
                 f"(dt={setup.dt:g}, n={diag.size})"
             )
         if step % snapshot_every == 0 or step == setup.steps:
-            final = record(sign * step * setup.dt, u, hu)
+            records.append((sign * step * setup.dt, *track_expectations(u, hu, x_weights, setup)))
 
-    norm1 = math.sqrt(float(np.sum(np.abs(u) ** 2)) * h)
+    norm1 = math.sqrt(np.vdot(u, u).real * h)
     budget = 1e-8 * (setup.steps / 1000 + 1)
     if not abs(norm1 - norm0) <= budget:
         raise NumericError(
             f"unitarity violated: norm drift {abs(norm1 - norm0):.2e} "
             f"over {setup.steps} steps"
         )
+    full = np.zeros(grid.n, dtype=complex)
+    full[sl] = u
+    final = WaveFunction(grid, full, setup.hbar)
     return EvolutionResult(setup, Trajectory(*zip(*records)), final)
 
 
-def track_expectations(state: WaveFunction, setup: EvolutionSetup, hu: np.ndarray) -> tuple:
-    """<-i hbar d/dx>, <x> and <H> of one state; hu is H on its unpinned values."""
-    w = state.grid.weights
-    q = float(np.sum(w * state.grid.nodes * np.abs(state.values) ** 2))
-    dpsi = derivative(state, 1)
-    p = float((-1j * setup.hbar * np.sum(w * np.conj(state.values) * dpsi.values)).real)
-    u = state.values[setup.unknown_slice()]
-    return p, q, float((np.sum(np.conj(u) * hu) * setup.grid.spacing).real)
+def track_expectations(
+    u: np.ndarray, hu: np.ndarray, x_weights: np.ndarray, setup: EvolutionSetup
+) -> tuple[float, float, float]:
+    """<-i hbar d/dx>, <x> and <H> of the state whose unpinned values are u.
+
+    ``hu`` is H u and ``x_weights`` the grid's trapezoid weights times its
+    nodes, restricted to the unknowns.  The pinned values are zero, so this
+    is the full grid's quadrature with d/dx by central differences: the sum
+    h * conj(u_i) (u_{i+1} - u_{i-1}) / 2h over the nodes has the imaginary
+    part Im sum conj(u_i) u_{i+1}.
+    """
+    drift = np.vdot(u[:-1], u[1:]).imag
+    if setup.boundary == DIRICHLET_AT_ZERO:
+        # node 0 is the grid's first node: its term is the one-sided
+        # (h/2) conj(u0) (-3 u0 + 4 u1 - u2) / 2h, not h conj(u0) u1 / 2h
+        c0 = u[0].conjugate()
+        drift += (0.5 * c0 * u[1] - 0.25 * c0 * u[2]).imag
+    q = np.vdot(u, x_weights * u).real
+    energy = np.vdot(u, hu).real * setup.grid.spacing
+    return setup.hbar * float(drift), float(q), float(energy)
 
 
 def snapshot_csv(state: WaveFunction, stream: IO[str]) -> None:
     stream.write("x,Re(psi),Im(psi)\n")
-    for x, v in zip(state.grid.nodes, state.values):
-        stream.write(f"{x:.17g},{v.real:.17g},{v.imag:.17g}\n")
+    stream.writelines(
+        f"{x:.17g},{v.real:.17g},{v.imag:.17g}\n"
+        for x, v in zip(state.grid.nodes.tolist(), state.values.tolist())
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -222,13 +222,16 @@ def affine_node_count(
 
 
 def default_affine_grid(f: Fiducial, q: float = 1.0, n: int | None = None) -> Grid:
-    """Half-line window (eps, q (1 + 20 hbar / beta)] with eps = spacing.
+    """Half-line window (eps, q (1 + margin)] with eps = spacing.
 
+    The margin is max(20 hbar / beta, 10 sqrt(hbar / 2 beta)): the second
+    term is ten relative spreads of the dilated state, which shrink like
+    sqrt(hbar / beta), and it takes over from the first above beta / hbar = 8.
     The probability mass a dilated state keeps below the first node scales
     with eps/q, so the node count is chosen per unit dilation and the
     resolution is q-independent.
     """
-    upper = q * (1 + 20 * f.hbar / f.beta)
+    upper = q * (1 + max(20 * f.hbar / f.beta, 10 * math.sqrt(f.hbar / (2 * f.beta))))
     if n is None:
         n = affine_node_count(f.beta, f.hbar, upper / q)
     return half_line_grid(upper, n)

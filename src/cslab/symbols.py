@@ -42,6 +42,7 @@ from .states import (
 
 X_FACTOR = "X"
 D_FACTOR = "D"
+AFFINE_DOMAIN_MESSAGE = "affine symbols are defined for q > 0 only"
 
 
 @dataclass(frozen=True)
@@ -163,10 +164,13 @@ def parse_operator(text: str) -> OperatorExpr:
 
 def _monomial_sum(terms: list[tuple[float, int, int]], p: float, q: float) -> float:
     """Sum of c p^i q^j over (c, i, j); a float power that overflows is numerical."""
+    total = 0
     try:
-        return sum(c * p**i * q**j for c, i, j in terms)
+        for c, i, j in terms:
+            total += c * p**i * q**j
     except OverflowError as exc:
         raise NumericError(f"a symbol monomial at (p, q) = ({p!r}, {q!r}) overflows") from exc
+    return total
 
 
 @dataclass
@@ -182,12 +186,12 @@ class SymbolFn:
 
     def __call__(self, p: float, q: float) -> float:
         if self.provenance == AFFINE_DOMAIN and q <= 0:
-            raise DomainError("affine symbols are defined for q > 0 only")
+            raise DomainError(AFFINE_DOMAIN_MESSAGE)
         return self.evaluator(p, q)
 
     def grad(self, p: float, q: float) -> tuple[float, float]:
         if self.provenance == AFFINE_DOMAIN and q <= 0:
-            raise DomainError("affine symbols are defined for q > 0 only")
+            raise DomainError(AFFINE_DOMAIN_MESSAGE)
         return self.gradient(p, q)
 
     @staticmethod
@@ -367,7 +371,7 @@ def symbol_quadrature_affine(op: OperatorExpr, f: Fiducial, p: float, q: float) 
     from scipy.integrate import quad
 
     if not q > 0:  # NaN fails too
-        raise DomainError("affine symbols are defined for q > 0 only")
+        raise DomainError(AFFINE_DOMAIN_MESSAGE)
     coeffs = _affine_integrand_coeffs(op, f, p, q)
     nu = 2.0 * f.beta / f.hbar
     log_m2 = 2 * affine_log_norm(f.beta, f.hbar)

@@ -536,6 +536,28 @@ class TestTracerContract:
         assert after.keys() == before.keys()
         assert all(after[key] is before[key] for key in before)
 
+    def test_flow_steps_are_traced(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        tracer = importlib.import_module("tracer").Tracer()
+        before = self._callables()
+        point = ["--operator", "0.5 * D D + 0.5 * X X", "--p0", "0.3", "--q0", "0.2",
+                 "--out", str(tmp_path), "--quiet"]
+        tracer.install()
+        try:
+            quantum = run(["evolve-quantum", *point, "--n_nodes", "256", "--steps", "50"])
+            classical = run(["evolve-classical", *point, "--t_final", "0.05", "--dt", "1e-3"])
+        finally:
+            tracer.uninstall()
+        assert (quantum, classical) == (0, 0)
+        summary = tracer.summary()
+        assert summary["schrodinger.cn_steps"] == 50
+        assert summary["schrodinger.track_s"] > 0  # track_expectations is still wrapped
+        assert summary["grids.derivative_calls"] == 0
+        assert summary["dynamics.rk4_steps"] == 50
+        after = self._callables()
+        assert after.keys() == before.keys()
+        assert all(after[key] is before[key] for key in before)
+
     def test_model_two_and_charfn_calls_are_traced(self, tmp_path, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
         tracer = importlib.import_module("tracer").Tracer()

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import cslab.grids
 import cslab.schrodinger
 from cslab.dynamics import integrate
 from cslab.errors import DomainError, GridMismatchError, PreconditionError
@@ -34,6 +35,7 @@ from oracles import crank_nicolson_sparse
 
 HARMONIC = parse_operator("0.5 * D D + 0.5 * X X")
 DXD = parse_operator("1.0 * D X D")
+SOLVER_CASES = ["harmonic", "dxd", "dxd-b1"]  # see TestTridiagonalSolver._setup
 
 
 class TestEvolutionSetup:
@@ -120,6 +122,32 @@ class TestEvolve:
         assert result.trajectory.n == 1001
         assert peak < 4e6
 
+    def test_records_are_measured_on_the_unknowns(self, monkeypatch):
+        # no derivative stencil and no full-grid state per record: the one
+        # WaveFunction built is the final state
+        f = gaussian_fiducial(1.0, 1.0)
+        grid = uniform_grid(-8, 8, 256)
+        psi0 = canonical_coherent(f, PhasePoint(0.2, 0.1), grid=grid).normalized()
+        setup = EvolutionSetup(HARMONIC, grid, DIRICHLET_BOTH, 1e-3, 200)
+        derivatives, states = [], []
+        derivative, wave_function = cslab.grids.derivative, cslab.grids.WaveFunction
+
+        def counting_derivative(*args, **kwargs):
+            derivatives.append(args)
+            return derivative(*args, **kwargs)
+
+        def counting_wave_function(*args, **kwargs):
+            states.append(args)
+            return wave_function(*args, **kwargs)
+
+        for module in (cslab.grids, cslab.schrodinger):
+            monkeypatch.setattr(module, "derivative", counting_derivative, raising=False)
+            monkeypatch.setattr(module, "WaveFunction", counting_wave_function)
+        result = evolve(psi0, setup, snapshot_every=1)
+        assert result.trajectory.n == 201
+        assert len(derivatives) == 0
+        assert len(states) == 1
+
     def test_ground_state_is_stationary(self):
         f = gaussian_fiducial(1.0, 1.0)
         grid = uniform_grid(-7, 7, 8193)
@@ -169,15 +197,22 @@ class TestTridiagonalSolver:
             grid = uniform_grid(-9, 9, 512)
             psi0 = canonical_coherent(f, PhasePoint(0.4, 0.2), grid=grid)
             setup = EvolutionSetup(HARMONIC, grid, DIRICHLET_BOTH, 1e-3, 200)
-        else:
+        elif case == "dxd":
             f = affine_fiducial(2.0, 1.0)
             grid = half_line_window(f, 2.0, 512)
             psi0 = affine_coherent(f, PhasePoint(0.5, 1.0, domain=AFFINE_DOMAIN), grid=grid)
             setup = EvolutionSetup(DXD, grid, DIRICHLET_AT_ZERO, 1e-3, 200)
+        else:
+            # beta = 1, as in the flow benchmark: psi ~ sqrt(x) near 0, so the
+            # first node's one-sided stencil weighs in <p>
+            f = affine_fiducial(1.0, 1.0)
+            grid = half_line_window(f, 3.0, 512)
+            psi0 = affine_coherent(f, PhasePoint(0.3, 1.0, domain=AFFINE_DOMAIN), grid=grid)
+            setup = EvolutionSetup(DXD, grid, DIRICHLET_AT_ZERO, 1e-3, 200)
         return psi0.normalized(), setup
 
     @pytest.mark.parametrize("backward", [False, True])
-    @pytest.mark.parametrize("case", ["harmonic", "dxd"])
+    @pytest.mark.parametrize("case", SOLVER_CASES)
     def test_evolve_matches_sparse_lu(self, case, backward):
         psi0, setup = self._setup(case)
         result = evolve(psi0, setup, snapshot_every=setup.steps, backward=backward)
@@ -187,11 +222,14 @@ class TestTridiagonalSolver:
         want = crank_nicolson_sparse(diag, off, lam, psi0.values[sl], setup.steps)
         assert np.max(np.abs(result.final.values[sl] - want)) <= 1e-12
 
-    @pytest.mark.parametrize("backward", [False, True])
-    @pytest.mark.parametrize("case", ["harmonic", "dxd"])
-    def test_trajectory_matches_sparse_lu(self, case, backward):
+    @pytest.mark.parametrize("case, backward, stride", [
+        pytest.param(case, backward, stride, id=f"{case}-{backward}{suffix}")
+        for stride, suffix in ((40, ""), (1, "-stride1"))
+        for backward in (False, True)
+        for case in SOLVER_CASES
+    ])
+    def test_trajectory_matches_sparse_lu(self, case, backward, stride):
         psi0, setup = self._setup(case)
-        stride = 40
         traj = evolve(psi0, setup, snapshot_every=stride, backward=backward).trajectory
         diag, off = hamiltonian_tridiagonal(setup)
         dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)

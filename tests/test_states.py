@@ -185,6 +185,14 @@ class TestAffineTransport:
         state = affine_coherent(f, PhasePoint(1.0, q, domain=AFFINE_DOMAIN), grid=grid)
         assert abs(state.norm() - 1) < 1e-10
 
+    @pytest.mark.parametrize("beta_over_hbar", [8.0, 50.0, 100.0, 400.0])
+    def test_default_window_keeps_the_norm(self, beta_over_hbar):
+        # the state's relative spread is sqrt(hbar / 2 beta), so a margin of
+        # 20 hbar / beta alone cut off 8e-2 of the norm at beta / hbar = 400
+        f = affine_fiducial(beta_over_hbar, 1.0)
+        state = affine_coherent(f, PhasePoint(0.3, 1.0, domain=AFFINE_DOMAIN))
+        assert abs(1 - state.norm_squared()) <= 1e-9
+
     def test_phase_factor_retained(self):
         # xi_{p,q}(q) carries no phase; xi_{p,q}(x) = e^{ip(x-q)/hbar} ...
         f = affine_fiducial(2.0, 1.0)
