@@ -21,13 +21,12 @@ from .grids import (
     uniform_grid,
 )
 from .states import (
+    CoherentFamily,
     Fiducial,
     PhasePoint,
     affine_coherent,
-    affine_family,
     affine_fiducial,
     canonical_coherent,
-    canonical_family,
     gaussian_fiducial,
     verify_centering,
 )
@@ -41,8 +40,6 @@ from .symbols import (
     parse_operator,
     polynomial_symbol,
     weak_symbol,
-    weak_symbol_affine,
-    weak_symbol_canonical,
 )
 from .geometry import MetricTensor, fs_metric, ray_distance, scalar_curvature
 from .dynamics import (

@@ -36,8 +36,6 @@ from .modeltwo import (
     scenario_record,
 )
 from .schrodinger import (
-    DIRICHLET_AT_ZERO,
-    DIRICHLET_BOTH,
     EvolutionSetup,
     evolve,
     half_line_window,
@@ -47,19 +45,16 @@ from .schrodinger import (
 from .states import (
     AFFINE_DOMAIN,
     CANONICAL_DOMAIN,
+    SHEETS,
     CoherentFamily,
     PhasePoint,
-    affine_coherent,
-    affine_family,
     affine_fiducial,
-    canonical_coherent,
-    canonical_family,
     gaussian_fiducial,
     state_labels,
     verify_centering,
 )
 from .svgplot import write_line_plot
-from .symbols import parse_operator, polynomial_symbol, weak_symbol
+from .symbols import compute_C, parse_operator, polynomial_symbol, weak_symbol
 
 
 @dataclass(frozen=True)
@@ -71,7 +66,7 @@ class Param:
     choices: tuple | None = None
 
 
-_FAMILY = Param("str", "canonical", help="coherent family", choices=("canonical", "affine"))
+_FAMILY = Param("str", CANONICAL_DOMAIN, help="coherent family", choices=SHEETS)
 
 SCHEMAS: dict[str, dict[str, Param]] = {
     "centering": {
@@ -318,7 +313,7 @@ class Outputs:
 
 
 def _fiducial(params: dict):
-    if params["family"] == "affine":
+    if params["family"] == AFFINE_DOMAIN:
         return affine_fiducial(params["beta"], params["hbar"])
     return gaussian_fiducial(params["omega"], params["hbar"])
 
@@ -329,10 +324,9 @@ def _fiducial(params: dict):
 
 def run_centering(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
     f = _fiducial(params)
-    affine = params["family"] == "affine"
     tol = params["tolerance"]
     p_range = (-params["p_scale"], params["p_scale"])
-    if affine:
+    if f.kind == AFFINE_DOMAIN:
         q_range = (0.3, 0.3 + params["q_scale"])
     else:
         q_range = (-params["q_scale"], params["q_scale"])
@@ -346,7 +340,7 @@ def run_centering(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
     for _ in range(params["n_points"]):
         p = float(rng.uniform(*p_range))
         q = float(rng.uniform(*q_range))
-        pt = PhasePoint(p, q, domain=AFFINE_DOMAIN if affine else CANONICAL_DOMAIN)
+        pt = PhasePoint(p, q, domain=f.kind)
         p_read, q_read = state_labels(f, pt)
         err = max(abs(p_read - p), abs(q_read - q))
         max_err = max(max_err, err)
@@ -401,17 +395,9 @@ def run_symbol(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
     return payload
 
 
-def _family(params: dict) -> CoherentFamily:
-    # no grid: the metric comes from closed-form moments
-    f = _fiducial(params)
-    if params["family"] == "affine":
-        return affine_family(f)
-    return canonical_family(f)
-
-
 def run_metric(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
     rows = []
-    family = _family(params)
+    family = CoherentFamily(_fiducial(params))  # no grid: closed-form moments
     for q in params["q_list"]:
         for p in params["p_list"]:
             g = fs_metric(family, PhasePoint(p, q, domain=family.domain))
@@ -423,12 +409,12 @@ def run_metric(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
 
 def run_curvature(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
     rows = []
-    family = _family(params)
+    family = CoherentFamily(_fiducial(params))
     for q in params["q_list"]:
         value = scalar_curvature(family, PhasePoint(params["p"], q, domain=family.domain))
         rows.append({"p": params["p"], "q": q, "curvature": value})
     payload = {"family": params["family"], "points": rows}
-    if params["family"] == "affine":
+    if family.domain == AFFINE_DOMAIN:
         payload["constant_negative_curvature"] = -2.0 / params["beta"]
     out.json(payload)
     return payload
@@ -438,8 +424,7 @@ def run_evolve_classical(params: dict, rng: np.random.Generator, out: Outputs) -
     op = parse_operator(params["operator"])
     f = _fiducial(params)
     symbol = weak_symbol(op, f)
-    domain = AFFINE_DOMAIN if params["family"] == "affine" else CANONICAL_DOMAIN
-    start = PhasePoint(params["p0"], params["q0"], domain=domain)
+    start = PhasePoint(params["p0"], params["q0"], domain=f.kind)
     traj = integrate(symbol, start, params["t_final"], params["dt"])
     payload = {
         "operator": params["operator"],
@@ -467,18 +452,12 @@ def run_evolve_quantum(params: dict, rng: np.random.Generator, out: Outputs) -> 
     op = parse_operator(params["operator"])
     f = _fiducial(params)
     n = params["n_nodes"]
-    if params["family"] == "affine":
+    if f.kind == AFFINE_DOMAIN:
         grid = half_line_window(f, q_max=3 * params["q0"], n=n)
-        pt = PhasePoint(params["p0"], params["q0"], domain=AFFINE_DOMAIN)
-        psi0 = affine_coherent(f, pt, grid=grid)
-        boundary = DIRICHLET_AT_ZERO
     else:
         grid = oscillation_window(f, params["p0"], params["q0"], n)
-        pt = PhasePoint(params["p0"], params["q0"])
-        psi0 = canonical_coherent(f, pt, grid=grid)
-        boundary = DIRICHLET_BOTH
-    psi0 = psi0.normalized()
-    setup = EvolutionSetup(op, grid, boundary, params["dt"], params["steps"], f.hbar)
+    psi0 = CoherentFamily(f, grid)(params["p0"], params["q0"]).normalized()
+    setup = EvolutionSetup(op, grid, params["dt"], params["steps"], f.hbar)
     result = evolve(psi0, setup, snapshot_every=params["snapshot_every"] or None)
     traj = result.trajectory
     payload = {
@@ -504,8 +483,8 @@ def run_evolve_quantum(params: dict, rng: np.random.Generator, out: Outputs) -> 
 
 
 def run_model_one(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
-    hbar, beta = params["hbar"], params["beta"]
-    c = hbar * beta / 2.0
+    hbar = params["hbar"]
+    c = compute_C(affine_fiducial(params["beta"], hbar))  # the fiducial checks beta and hbar
     enhanced = polynomial_symbol({(2, 1): 1.0, (0, -1): c}, hbar, AFFINE_DOMAIN)
     start = PhasePoint(params["p0"], params["q0"], domain=AFFINE_DOMAIN)
     dt = params["dt"]
@@ -550,7 +529,7 @@ def run_model_one(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
 
 
 def run_model_two(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
-    rep = ReducibleRep(params["N"], params["m"], params["zeta"], params.get("hbar", 1.0))
+    rep = ReducibleRep(params["N"], params["m"], params["zeta"])
     p = np.asarray(params["p"], dtype=float)
     q = np.asarray(params["q"], dtype=float)
     if p.size != rep.N or q.size != rep.N:

@@ -78,6 +78,8 @@ def integrate(
     if affine and start.q <= 0:
         raise DomainError("affine dynamics requires q > 0")
 
+    if not math.isfinite(abs(t_final) / dt):  # a NaN t_final fails too
+        raise DomainError(f"t_final = {t_final!r} over dt = {dt!r} is not a finite step count")
     n_steps = int(round(abs(t_final) / dt))
     h = dt if t_final >= 0 else -dt
     p, q = float(start.p), float(start.q)

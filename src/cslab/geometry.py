@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import AccuracyError
 from .grids import WaveFunction, inner_product
-from .states import AFFINE_DOMAIN, GAUSSIAN, CoherentFamily, PhasePoint, coherent_moments
+from .states import AFFINE_DOMAIN, CANONICAL_DOMAIN, CoherentFamily, PhasePoint, coherent_moments
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def fs_metric(family: CoherentFamily, pt: PhasePoint) -> MetricTensor:
     f = family.fiducial
     pt = PhasePoint(pt.p, pt.q, domain=family.domain)
     _, var_x = coherent_moments(f, pt)
-    k = f.omega if f.kind == GAUSSIAN else f.beta / pt.q / pt.q
+    k = f.omega if f.kind == CANONICAL_DOMAIN else f.beta / pt.q / pt.q
     g = MetricTensor(2 * var_x / f.hbar, 0.0, 2 * k * k * var_x / f.hbar)
     g.require_positive_definite()
     return g

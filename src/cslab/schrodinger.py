@@ -9,14 +9,14 @@ dynamics is compared.  Supported Hamiltonians are tridiagonal on the grid:
   * ordered forms  c * D X^k D      -> symmetric -hbar^2 d(x^k d.) with the
                                        coefficient evaluated at half nodes.
 
-Boundaries are homogeneous Dirichlet, either at both window ends (full
-line) or at x = 0 and the far end (half line).  Crank-Nicolson is the
-Cayley form of the discrete Hamiltonian, hence unitary in the discrete
-norm up to solver roundoff: one LAPACK tridiagonal factorization per run
-and one tridiagonal product per step, guarded by the solve residual.  The
-run is measured as it steps, on the vector of unknowns with the grid's
-quadrature (<H> from that same product); the full-grid state is built
-once, at the end.
+Boundaries are homogeneous Dirichlet and follow the grid: a full-line
+window is pinned at both ends, a half-line grid only at its far end (x = 0
+is a ghost zero, not a node).  Crank-Nicolson is the Cayley form of the
+discrete Hamiltonian, hence unitary in the discrete norm up to solver
+roundoff: one LAPACK tridiagonal factorization per run and one tridiagonal
+product per step, guarded by the solve residual.  The run is measured as
+it steps, on the vector of unknowns with the grid's quadrature (<H> from
+that same product); the full-grid state is built once, at the end.
 """
 
 from __future__ import annotations
@@ -34,12 +34,10 @@ from .errors import (
     NumericError,
     PreconditionError,
 )
-from .grids import FULL_LINE, Grid, WaveFunction, half_line_grid, uniform_grid
+from .grids import FULL_LINE, HALF_LINE, Grid, WaveFunction, half_line_grid, uniform_grid
 from .states import Fiducial
 from .symbols import D_FACTOR, X_FACTOR, OperatorExpr
 
-DIRICHLET_BOTH = "dirichlet-both"
-DIRICHLET_AT_ZERO = "dirichlet-at-zero"
 # largest share of the norm of psi0 that evolve may drop on the pinned
 # nodes; it matches the normalization tolerance evolve requires of psi0
 PINNED_NORM_TOL = 1e-6
@@ -49,7 +47,6 @@ PINNED_NORM_TOL = 1e-6
 class EvolutionSetup:
     hamiltonian: OperatorExpr
     grid: Grid
-    boundary: str
     dt: float
     steps: int
     hbar: float = 1.0
@@ -57,8 +54,6 @@ class EvolutionSetup:
     tridiagonal: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.boundary not in (DIRICHLET_BOTH, DIRICHLET_AT_ZERO):
-            raise DomainError(f"unknown boundary {self.boundary!r}")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise DomainError("dt must be finite and positive")
         if self.steps < 1:
@@ -80,9 +75,9 @@ class EvolutionSetup:
         # pinned Dirichlet nodes are excluded from the evolving vector; on
         # the half line x = 0 is not a node (ghost zero), so only the far
         # end is pinned
-        if self.boundary == DIRICHLET_BOTH:
-            return slice(1, self.grid.n - 1)
-        return slice(0, self.grid.n - 1)
+        if self.grid.kind == HALF_LINE:
+            return slice(0, self.grid.n - 1)
+        return slice(1, self.grid.n - 1)
 
 
 def _term_shape(factors) -> tuple[str, int]:
@@ -252,7 +247,7 @@ def track_expectations(
     part Im sum conj(u_i) u_{i+1}.
     """
     drift = np.vdot(u[:-1], u[1:]).imag
-    if setup.boundary == DIRICHLET_AT_ZERO:
+    if setup.grid.kind == HALF_LINE:
         # node 0 is the grid's first node: its term is the one-sided
         # (h/2) conj(u0) (-3 u0 + 4 u1 - u2) / 2h, not h conj(u0) u1 / 2h
         c0 = u[0].conjugate()

@@ -28,11 +28,11 @@ import numpy as np
 from .errors import CoverageError, DomainError, NumericError
 from .grids import FULL_LINE, Grid, WaveFunction, half_line_grid, uniform_grid
 
-GAUSSIAN = "GaussianCanonical"
-AFFINE = "AffineBeta"
-
+# one name per sheet: a fiducial's kind, a phase point's domain, a
+# symbol's provenance and the CLI's --family all use these
 CANONICAL_DOMAIN = "canonical"
 AFFINE_DOMAIN = "affine"
+SHEETS = (CANONICAL_DOMAIN, AFFINE_DOMAIN)
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class PhasePoint:
     domain: str = CANONICAL_DOMAIN
 
     def __post_init__(self):
-        if self.domain not in (CANONICAL_DOMAIN, AFFINE_DOMAIN):
+        if self.domain not in SHEETS:
             raise DomainError(f"unknown phase-point domain {self.domain!r}")
         # written so that NaN fails
         if self.domain == AFFINE_DOMAIN and not self.q > 0:
@@ -72,10 +72,10 @@ class Fiducial:
     def __post_init__(self):
         if not _finite_positive(self.hbar):
             raise DomainError("hbar must be finite and positive")
-        if self.kind == GAUSSIAN:
+        if self.kind == CANONICAL_DOMAIN:
             if not _finite_positive(self.omega):
                 raise DomainError("Gaussian fiducial requires a finite omega > 0")
-        elif self.kind == AFFINE:
+        elif self.kind == AFFINE_DOMAIN:
             if not _finite_positive(self.beta):
                 raise DomainError("affine fiducial requires a finite beta > 0")
             if self.beta / self.hbar < 1.0:
@@ -88,17 +88,17 @@ class Fiducial:
     @property
     def sigma(self) -> float:
         """Position spread used for window sizing."""
-        if self.kind == GAUSSIAN:
+        if self.kind == CANONICAL_DOMAIN:
             return math.sqrt(self.hbar / (2 * self.omega))
         return math.sqrt(self.hbar / (2 * self.beta))
 
 
 def gaussian_fiducial(omega: float = 1.0, hbar: float = 1.0) -> Fiducial:
-    return Fiducial(GAUSSIAN, hbar=hbar, omega=omega)
+    return Fiducial(CANONICAL_DOMAIN, hbar=hbar, omega=omega)
 
 
 def affine_fiducial(beta: float = 1.0, hbar: float = 1.0) -> Fiducial:
-    return Fiducial(AFFINE, hbar=hbar, beta=beta)
+    return Fiducial(AFFINE_DOMAIN, hbar=hbar, beta=beta)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +152,7 @@ def fiducial_moment(f: Fiducial, k: int) -> float:
     for odd k; affine moments are Gamma-function ratios and may be of
     negative order.  A divergent moment raises :class:`DomainError`.
     """
-    if f.kind == AFFINE:
+    if f.kind == AFFINE_DOMAIN:
         return _affine_moment(f.beta, f.hbar, k)
     if k < 0:
         raise DomainError("negative position powers on the full line")
@@ -176,10 +176,8 @@ def coherent_moments(f: Fiducial, pt: PhasePoint) -> tuple[float, float]:
     q m_1 and the variance m_2 - m_1^2 or q^2 (m_2 - m_1^2).  Products,
     not powers: an overflow gives inf for the callers' guards.
     """
-    if (f.kind, pt.domain) not in ((GAUSSIAN, CANONICAL_DOMAIN), (AFFINE, AFFINE_DOMAIN)):
-        raise DomainError(
-            f"no closed-form moments for a {f.kind} fiducial on the {pt.domain} sheet"
-        )
+    if f.kind != pt.domain:
+        raise DomainError(f"a {f.kind} fiducial has no moments on the {pt.domain} sheet")
     m1 = fiducial_moment(f, 1)
     var = fiducial_moment(f, 2) - m1 * m1
     if pt.domain == AFFINE_DOMAIN:
@@ -211,11 +209,15 @@ def default_canonical_grid(
 def affine_node_count(
     beta: float, hbar: float, upper: float, norm_tol: float = 1e-8
 ) -> int:
-    """Node count keeping the missed [0, eps) probability mass below norm_tol."""
+    """Node count keeping the norm the half-line trapezoid rule misses below norm_tol.
+
+    Near 0, |xi|^2 ~ M^2 x^(nu - 1), nu = 2 beta / hbar; on nodes k eps with
+    half weight at the first, the rule misses M^2 eps^nu (1/2 - zeta(1 - nu)),
+    at most 7/12 M^2 eps^nu for 2 <= nu <= 3.  Above, the node floor governs.
+    """
     nu = 2.0 * beta / hbar
     log_m2 = 2 * affine_log_norm(beta, hbar)
-    # integral_0^eps |xi|^2 ~ M^2 eps^nu / nu  ->  eps
-    log_eps = (math.log(norm_tol) + math.log(nu) - log_m2) / nu
+    log_eps = (math.log(norm_tol) - log_m2 - math.log(7 / 12)) / nu
     eps = math.exp(log_eps)
     n = int(math.ceil(upper / eps))
     return min(max(n, 20_000), 2_000_000)
@@ -239,7 +241,7 @@ def default_affine_grid(f: Fiducial, q: float = 1.0, n: int | None = None) -> Gr
 
 def fiducial_wavefunction(f: Fiducial, grid: Grid | None = None) -> WaveFunction:
     """The fiducial itself as a WaveFunction (identity transport)."""
-    if f.kind == GAUSSIAN:
+    if f.kind == CANONICAL_DOMAIN:
         grid = grid or default_canonical_grid(f)
         return WaveFunction(grid, gaussian_values(f.omega, f.hbar, grid.nodes), f.hbar)
     grid = grid or default_affine_grid(f)
@@ -267,10 +269,8 @@ def canonical_coherent(
     With no explicit grid, a window re-centered around q is chosen; an
     explicit grid must cover [q - 8 sigma, q + 8 sigma].
     """
-    if pt.domain != CANONICAL_DOMAIN:
-        raise DomainError("canonical transport needs a canonical phase point")
-    if f.kind == AFFINE:
-        raise DomainError("affine fiducials transport with affine_coherent")
+    if f.kind != pt.domain or pt.domain != CANONICAL_DOMAIN:
+        raise DomainError("canonical transport needs a canonical fiducial and phase point")
     if grid is None:
         grid = default_canonical_grid(f, q=pt.q, p=pt.p)
     _require_coverage(f, pt, grid)
@@ -284,10 +284,8 @@ def affine_coherent(
     f: Fiducial, pt: PhasePoint, grid: Grid | None = None
 ) -> WaveFunction:
     """Affine coherent state xi_{p,q} on a half-line grid (q > 0)."""
-    if f.kind != AFFINE:
-        raise DomainError("affine transport requires an AffineBeta fiducial")
-    if not pt.q > 0:  # NaN fails too
-        raise DomainError("affine transport requires q > 0")
+    if f.kind != pt.domain or pt.domain != AFFINE_DOMAIN:
+        raise DomainError("affine transport needs an affine fiducial and phase point")
     if grid is None:
         grid = default_affine_grid(f, q=pt.q)
     x = grid.nodes
@@ -307,30 +305,24 @@ def affine_coherent(
 class CoherentFamily:
     """(p, q) -> coherent state of one fiducial, optionally on one fixed grid.
 
-    A shared grid is what makes overlaps between members defined.  The
-    metric and the labels of a family come from closed-form moments
-    (:func:`coherent_moments`) and need no grid.
+    The fiducial's kind is the family's sheet: eta_{p,q} on the canonical
+    one, xi_{p,q} on the affine one.  A shared grid is what makes overlaps
+    between members defined.  The metric and the labels of a family come
+    from closed-form moments (:func:`coherent_moments`) and need no grid.
     """
 
     fiducial: Fiducial
-    domain: str
     grid: Grid | None = None
+
+    @property
+    def domain(self) -> str:
+        return self.fiducial.kind
 
     def __call__(self, p: float, q: float) -> WaveFunction:
         pt = PhasePoint(p, q, domain=self.domain)
         if self.domain == AFFINE_DOMAIN:
             return affine_coherent(self.fiducial, pt, grid=self.grid)
         return canonical_coherent(self.fiducial, pt, grid=self.grid)
-
-
-def canonical_family(f: Fiducial, grid: Grid | None = None) -> CoherentFamily:
-    """(p, q) -> eta_{p,q}, on one fixed grid when overlaps are needed."""
-    return CoherentFamily(f, CANONICAL_DOMAIN, grid)
-
-
-def affine_family(f: Fiducial, grid: Grid | None = None) -> CoherentFamily:
-    """(p, q) -> xi_{p,q}, on one fixed half-line grid when overlaps are needed."""
-    return CoherentFamily(f, AFFINE_DOMAIN, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -358,12 +350,10 @@ def verify_centering(f: Fiducial, tol: float = 1e-7) -> CenteringReport:
     there is 0 by construction, so the check tests the position moment.
     Failures are reported, never corrected.
     """
-    if f.kind == AFFINE:
-        p_read, q_read = state_labels(f, PhasePoint(0.0, 1.0, domain=AFFINE_DOMAIN))
-        x_expected, conjugate = 1.0, p_read * q_read
-    else:
-        p_read, q_read = state_labels(f, PhasePoint(0.0, 0.0))
-        x_expected, conjugate = 0.0, p_read
+    affine = f.kind == AFFINE_DOMAIN
+    x_expected = 1.0 if affine else 0.0
+    p_read, q_read = state_labels(f, PhasePoint(0.0, x_expected, domain=f.kind))
+    conjugate = p_read * q_read if affine else p_read
     passed = abs(q_read - x_expected) <= tol and abs(conjugate) <= tol
     return CenteringReport(f.kind, q_read, x_expected, conjugate, 0.0, tol, passed)
 

@@ -30,10 +30,8 @@ import numpy as np
 from .errors import AccuracyError, ConfigError, DomainError, NumericError, PreconditionError
 from .grids import Grid, WaveFunction, derivative, inner_product
 from .states import (
-    AFFINE,
     AFFINE_DOMAIN,
     CANONICAL_DOMAIN,
-    GAUSSIAN,
     Fiducial,
     affine_log_norm,
     fiducial_moment,
@@ -282,7 +280,7 @@ def _apply_d_affine(poly: Poly, a: float, b: float, hbar: float) -> Poly:
 def _push_factors(factors: tuple[Factor, ...], f: Fiducial) -> Poly:
     poly: Poly = {(0, 0, 0): 1.0 + 0.0j}
     for factor in reversed(factors):
-        if f.kind == GAUSSIAN:
+        if f.kind == CANONICAL_DOMAIN:
             if factor.kind == X_FACTOR:
                 poly = _apply_x_canonical(poly, factor.power)
             else:
@@ -307,7 +305,12 @@ def _reduce_moments(poly: Poly, f: Fiducial) -> dict[tuple[int, int], complex]:
     return out
 
 
-def _closed_form_symbol(op: OperatorExpr, f: Fiducial) -> SymbolFn:
+def weak_symbol(op: OperatorExpr, f: Fiducial) -> SymbolFn:
+    """Enhanced classical symbol on the sheet of ``f``, in closed form.
+
+    The symbol's provenance is the fiducial's kind; on the affine sheet
+    (q > 0) a divergent Gamma-function moment raises :class:`DomainError`.
+    """
     total: dict[tuple[int, int], complex] = {}
     for coeff, factors in op.terms:
         reduced = _reduce_moments(_push_factors(factors, f), f)
@@ -319,8 +322,7 @@ def _closed_form_symbol(op: OperatorExpr, f: Fiducial) -> SymbolFn:
         raise AccuracyError(
             f"closed-form symbol of a Hermitian operator has imaginary part {max_imag:.2e}"
         )
-    provenance = CANONICAL_DOMAIN if f.kind == GAUSSIAN else AFFINE_DOMAIN
-    return SymbolFn.from_poly({k: v.real for k, v in total.items()}, f.hbar, provenance)
+    return SymbolFn.from_poly({k: v.real for k, v in total.items()}, f.hbar, f.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -396,29 +398,6 @@ def symbol_quadrature_affine(op: OperatorExpr, f: Fiducial, p: float, q: float) 
     return re + 1j * im
 
 
-def weak_symbol_canonical(op: OperatorExpr, f: Fiducial) -> SymbolFn:
-    """Enhanced classical symbol on the canonical sheet, in closed form."""
-    if f.kind == AFFINE:
-        raise PreconditionError("use weak_symbol_affine for affine fiducials")
-    return _closed_form_symbol(op, f)
-
-
-def weak_symbol_affine(op: OperatorExpr, f: Fiducial) -> SymbolFn:
-    """Enhanced classical symbol on the affine sheet (q > 0), in closed form.
-
-    A divergent Gamma-function moment raises :class:`DomainError`.
-    """
-    if f.kind != AFFINE:
-        raise PreconditionError("affine symbols require an AffineBeta fiducial")
-    return _closed_form_symbol(op, f)
-
-
-def weak_symbol(op: OperatorExpr, f: Fiducial) -> SymbolFn:
-    if f.kind == AFFINE:
-        return weak_symbol_affine(op, f)
-    return weak_symbol_canonical(op, f)
-
-
 # ---------------------------------------------------------------------------
 # the kinetic-dilation constant C
 
@@ -429,8 +408,8 @@ def compute_C(f: Fiducial) -> float:
     C = hbar^2 integral x |xi'(x)|^2 dx equals hbar * beta / 2 by the
     Gamma-function moments of |xi|^2.
     """
-    if f.kind != AFFINE:
-        raise PreconditionError("C is defined for AffineBeta fiducials")
+    if f.kind != AFFINE_DOMAIN:
+        raise PreconditionError("C is defined for affine fiducials")
     return f.hbar * f.beta / 2.0
 
 

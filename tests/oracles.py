@@ -22,10 +22,8 @@ from cslab.geometry import MetricTensor
 from cslab.grids import WaveFunction, inner_product
 from cslab.modeltwo import _gauss_legendre, _log_solid_angle
 from cslab.states import (
-    AFFINE,
     AFFINE_DOMAIN,
     CANONICAL_DOMAIN,
-    GAUSSIAN,
     PhasePoint,
     _require_coverage,
     affine_log_norm,
@@ -197,14 +195,12 @@ def coherent_density(f, pt, grid):
     is formed; the grid checks are those of the state constructors.
     """
     x = grid.nodes
-    if f.kind == GAUSSIAN and pt.domain == CANONICAL_DOMAIN:
+    if f.kind != pt.domain:
+        raise DomainError(f"a {f.kind} fiducial has no density on the {pt.domain} sheet")
+    if f.kind == CANONICAL_DOMAIN:
         _require_coverage(f, pt, grid)
         return gaussian_values(f.omega, f.hbar, x - pt.q) ** 2
-    if f.kind == AFFINE and pt.domain == AFFINE_DOMAIN:
-        return affine_values(f.beta, f.hbar, x / pt.q) ** 2 / pt.q
-    raise DomainError(
-        f"no closed-form density for a {f.kind} fiducial on the {pt.domain} sheet"
-    )
+    return affine_values(f.beta, f.hbar, x / pt.q) ** 2 / pt.q
 
 
 def tangent_multipliers(f, pt, x):
@@ -219,11 +215,9 @@ def tangent_multipliers(f, pt, x):
           = beta u / q^2.
     """
     u = (x - pt.q) / f.hbar
-    if f.kind == GAUSSIAN:
+    if f.kind == CANONICAL_DOMAIN:
         return u, f.omega * u
-    if f.kind == AFFINE:
-        return u, (f.beta / pt.q**2) * u
-    raise DomainError("closed-form tangents need a Gaussian or affine fiducial")
+    return u, (f.beta / pt.q**2) * u
 
 
 def exact_metric(family, pt):
@@ -435,7 +429,7 @@ def density_labels(f, pt, n=None):
     constructors pick for ``pt`` (``n`` nodes if given), the labels are
     (p N, X) on the canonical sheet and (p, X) on the affine one.
     """
-    if f.kind == AFFINE:
+    if f.kind == AFFINE_DOMAIN:
         grid = default_affine_grid(f, q=pt.q, n=n)
     else:
         grid = default_canonical_grid(f, q=pt.q, n=n)

@@ -38,18 +38,16 @@ from cslab.modeltwo import (
     quartic_operator,
 )
 from cslab.schrodinger import (
-    DIRICHLET_BOTH,
     EvolutionSetup,
     evolve,
     oscillation_window,
 )
 from cslab.states import (
     AFFINE_DOMAIN,
+    CoherentFamily,
     PhasePoint,
-    affine_family,
     affine_fiducial,
     canonical_coherent,
-    canonical_family,
     default_affine_grid,
     default_canonical_grid,
     gaussian_fiducial,
@@ -60,7 +58,7 @@ from cslab.symbols import (
     hbar_limit_check,
     parse_operator,
     polynomial_symbol,
-    weak_symbol_canonical,
+    weak_symbol,
 )
 
 
@@ -118,7 +116,7 @@ def test_02_cartesian_metric():
     for omega in (0.5, 1.0, 2.0):
         f = gaussian_fiducial(omega, 1.0)
         grid = default_canonical_grid(f, q=2.0, n=150_001)
-        fam = canonical_family(f, grid)
+        fam = CoherentFamily(f, grid)
         for p in (-1.5, 0.0, 1.5):
             for q in (-1.0, 0.0, 1.0):
                 pt = PhasePoint(p, q)
@@ -142,7 +140,7 @@ def test_03_poincare_geometry():
         f = affine_fiducial(beta, 1.0)
         for q in (0.5, 1.0, 4.0):
             grid = default_affine_grid(f, q=q, n=150_000)
-            fam = affine_family(f, grid)
+            fam = CoherentFamily(f, grid)
             pt = PhasePoint(0.4, q, domain=AFFINE_DOMAIN)
             g = fs_metric(fam, pt)
             worst_metric = max(
@@ -261,10 +259,10 @@ def test_07_restricted_vs_full_harmonic():
     psi0 = canonical_coherent(f, PhasePoint(p0, q0), grid=grid).normalized()
     period = 2 * math.pi / omega
     dt = 1e-4
-    setup = EvolutionSetup(op, grid, DIRICHLET_BOTH, dt, int(round(period / dt)), hbar)
+    setup = EvolutionSetup(op, grid, dt, int(round(period / dt)), hbar)
     traj = evolve(psi0, setup, snapshot_every=100).trajectory
 
-    symbol = weak_symbol_canonical(op, f)
+    symbol = weak_symbol(op, f)
     # run the restricted flow past the quantum endpoint so the time
     # interpolation below never clamps
     classical = integrate(symbol, PhasePoint(p0, q0), period + 0.01, 1e-3)

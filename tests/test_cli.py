@@ -22,6 +22,23 @@ QUANTUM = ["evolve-quantum", "--operator", "0.5 * D D + 0.5 * X X", "--p0", "0.1
            "--q0", "0.2", "--steps", "3", "--n_nodes", "64"]
 
 
+# inputs that used to escape as an internal error (a step count that is not
+# finite) or to pass unchecked into model-one (beta or hbar not positive)
+UNCHECKED = [
+    ["evolve-classical", "--operator", "0.5 * D D + 0.5 * X X", "--p0", "0", "--q0", "0",
+     "--t_final", "nan"],
+    ["evolve-classical", "--operator", "0.5 * D D + 0.5 * X X", "--p0", "0", "--q0", "0",
+     "--t_final", "inf"],
+    ["evolve-classical", "--operator", "0.5 * D D + 0.5 * X X", "--p0", "0", "--q0", "0",
+     "--t_final", "1e300", "--dt", "1e-300"],
+    ["model-one", "--t_max", "inf"],
+    ["model-one", "--hbar", "-1"],
+    ["model-one", "--beta", "-1"],
+    ["model-one", "--hbar", "0"],
+    ["model-one", "--beta", "0"],
+]
+
+
 def run(args):
     return main([a for a in args if a is not None])
 
@@ -112,11 +129,22 @@ class TestExitCodes:
             ["curvature", "--q_list", "nan"],
             ["curvature", "--p", "nan"],
             ["curvature", "--family", "affine", "--q_list", "nan"],
+            *UNCHECKED,
         ],
     )
-    def test_non_finite_input_fails_closed(self, tmp_path, argv):
+    def test_non_finite_input_fails_closed(self, tmp_path, capsys, argv):
         code = run(argv + ["--out", str(tmp_path), "--quiet"])
         assert code in (2, 3)
+        assert "internal error" not in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", UNCHECKED + [["model-one", "--beta", "0.5"]])
+    def test_unchecked_input_is_a_numerical_failure(self, tmp_path, capsys, argv):
+        # model-one checks beta and hbar through the affine fiducial, which
+        # also requires beta/hbar >= 1
+        code = run(argv + ["--out", str(tmp_path), "--quiet"])
+        assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag,value", [("--q_list", "1e308"), ("--omega", "1e300")])

@@ -19,12 +19,12 @@ from cslab.dynamics import (
 )
 from cslab.errors import DomainError, PreconditionError
 from cslab.states import AFFINE_DOMAIN, PhasePoint, gaussian_fiducial
-from cslab.symbols import parse_operator, polynomial_symbol, weak_symbol_canonical
+from cslab.symbols import parse_operator, polynomial_symbol, weak_symbol
 
 
 def harmonic_symbol(omega=1.0, hbar=1.0):
     op = parse_operator(f"0.5 * D D + {0.5 * omega**2} * X X")
-    return weak_symbol_canonical(op, gaussian_fiducial(omega, hbar))
+    return weak_symbol(op, gaussian_fiducial(omega, hbar))
 
 
 def model_one_symbol(c, hbar=1.0):

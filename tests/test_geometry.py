@@ -18,11 +18,10 @@ from cslab.geometry import MetricTensor, fs_metric, ray_distance, scalar_curvatu
 from cslab.grids import WaveFunction, uniform_grid
 from cslab.states import (
     AFFINE_DOMAIN,
+    CoherentFamily,
     PhasePoint,
-    affine_family,
     affine_fiducial,
     canonical_coherent,
-    canonical_family,
     default_affine_grid,
     default_canonical_grid,
     gaussian_fiducial,
@@ -114,7 +113,7 @@ class TestCanonicalMetric:
     def test_cartesian_metric(self, omega):
         f = gaussian_fiducial(omega, 1.0)
         grid = default_canonical_grid(f, q=2.0, p=2.0)
-        fam = canonical_family(f, grid)
+        fam = CoherentFamily(f, grid)
         for p, q in [(0.0, 0.0), (1.0, -1.0), (2.0, 1.5)]:
             g = fs_metric(fam, PhasePoint(p, q))
             assert g.g_pp == pytest.approx(1 / omega, abs=1e-6)
@@ -124,7 +123,7 @@ class TestCanonicalMetric:
     def test_metric_is_point_independent(self):
         f = gaussian_fiducial(1.0, 1.0)
         grid = default_canonical_grid(f, q=7.0, p=3.0)
-        fam = canonical_family(f, grid)
+        fam = CoherentFamily(f, grid)
         g0 = fs_metric(fam, PhasePoint(0.0, 0.0))
         g1 = fs_metric(fam, PhasePoint(3.0, -7.0))
         assert g0.g_pp == pytest.approx(g1.g_pp, abs=1e-8)
@@ -133,7 +132,7 @@ class TestCanonicalMetric:
     def test_wild_step_fails_extrapolation(self):
         # the two Richardson extrapolants of the difference oracle must agree
         f = gaussian_fiducial(1.0, 1.0)
-        fam = canonical_family(f, default_canonical_grid(f, q=3.0))
+        fam = CoherentFamily(f, default_canonical_grid(f, q=3.0))
         g = difference_metric(fam, PhasePoint(0.0, 0.0))
         assert g.g_pp == pytest.approx(1.0, abs=1e-6)
         with pytest.raises(AccuracyError):
@@ -144,7 +143,7 @@ class TestAffineMetric:
     def test_poincare_metric_example(self):
         f = affine_fiducial(1.0, 1.0)
         grid = default_affine_grid(f, q=2.0)
-        fam = affine_family(f, grid)
+        fam = CoherentFamily(f, grid)
         g = fs_metric(fam, PhasePoint(1.0, 2.0, domain=AFFINE_DOMAIN))
         assert g.g_pp == pytest.approx(4.0, abs=1e-5)
         assert g.g_qq == pytest.approx(0.25, abs=1e-5)
@@ -155,7 +154,7 @@ class TestAffineMetric:
         beta = 2.0
         f = affine_fiducial(beta, 1.0)
         grid = default_affine_grid(f, q=q)
-        fam = affine_family(f, grid)
+        fam = CoherentFamily(f, grid)
         g = fs_metric(fam, PhasePoint(0.3, q, domain=AFFINE_DOMAIN))
         assert g.g_pp * g.g_qq == pytest.approx(1.0, rel=1e-5)
         assert g.g_pp == pytest.approx(q**4 * g.g_qq / beta**2, rel=1e-5)
@@ -175,7 +174,7 @@ class TestExactRoute:
     @pytest.mark.parametrize("omega", [0.5, 2.0])
     def test_canonical_sheet(self, omega):
         f = gaussian_fiducial(omega, 1.0)
-        fam = canonical_family(f, default_canonical_grid(f, q=2.0, p=2.0))
+        fam = CoherentFamily(f, default_canonical_grid(f, q=2.0, p=2.0))
         for p, q in [(0.0, 0.0), (1.0, -1.0), (2.0, 1.5)]:
             self._assert_routes_agree(fam, PhasePoint(p, q))
 
@@ -183,13 +182,13 @@ class TestExactRoute:
     @pytest.mark.parametrize("q", [0.5, 1.0, 4.0])
     def test_affine_sheet(self, beta, q):
         f = affine_fiducial(beta, 1.0)
-        fam = affine_family(f, default_affine_grid(f, q=q))
+        fam = CoherentFamily(f, default_affine_grid(f, q=q))
         self._assert_routes_agree(fam, PhasePoint(0.7, q, domain=AFFINE_DOMAIN))
 
     def test_under_resolved_grid_fails_norm_check(self):
         # 2000 nodes miss ~2.5e-4 of the probability mass next to x = 0
         f = affine_fiducial(1.0, 1.0)
-        fam = affine_family(f, default_affine_grid(f, q=1.0, n=2000))
+        fam = CoherentFamily(f, default_affine_grid(f, q=1.0, n=2000))
         with pytest.raises(AccuracyError):
             exact_metric(fam, PhasePoint(0.0, 1.0, domain=AFFINE_DOMAIN))
 
@@ -198,7 +197,7 @@ class TestExactRoute:
             oracles, "coherent_density", lambda f, pt, grid: np.full(grid.n, np.nan)
         )
         f = affine_fiducial(1.0, 1.0)
-        fam = affine_family(f, default_affine_grid(f, q=1.0))
+        fam = CoherentFamily(f, default_affine_grid(f, q=1.0))
         with pytest.raises(AccuracyError):
             exact_metric(fam, PhasePoint(0.0, 1.0, domain=AFFINE_DOMAIN))
 
@@ -219,7 +218,7 @@ class TestClosedForm:
     @pytest.mark.parametrize("omega", [0.5, 2.0])
     def test_canonical_metric(self, omega):
         f = gaussian_fiducial(omega, 0.7)
-        fam = canonical_family(f, default_canonical_grid(f, q=2.0, n=150_001))
+        fam = CoherentFamily(f, default_canonical_grid(f, q=2.0, n=150_001))
         for p, q in [(0.0, 0.0), (1.0, -1.0), (2.0, 1.5)]:
             self._assert_matches_oracle(fam, PhasePoint(p, q))
 
@@ -232,7 +231,7 @@ class TestClosedForm:
     def test_affine_metric_and_curvature(self, beta, hbar, q):
         # the curvature -2/beta does not depend on hbar
         f = affine_fiducial(beta, hbar)
-        fam = affine_family(f, default_affine_grid(f, q=q, n=150_000))
+        fam = CoherentFamily(f, default_affine_grid(f, q=q, n=150_000))
         self._assert_matches_oracle(fam, PhasePoint(0.7, q, domain=AFFINE_DOMAIN))
         pt = PhasePoint(0.0, q, domain=AFFINE_DOMAIN)
         closed = scalar_curvature(fam, pt)
@@ -242,13 +241,13 @@ class TestClosedForm:
 
     def test_needs_no_grid(self):
         f = affine_fiducial(2.0, 1.0)
-        g = fs_metric(affine_family(f), PhasePoint(0.3, 1.5, domain=AFFINE_DOMAIN))
+        g = fs_metric(CoherentFamily(f), PhasePoint(0.3, 1.5, domain=AFFINE_DOMAIN))
         assert (g.g_pp, g.g_pq, g.g_qq) == pytest.approx((1.5**2 / 2.0, 0.0, 2.0 / 1.5**2))
 
     @pytest.mark.parametrize("q", [1e200, 1e-200])
     def test_overflow_fails_closed(self, q):
         # q^2 overflows to inf or underflows to 0: the metric is not positive definite
-        fam = affine_family(affine_fiducial(1.0, 1.0))
+        fam = CoherentFamily(affine_fiducial(1.0, 1.0))
         with pytest.raises(AccuracyError):
             fs_metric(fam, PhasePoint(0.0, q, domain=AFFINE_DOMAIN))
 
@@ -257,7 +256,7 @@ class TestInfinitesimalConsistency:
     def test_ray_distance_approaches_quadratic_form(self):
         f = gaussian_fiducial(1.0, 1.0)
         grid = default_canonical_grid(f, q=1.0, p=1.0)
-        fam = canonical_family(f, grid)
+        fam = CoherentFamily(f, grid)
         pt = PhasePoint(0.2, -0.4)
         g = fs_metric(fam, pt)
         base = fam(pt.p, pt.q)
@@ -275,14 +274,14 @@ class TestInfinitesimalConsistency:
 class TestCurvature:
     def test_flat_canonical_sheet(self):
         f = gaussian_fiducial(1.0, 1.0)
-        fam = canonical_family(f)
+        fam = CoherentFamily(f)
         assert scalar_curvature(fam, PhasePoint(0.3, -0.2)) == 0.0
         # the stencil oracle agrees at its own accuracy
         assert abs(brioschi_curvature(closed_form_field(fam), PhasePoint(0.3, -0.2))) < 1e-4
 
     @pytest.mark.parametrize("beta,expected", [(1.0, -2.0), (4.0, -0.5)])
     def test_poincare_curvature(self, beta, expected):
-        fam = affine_family(affine_fiducial(beta, 1.0))
+        fam = CoherentFamily(affine_fiducial(beta, 1.0))
         for q in (0.5, 1.0, 4.0):
             pt = PhasePoint(0.0, q, domain=AFFINE_DOMAIN)
             assert scalar_curvature(fam, pt) == expected
@@ -305,20 +304,20 @@ class TestCurvature:
 
     def test_stencil_domain_guard(self):
         # at beta = hbar = 1 the q step is step * q, so q - 2 h_q = -0.2 q
-        field = closed_form_field(affine_family(affine_fiducial(1.0, 1.0)))
+        field = closed_form_field(CoherentFamily(affine_fiducial(1.0, 1.0)))
         with pytest.raises(DomainError):
             brioschi_curvature(field, PhasePoint(0.0, 0.05, domain=AFFINE_DOMAIN), step=0.6)
 
     def test_stencil_inside_domain_passes_guard(self):
         # q - 2 h_q = 0.2 q > 0: the stencil stays on the sheet
-        field = closed_form_field(affine_family(affine_fiducial(1.0, 1.0)))
+        field = closed_form_field(CoherentFamily(affine_fiducial(1.0, 1.0)))
         value = brioschi_curvature(field, PhasePoint(0.0, 0.05, domain=AFFINE_DOMAIN), step=0.4)
         assert np.isfinite(value)
 
     @pytest.mark.parametrize("p,q", [(0.0, 1e308), (1e300, 0.0), (0.0, float("nan"))])
     def test_unresolved_stencil_fails_closed(self, p, q):
         # a flat field would read curvature 0 from offsets that round to the point
-        field = closed_form_field(canonical_family(gaussian_fiducial(1.0, 1.0)))
+        field = closed_form_field(CoherentFamily(gaussian_fiducial(1.0, 1.0)))
         with pytest.raises(AccuracyError):
             brioschi_curvature(field, PhasePoint(p, q))
 

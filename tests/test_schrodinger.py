@@ -12,8 +12,6 @@ from cslab.dynamics import integrate
 from cslab.errors import DomainError, GridMismatchError, PreconditionError
 from cslab.grids import WaveFunction, momentum_expectation, position_moment, uniform_grid
 from cslab.schrodinger import (
-    DIRICHLET_AT_ZERO,
-    DIRICHLET_BOTH,
     EvolutionSetup,
     evolve,
     half_line_window,
@@ -29,7 +27,7 @@ from cslab.states import (
     canonical_coherent,
     gaussian_fiducial,
 )
-from cslab.symbols import parse_operator, weak_symbol_affine
+from cslab.symbols import parse_operator, weak_symbol
 
 from oracles import crank_nicolson_sparse
 
@@ -42,14 +40,14 @@ class TestEvolutionSetup:
     def test_unsupported_operator_rejected(self):
         grid = uniform_grid(-8, 8, 256)
         with pytest.raises(DomainError):
-            EvolutionSetup(parse_operator("1.0 * X D"), grid, DIRICHLET_BOTH, 1e-3, 10)
+            EvolutionSetup(parse_operator("1.0 * X D"), grid, 1e-3, 10)
 
     def test_grid_mismatch_rejected(self):
         f = gaussian_fiducial(1.0, 1.0)
         grid = uniform_grid(-8, 8, 512)
         other = uniform_grid(-8, 8, 513)
         psi0 = canonical_coherent(f, PhasePoint(0, 0), grid=other)
-        setup = EvolutionSetup(HARMONIC, grid, DIRICHLET_BOTH, 1e-3, 10)
+        setup = EvolutionSetup(HARMONIC, grid, 1e-3, 10)
         with pytest.raises(GridMismatchError):
             evolve(psi0, setup)
 
@@ -61,14 +59,14 @@ class TestEvolutionSetup:
         from cslab.grids import WaveFunction
 
         bad = WaveFunction(grid, 1.01 * bad.values)
-        setup = EvolutionSetup(HARMONIC, grid, DIRICHLET_BOTH, 1e-3, 10)
+        setup = EvolutionSetup(HARMONIC, grid, 1e-3, 10)
         with pytest.raises(PreconditionError):
             evolve(bad, setup)
 
     def test_absurd_time_step_rejected(self):
         grid = uniform_grid(-8, 8, 8192)
         with pytest.raises(PreconditionError):
-            EvolutionSetup(HARMONIC, grid, DIRICHLET_BOTH, 1e4, 10)
+            EvolutionSetup(HARMONIC, grid, 1e4, 10)
 
     def test_hamiltonian_built_once_per_setup(self, monkeypatch):
         calls = []
@@ -82,14 +80,14 @@ class TestEvolutionSetup:
         f = gaussian_fiducial(1.0, 1.0)
         grid = uniform_grid(-8, 8, 256)
         psi0 = canonical_coherent(f, PhasePoint(0.2, 0.1), grid=grid).normalized()
-        setup = EvolutionSetup(HARMONIC, grid, DIRICHLET_BOTH, 1e-3, 20)
+        setup = EvolutionSetup(HARMONIC, grid, 1e-3, 20)
         evolve(psi0, setup, snapshot_every=1)
         assert len(calls) == 1
 
     def test_dxd_discretization_is_symmetric(self):
         f = affine_fiducial(2.0, 1.0)
         grid = half_line_window(f, 2.0, 512)
-        setup = EvolutionSetup(DXD, grid, DIRICHLET_AT_ZERO, 1e-4, 10)
+        setup = EvolutionSetup(DXD, grid, 1e-4, 10)
         diag, off = hamiltonian_tridiagonal(setup)
         assert diag.size == grid.n - 1
         assert np.all(diag > 0)
@@ -102,7 +100,7 @@ class TestEvolve:
         f = gaussian_fiducial(1.0, 1.0)
         grid = uniform_grid(-8, 8, 256)
         psi0 = canonical_coherent(f, PhasePoint(0.0, 0.0), grid=grid).normalized()
-        setup = EvolutionSetup(HARMONIC, grid, DIRICHLET_BOTH, 1e-3, 10)
+        setup = EvolutionSetup(HARMONIC, grid, 1e-3, 10)
         with pytest.raises(DomainError):
             evolve(psi0, setup, snapshot_every=stride)
 
@@ -112,7 +110,7 @@ class TestEvolve:
         f = gaussian_fiducial(1.0, 1.0)
         grid = oscillation_window(f, 0.5, 0.3, 4096)
         psi0 = canonical_coherent(f, PhasePoint(0.5, 0.3), grid=grid).normalized()
-        setup = EvolutionSetup(HARMONIC, grid, DIRICHLET_BOTH, 1e-3, 1000)
+        setup = EvolutionSetup(HARMONIC, grid, 1e-3, 1000)
         tracemalloc.start()
         try:
             result = evolve(psi0, setup, snapshot_every=1)
@@ -128,7 +126,7 @@ class TestEvolve:
         f = gaussian_fiducial(1.0, 1.0)
         grid = uniform_grid(-8, 8, 256)
         psi0 = canonical_coherent(f, PhasePoint(0.2, 0.1), grid=grid).normalized()
-        setup = EvolutionSetup(HARMONIC, grid, DIRICHLET_BOTH, 1e-3, 200)
+        setup = EvolutionSetup(HARMONIC, grid, 1e-3, 200)
         derivatives, states = [], []
         derivative, wave_function = cslab.grids.derivative, cslab.grids.WaveFunction
 
@@ -152,7 +150,7 @@ class TestEvolve:
         f = gaussian_fiducial(1.0, 1.0)
         grid = uniform_grid(-7, 7, 8193)
         psi0 = canonical_coherent(f, PhasePoint(0.0, 0.0), grid=grid).normalized()
-        setup = EvolutionSetup(HARMONIC, grid, DIRICHLET_BOTH, 5e-4, 2000)
+        setup = EvolutionSetup(HARMONIC, grid, 5e-4, 2000)
         result = evolve(psi0, setup, snapshot_every=2000)
         drift = np.max(np.abs(np.abs(result.final.values) - np.abs(psi0.values)))
         assert drift <= 1e-6
@@ -161,7 +159,7 @@ class TestEvolve:
         f = gaussian_fiducial(1.0, 1.0)
         grid = uniform_grid(-9, 9, 512)
         psi0 = canonical_coherent(f, PhasePoint(0.4, 0.2), grid=grid).normalized()
-        setup = EvolutionSetup(HARMONIC, grid, DIRICHLET_BOTH, 1e-3, 10_000)
+        setup = EvolutionSetup(HARMONIC, grid, 1e-3, 10_000)
         result = evolve(psi0, setup, snapshot_every=10_000)
         assert abs(result.final.norm() - 1.0) <= 1e-8
 
@@ -169,7 +167,7 @@ class TestEvolve:
         f = gaussian_fiducial(1.0, 1.0)
         grid = uniform_grid(-24, 24, 4096)
         psi0 = canonical_coherent(f, PhasePoint(1.0, 0.0), grid=grid).normalized()
-        setup = EvolutionSetup(parse_operator("0.5 * D D"), grid, DIRICHLET_BOTH, 1e-3, 2000)
+        setup = EvolutionSetup(parse_operator("0.5 * D D"), grid, 1e-3, 2000)
         traj = evolve(psi0, setup, snapshot_every=200).trajectory
         assert np.max(np.abs(traj.p - traj.p[0])) <= 1e-8
 
@@ -181,7 +179,7 @@ class TestEvolve:
         psi0 = canonical_coherent(f, PhasePoint(p0, q0), grid=grid).normalized()
         period = 2 * math.pi / omega
         dt = 2e-4
-        setup = EvolutionSetup(HARMONIC, grid, DIRICHLET_BOTH, dt, int(round(period / dt)))
+        setup = EvolutionSetup(HARMONIC, grid, dt, int(round(period / dt)))
         traj = evolve(psi0, setup, snapshot_every=100).trajectory
         x_exact = q0 * np.cos(omega * traj.times) + (p0 / omega) * np.sin(omega * traj.times)
         assert np.max(np.abs(traj.q - x_exact)) <= 1e-4
@@ -196,19 +194,19 @@ class TestTridiagonalSolver:
             f = gaussian_fiducial(1.0, 1.0)
             grid = uniform_grid(-9, 9, 512)
             psi0 = canonical_coherent(f, PhasePoint(0.4, 0.2), grid=grid)
-            setup = EvolutionSetup(HARMONIC, grid, DIRICHLET_BOTH, 1e-3, 200)
+            setup = EvolutionSetup(HARMONIC, grid, 1e-3, 200)
         elif case == "dxd":
             f = affine_fiducial(2.0, 1.0)
             grid = half_line_window(f, 2.0, 512)
             psi0 = affine_coherent(f, PhasePoint(0.5, 1.0, domain=AFFINE_DOMAIN), grid=grid)
-            setup = EvolutionSetup(DXD, grid, DIRICHLET_AT_ZERO, 1e-3, 200)
+            setup = EvolutionSetup(DXD, grid, 1e-3, 200)
         else:
             # beta = 1, as in the flow benchmark: psi ~ sqrt(x) near 0, so the
             # first node's one-sided stencil weighs in <p>
             f = affine_fiducial(1.0, 1.0)
             grid = half_line_window(f, 3.0, 512)
             psi0 = affine_coherent(f, PhasePoint(0.3, 1.0, domain=AFFINE_DOMAIN), grid=grid)
-            setup = EvolutionSetup(DXD, grid, DIRICHLET_AT_ZERO, 1e-3, 200)
+            setup = EvolutionSetup(DXD, grid, 1e-3, 200)
         return psi0.normalized(), setup
 
     @pytest.mark.parametrize("backward", [False, True])
@@ -271,10 +269,10 @@ class TestHalfLineModelOne:
         grid = half_line_window(f, q_max=3.0, n=2048)
         psi0 = affine_coherent(f, PhasePoint(1.0, 1.0, domain=AFFINE_DOMAIN), grid=grid)
         psi0 = psi0.normalized()
-        setup = EvolutionSetup(DXD, grid, DIRICHLET_AT_ZERO, 2e-4, 2500, hbar)
+        setup = EvolutionSetup(DXD, grid, 2e-4, 2500, hbar)
         traj = evolve(psi0, setup, snapshot_every=125).trajectory
         assert traj.energy_drift() <= 1e-6
-        symbol = weak_symbol_affine(DXD, f)
+        symbol = weak_symbol(DXD, f)
         assert traj.energy[0] == pytest.approx(symbol(1.0, 1.0), rel=1e-4)
 
     def test_restricted_matches_full_and_improves_with_sharpness(self):
@@ -284,11 +282,11 @@ class TestHalfLineModelOne:
         worst = []
         for hbar in (0.5, 0.25, 0.125):
             f = affine_fiducial(beta, hbar)
-            symbol = weak_symbol_affine(DXD, f)
+            symbol = weak_symbol(DXD, f)
             grid = half_line_window(f, q_max=3.0, n=4096)
             start = PhasePoint(1.0, 1.0, domain=AFFINE_DOMAIN)
             psi0 = affine_coherent(f, start, grid=grid).normalized()
-            setup = EvolutionSetup(DXD, grid, DIRICHLET_AT_ZERO, 1e-4, 5000, hbar)
+            setup = EvolutionSetup(DXD, grid, 1e-4, 5000, hbar)
             errs = []
             for backward in (False, True):
                 traj = evolve(psi0, setup, snapshot_every=250, backward=backward).trajectory
@@ -312,7 +310,7 @@ class TestRefinement:
         def discrepancy(n, dt):
             grid = oscillation_window(f, p0, q0, n)
             psi0 = canonical_coherent(f, PhasePoint(p0, q0), grid=grid).normalized()
-            setup = EvolutionSetup(HARMONIC, grid, DIRICHLET_BOTH, dt, int(round(period / dt)))
+            setup = EvolutionSetup(HARMONIC, grid, dt, int(round(period / dt)))
             traj = evolve(psi0, setup, snapshot_every=250).trajectory
             x_exact = q0 * np.cos(omega * traj.times) + p0 * np.sin(omega * traj.times)
             return np.max(np.abs(traj.q - x_exact))

@@ -13,6 +13,7 @@ from oracles import (
     tangent_multipliers,
 )
 
+from cslab.cli import SCHEMAS
 from cslab.errors import CoverageError, DomainError
 from cslab.grids import (
     dilation_expectation,
@@ -24,13 +25,13 @@ from cslab.grids import (
 )
 from cslab.states import (
     AFFINE_DOMAIN,
+    CANONICAL_DOMAIN,
+    CoherentFamily,
     PhasePoint,
     affine_coherent,
     affine_fiducial,
     affine_values,
-    affine_family,
     canonical_coherent,
-    canonical_family,
     coherent_moments,
     default_affine_grid,
     default_canonical_grid,
@@ -41,6 +42,7 @@ from cslab.states import (
     state_labels,
     verify_centering,
 )
+from cslab.symbols import parse_operator, weak_symbol
 
 
 class TestFiducials:
@@ -156,6 +158,9 @@ class TestAffineTransport:
         f = affine_fiducial(1.0, 1.0)
         with pytest.raises(DomainError):
             affine_coherent(f, PhasePoint(0.0, -2.0))
+        # a canonical point is rejected even at q > 0
+        with pytest.raises(DomainError):
+            affine_coherent(f, PhasePoint(0.0, 2.0))
 
     @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 5.0])
     def test_dilation_scaling_of_first_moment(self, q):
@@ -193,6 +198,16 @@ class TestAffineTransport:
         state = affine_coherent(f, PhasePoint(0.3, 1.0, domain=AFFINE_DOMAIN))
         assert abs(1 - state.norm_squared()) <= 1e-9
 
+    @pytest.mark.parametrize("q", [1.0, 3.0])
+    @pytest.mark.parametrize("beta_over_hbar", [1.0, 2.0, 4.0])
+    def test_default_grid_keeps_the_norm_near_the_origin(self, beta_over_hbar, q):
+        # the node count is sized for a 1e-8 norm loss, the trapezoid rule's
+        # end correction next to x = 0 included (1.17e-8 at beta / hbar = 1
+        # when only the mass below the first node was counted)
+        f = affine_fiducial(beta_over_hbar, 1.0)
+        state = affine_coherent(f, PhasePoint(0.3, q, domain=AFFINE_DOMAIN))
+        assert 1 - state.norm_squared() <= 1e-8
+
     def test_phase_factor_retained(self):
         # xi_{p,q}(q) carries no phase; xi_{p,q}(x) = e^{ip(x-q)/hbar} ...
         f = affine_fiducial(2.0, 1.0)
@@ -202,6 +217,18 @@ class TestAffineTransport:
         base = affine_values(f.beta, f.hbar, grid.nodes)
         expected = np.exp(1j * pt.p * (grid.nodes - 1.0)) * base
         assert np.allclose(state.values, expected, atol=1e-14)
+
+
+class TestOneNamePerSheet:
+    def test_fiducial_kind_names_family_symbol_and_cli_choice(self):
+        sheets = {CANONICAL_DOMAIN, AFFINE_DOMAIN}
+        op = parse_operator("1.0 * D X D")
+        for f in (gaussian_fiducial(1.0, 1.0), affine_fiducial(2.0, 1.0)):
+            assert CoherentFamily(f).domain == f.kind == weak_symbol(op, f).provenance
+            assert f.kind in sheets
+        for schema in SCHEMAS.values():
+            if "family" in schema:
+                assert set(schema["family"].choices) == sheets
 
 
 class TestCentering:
@@ -293,8 +320,8 @@ class TestExactTangents:
     def _families():
         g = gaussian_fiducial(0.7, 0.8)
         a = affine_fiducial(2.5, 1.0)
-        yield canonical_family(g, default_canonical_grid(g, q=1.0, p=1.0)), PhasePoint(0.6, -0.4)
-        yield affine_family(a, default_affine_grid(a, q=1.5)), PhasePoint(
+        yield CoherentFamily(g, default_canonical_grid(g, q=1.0, p=1.0)), PhasePoint(0.6, -0.4)
+        yield CoherentFamily(a, default_affine_grid(a, q=1.5)), PhasePoint(
             -0.8, 1.5, domain=AFFINE_DOMAIN
         )
 
