@@ -36,20 +36,16 @@ from .symbols import (
     SymbolFn,
     X,
     compute_C,
-    hbar_limit_check,
     parse_operator,
     polynomial_symbol,
     weak_symbol,
 )
 from .geometry import MetricTensor, fs_metric, ray_distance, scalar_curvature
 from .dynamics import (
-    CanonicalTransform,
     Trajectory,
     integrate,
     model_one_floor,
-    model_one_reference,
     restricted_action,
-    transform_invariance_check,
 )
 # track_expectations(u, hu, x_weights, setup) -> (<p>, <x>, <H>) on the unknown vector u
 from .schrodinger import EvolutionSetup, evolve, track_expectations

@@ -36,6 +36,7 @@ from .modeltwo import (
     scenario_record,
 )
 from .schrodinger import (
+    MAX_PHASE_PER_NODE,
     EvolutionSetup,
     evolve,
     half_line_window,
@@ -274,25 +275,22 @@ class Outputs:
         self._announce(path)
         return path
 
-    def csv_trajectory(self, traj: Trajectory, suffix: str = "") -> Path | None:
+    def _csv(self, suffix: str, write_body) -> Path | None:
+        """CSV file with the two-line provenance header; ``write_body(fh)`` adds the rest."""
         if self.fmt == "json":
             return None
         path = self.dir / f"{self.name}{suffix}.csv"
         with path.open("w", encoding="utf-8", newline="\n") as fh:
             fh.write(f"# tool: cslab {__version__}\n# scenario: {self.tag}\n")
-            traj.write_csv(fh)
+            write_body(fh)
         self._announce(path)
         return path
 
+    def csv_trajectory(self, traj: Trajectory, suffix: str = "") -> Path | None:
+        return self._csv(suffix, traj.write_csv)
+
     def csv_snapshot(self, state: WaveFunction, suffix: str) -> Path | None:
-        if self.fmt == "json":
-            return None
-        path = self.dir / f"{self.name}{suffix}.csv"
-        with path.open("w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"# tool: cslab {__version__}\n# scenario: {self.tag}\n")
-            snapshot_csv(state, fh)
-        self._announce(path)
-        return path
+        return self._csv(suffix, lambda fh: snapshot_csv(state, fh))
 
     def svg(self, x, series, title, x_label, y_label, suffix: str = "") -> Path | None:
         if self.fmt != "svg":
@@ -456,6 +454,13 @@ def run_evolve_quantum(params: dict, rng: np.random.Generator, out: Outputs) -> 
         grid = half_line_window(f, q_max=3 * params["q0"], n=n)
     else:
         grid = oscillation_window(f, params["p0"], params["q0"], n)
+    phase_per_node = abs(params["p0"]) * grid.spacing / f.hbar
+    if not phase_per_node <= MAX_PHASE_PER_NODE:  # a NaN phase fails too
+        raise NumericError(
+            f"the {grid.n}-node grid does not resolve p0 = {params['p0']:g}: its phase turns "
+            f"{phase_per_node:.3g} rad per node, over the resolution limit "
+            f"{MAX_PHASE_PER_NODE:g}; add nodes or lower |p0|"
+        )
     psi0 = CoherentFamily(f, grid)(params["p0"], params["q0"]).normalized()
     setup = EvolutionSetup(op, grid, params["dt"], params["steps"], f.hbar)
     result = evolve(psi0, setup, snapshot_every=params["snapshot_every"] or None)
@@ -485,7 +490,7 @@ def run_evolve_quantum(params: dict, rng: np.random.Generator, out: Outputs) -> 
 def run_model_one(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
     hbar = params["hbar"]
     c = compute_C(affine_fiducial(params["beta"], hbar))  # the fiducial checks beta and hbar
-    enhanced = polynomial_symbol({(2, 1): 1.0, (0, -1): c}, hbar, AFFINE_DOMAIN)
+    enhanced = polynomial_symbol({(2, 1): 1.0, (0, -1): c}, AFFINE_DOMAIN)
     start = PhasePoint(params["p0"], params["q0"], domain=AFFINE_DOMAIN)
     dt = params["dt"]
     back = integrate(enhanced, start, params["t_min"], dt)
@@ -510,7 +515,7 @@ def run_model_one(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
         "enhanced_singular": traj.singular,
     }
     if params["include_classical"]:
-        classical = polynomial_symbol({(2, 1): 1.0}, hbar, AFFINE_DOMAIN)
+        classical = polynomial_symbol({(2, 1): 1.0}, AFFINE_DOMAIN)
         direction = params["t_min"] if params["p0"] > 0 else params["t_max"]
         run = integrate(classical, start, direction, dt)
         payload["classical_singular"] = run.singular

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, IO
+from typing import IO
 
 import numpy as np
 
@@ -160,136 +160,6 @@ def restricted_action(path: Trajectory, symbol: SymbolFn) -> float:
     h_vals = np.array([symbol(pi, qi) for pi, qi in zip(p, q)])
     h_int = float(np.trapezoid(h_vals, t))
     return pdq - h_int
-
-
-def perturbed(path: Trajectory, delta_q: Callable[[np.ndarray], np.ndarray]) -> Trajectory:
-    """Path with q shifted by delta_q(t) (p and times unchanged)."""
-    q = path.q + delta_q(path.times)
-    return Trajectory(path.times.copy(), path.p.copy(), q, np.zeros_like(q))
-
-
-# ---------------------------------------------------------------------------
-# canonical transformations
-
-
-@dataclass(frozen=True)
-class CanonicalTransform:
-    """Coordinate change (p, q) -> (ptilde, qtilde) with its generator.
-
-    ``generator_increment`` evaluates the total change of the generating
-    function along a path, so that  integral p dq  =  integral pt dqt + dG.
-    """
-
-    forward: Callable[[float, float], tuple[float, float]]
-    inverse: Callable[[float, float], tuple[float, float]]
-    generator_increment: Callable[[Trajectory], float]
-    name: str = "transform"
-
-
-def identity_transform() -> CanonicalTransform:
-    return CanonicalTransform(
-        lambda p, q: (p, q), lambda p, q: (p, q), lambda path: 0.0, "identity"
-    )
-
-
-def shift_transform(a: float) -> CanonicalTransform:
-    return CanonicalTransform(
-        lambda p, q: (p, q + a),
-        lambda p, q: (p, q - a),
-        lambda path: 0.0,
-        f"shift(q + {a:g})",
-    )
-
-
-def affine_log_transform() -> CanonicalTransform:
-    """ptilde = p q, qtilde = ln q (valid for q > 0); p dq = pt dqt exactly."""
-
-    def forward(p, q):
-        if q <= 0:
-            raise DomainError("log transform requires q > 0")
-        return p * q, math.log(q)
-
-    return CanonicalTransform(
-        forward,
-        lambda pt, qt: (pt * math.exp(-qt), math.exp(qt)),
-        lambda path: 0.0,
-        "affine-log",
-    )
-
-
-def exchange_transform() -> CanonicalTransform:
-    """ptilde = q, qtilde = -p; the generator increment is Delta(p q)."""
-
-    def generator(path: Trajectory) -> float:
-        return float(path.p[-1] * path.q[-1] - path.p[0] * path.q[0])
-
-    return CanonicalTransform(
-        lambda p, q: (q, -p), lambda pt, qt: (-qt, pt), generator, "exchange"
-    )
-
-
-@dataclass(frozen=True)
-class TransformReport:
-    p_dq: float
-    pt_dqt: float
-    generator_delta: float
-    residual: float
-    tolerance: float
-    passed: bool
-
-
-def transform_invariance_check(
-    path: Trajectory, tf: CanonicalTransform, rtol: float = 1e-6
-) -> TransformReport:
-    """Verify  integral p dq - integral pt dqt - dG = 0  along the path."""
-    try:
-        mapped = [tf.forward(p, q) for p, q in zip(path.p, path.q)]
-        back = [tf.inverse(pt, qt) for pt, qt in mapped]
-    except (ValueError, ArithmeticError) as exc:
-        raise DomainError(f"transform not valid on the path: {exc}") from exc
-    scale = float(np.max(np.abs(path.p)) + np.max(np.abs(path.q)) + 1)
-    worst = max(
-        max(abs(bp - p), abs(bq - q))
-        for (bp, bq), p, q in zip(back, path.p, path.q)
-    )
-    if worst > 1e-10 * scale:
-        raise PreconditionError(
-            f"forward/inverse round trip off by {worst:.2e} on the path"
-        )
-    pt = np.array([m[0] for m in mapped])
-    qt = np.array([m[1] for m in mapped])
-    p_dq = float(np.sum(0.5 * (path.p[1:] + path.p[:-1]) * np.diff(path.q)))
-    pt_dqt = float(np.sum(0.5 * (pt[1:] + pt[:-1]) * np.diff(qt)))
-    d_gen = tf.generator_increment(path)
-    residual = abs(p_dq - pt_dqt - d_gen)
-    tol = rtol * (1 + abs(p_dq))
-    return TransformReport(p_dq, pt_dqt, d_gen, residual, tol, residual <= tol)
-
-
-# ---------------------------------------------------------------------------
-# Model One reference solution
-
-
-def model_one_reference(p0: float, q0: float, c: float) -> Callable[[float], tuple[float, float]]:
-    """Closed-form flow of H = q p^2 + c / q (c >= 0, q0 > 0).
-
-    Energy conservation gives q(t) = [c + (|p0| q0 + s E t)^2] / E with
-    s = sign(p0), which reduces to q0 (1 + p0 t)^2 at c = 0.
-    """
-    if q0 <= 0:
-        raise DomainError("Model One requires q0 > 0")
-    energy = q0 * p0**2 + (c / q0 if c else 0.0)
-    if energy <= 0:
-        raise DomainError("reference solution assumes positive energy")
-    u0 = abs(p0) * q0  # sqrt(E q0 - c)
-    s = 1.0 if p0 >= 0 else -1.0
-
-    def at(t: float) -> tuple[float, float]:
-        w = u0 + s * energy * t
-        q = (c + w * w) / energy
-        return s * w / q, q
-
-    return at
 
 
 def model_one_floor(p0: float, q0: float, c: float) -> float:

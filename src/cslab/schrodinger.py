@@ -41,6 +41,10 @@ from .symbols import D_FACTOR, X_FACTOR, OperatorExpr
 # largest share of the norm of psi0 that evolve may drop on the pinned
 # nodes; it matches the normalization tolerance evolve requires of psi0
 PINNED_NORM_TOL = 1e-6
+# largest phase |p0| h / hbar that psi0's plane wave may turn per grid
+# spacing: the 3-point stencil then misses its kinetic energy by at most
+# (p0 h / hbar)^2 / 12 < 1e-3 relative
+MAX_PHASE_PER_NODE = 0.1
 
 
 @dataclass(frozen=True)

@@ -177,7 +177,6 @@ class SymbolFn:
 
     evaluator: Callable[[float, float], float]
     gradient: Callable[[float, float], tuple[float, float]]
-    hbar: float
     provenance: str  # CANONICAL_DOMAIN or AFFINE_DOMAIN
     closed_form: bool
     poly: dict[tuple[int, int], float] | None = field(default=None, repr=False)
@@ -193,9 +192,7 @@ class SymbolFn:
         return self.gradient(p, q)
 
     @staticmethod
-    def from_poly(
-        poly: dict[tuple[int, int], float], hbar: float, provenance: str
-    ) -> "SymbolFn":
+    def from_poly(poly: dict[tuple[int, int], float], provenance: str) -> "SymbolFn":
         """Closed-form symbol from (p-power, q-power) -> coefficient.
 
         q powers may be negative (Laurent) for affine symbols.
@@ -211,13 +208,13 @@ class SymbolFn:
         def gradient(p: float, q: float) -> tuple[float, float]:
             return _monomial_sum(d_dp, p, q), _monomial_sum(d_dq, p, q)
 
-        return SymbolFn(evaluator, gradient, hbar, provenance, True, poly=poly)
+        return SymbolFn(evaluator, gradient, provenance, True, poly=poly)
 
 
 def polynomial_symbol(
-    poly: dict[tuple[int, int], float], hbar: float = 1.0, provenance: str = CANONICAL_DOMAIN
+    poly: dict[tuple[int, int], float], provenance: str = CANONICAL_DOMAIN
 ) -> SymbolFn:
-    return SymbolFn.from_poly(poly, hbar, provenance)
+    return SymbolFn.from_poly(poly, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +319,7 @@ def weak_symbol(op: OperatorExpr, f: Fiducial) -> SymbolFn:
         raise AccuracyError(
             f"closed-form symbol of a Hermitian operator has imaginary part {max_imag:.2e}"
         )
-    return SymbolFn.from_poly({k: v.real for k, v in total.items()}, f.hbar, f.kind)
+    return SymbolFn.from_poly({k: v.real for k, v in total.items()}, f.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -411,55 +408,3 @@ def compute_C(f: Fiducial) -> float:
     if f.kind != AFFINE_DOMAIN:
         raise PreconditionError("C is defined for affine fiducials")
     return f.hbar * f.beta / 2.0
-
-
-# ---------------------------------------------------------------------------
-# hbar -> 0 comparison
-
-
-@dataclass(frozen=True)
-class HbarLimitReport:
-    hbars: tuple[float, ...]
-    residuals: tuple[float, ...]
-    fitted_exponent: float | None
-    monotone: bool
-    at_least_linear: bool
-    exact: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.exact or (self.monotone and self.at_least_linear)
-
-
-def hbar_limit_check(
-    op: OperatorExpr,
-    fiducial_family: Callable[[float], Fiducial],
-    classical_symbol: Callable[[float, float], float],
-    p: float,
-    q: float,
-    hbars: tuple[float, ...] = (1.0, 0.5, 0.25, 0.125),
-) -> HbarLimitReport:
-    """Residual |H_hbar(p,q) - H_classical(p,q)| over a decreasing hbar ladder.
-
-    The residual must shrink at least linearly in hbar; an identically zero
-    residual (exact symbol) is reported as such.
-    """
-    classical = classical_symbol(p, q)
-    residuals = []
-    for hb in hbars:
-        f = fiducial_family(hb)
-        symbol = weak_symbol(op, f)
-        residuals.append(abs(symbol(p, q) - classical))
-    residuals = tuple(residuals)
-    scale = 1 + abs(classical)
-    if all(r <= 1e-12 * scale for r in residuals):
-        return HbarLimitReport(tuple(hbars), residuals, None, True, True, True)
-    monotone = all(
-        residuals[i + 1] < residuals[i] + 1e-14 * scale for i in range(len(residuals) - 1)
-    )
-    logs_h = np.log(np.asarray(hbars))
-    logs_r = np.log(np.maximum(residuals, 1e-300))
-    slope = float(np.polyfit(logs_h, logs_r, 1)[0])
-    return HbarLimitReport(
-        tuple(hbars), residuals, slope, monotone, slope >= 0.95, False
-    )

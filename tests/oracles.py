@@ -5,8 +5,8 @@ and overlaps are computed by direct 2-D Gauss-Legendre quadrature over the
 explicit displaced wave functions, sheet metrics and labels by weighted
 sums over the coherent densities on a grid or by central differences of
 the states, curvature by the Brioschi formula on a stencil of metrics, the
-constant C by adaptive quadrature, and characteristic functions by a 2-D
-radial-angular rule.
+constant C by adaptive quadrature, the Model One flow from energy
+conservation, and characteristic functions by a 2-D radial-angular rule.
 """
 
 import math
@@ -438,6 +438,32 @@ def density_labels(f, pt, n=None):
     if pt.domain == AFFINE_DOMAIN:
         return pt.p, x_mom
     return pt.p * float(rho.sum()), x_mom
+
+
+# ---------------------------------------------------------------------------
+# the Model One flow in closed form
+
+
+def model_one_reference(p0, q0, c):
+    """Closed-form flow t -> (p, q) of H = q p^2 + c / q (c >= 0, q0 > 0).
+
+    Energy conservation gives q(t) = [c + (|p0| q0 + s E t)^2] / E with
+    s = sign(p0), which reduces to q0 (1 + p0 t)^2 at c = 0.
+    """
+    if q0 <= 0:
+        raise DomainError("Model One requires q0 > 0")
+    energy = q0 * p0**2 + (c / q0 if c else 0.0)
+    if energy <= 0:
+        raise DomainError("reference solution assumes positive energy")
+    u0 = abs(p0) * q0  # sqrt(E q0 - c)
+    s = 1.0 if p0 >= 0 else -1.0
+
+    def at(t):
+        w = u0 + s * energy * t
+        q = (c + w * w) / energy
+        return s * w / q, q
+
+    return at
 
 
 # ---------------------------------------------------------------------------

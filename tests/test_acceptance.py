@@ -17,11 +17,12 @@ from oracles import (
     exact_metric,
     exact_metric_field,
     kinetic_dilation_quadrature,
+    model_one_reference,
     quadrature_expectations,
     quadrature_overlap,
 )
 
-from cslab.dynamics import integrate, model_one_reference
+from cslab.dynamics import integrate
 from cslab.geometry import fs_metric, scalar_curvature
 from cslab.modeltwo import (
     ReducibleRep,
@@ -55,7 +56,6 @@ from cslab.states import (
 )
 from cslab.symbols import (
     compute_C,
-    hbar_limit_check,
     parse_operator,
     polynomial_symbol,
     weak_symbol,
@@ -170,8 +170,8 @@ def test_03_poincare_geometry():
 def test_04_model_one_singularity_avoidance():
     hbar = beta = 1.0
     c = hbar * beta / 2
-    classical = polynomial_symbol({(2, 1): 1.0}, hbar, "affine")
-    enhanced = polynomial_symbol({(2, 1): 1.0, (0, -1): c}, hbar, "affine")
+    classical = polynomial_symbol({(2, 1): 1.0}, "affine")
+    enhanced = polynomial_symbol({(2, 1): 1.0, (0, -1): c}, "affine")
 
     # collapse of the strictly classical flow, flagged near t = -1/p0
     collapse_ok = True
@@ -220,32 +220,20 @@ def test_05_kinetic_dilation_constant():
 
 
 def test_06_hbar_scaling_of_symbols():
-    omega = 1.0
-    harmonic = hbar_limit_check(
-        parse_operator(f"0.5 * D D + {0.5 * omega**2} * X X"),
-        lambda hb: gaussian_fiducial(omega, hb),
-        lambda p, q: 0.5 * (p**2 + omega**2 * q**2),
-        p=1.0,
-        q=1.0,
-    )
-    model_one = hbar_limit_check(
-        parse_operator("1.0 * D X D"),
-        lambda hb: affine_fiducial(1.0, hb),
-        lambda p, q: q * p**2,
-        p=1.0,
-        q=2.0,
-    )
-    ok = (
-        harmonic.fitted_exponent is not None
-        and abs(harmonic.fitted_exponent - 1.0) <= 0.05
-        and model_one.fitted_exponent is not None
-        and abs(model_one.fitted_exponent - 1.0) <= 0.05
-    )
+    # H_hbar - H_classical is exactly linear in hbar: hbar omega / 2 for the
+    # oscillator at p = q = 1, hbar beta / (2 q) for D X D at p = 1, q = 2
+    harmonic = parse_operator("0.5 * D D + 0.5 * X X")
+    dxd = parse_operator("1.0 * D X D")
+    worst = 0.0
+    for hb in (1.0, 0.5, 0.25, 0.125):
+        oscillator = weak_symbol(harmonic, gaussian_fiducial(1.0, hb))(1.0, 1.0) - 1.0
+        model_one = weak_symbol(dxd, affine_fiducial(1.0, hb))(1.0, 2.0) - 2.0
+        worst = max(worst, abs(oscillator - hb / 2), abs(model_one - hb / 4))
     report(
         6,
-        ok,
-        f"fitted exponents {harmonic.fitted_exponent:.3f}, "
-        f"{model_one.fitted_exponent:.3f} (1.0 +- 0.05)",
+        worst <= 1e-12,
+        f"residuals vs hbar/2 and hbar/4 at hbar = 1, 1/2, 1/4, 1/8: "
+        f"max err {worst:.2e} (<= 1e-12)",
     )
 
 

@@ -147,6 +147,26 @@ class TestExitCodes:
         assert "numerical failure" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--p0", "20"],
+            ["--p0", "200"],
+            ["--family", "affine", "--operator", "1.0 * D X D", "--q0", "1", "--p0", "20"],
+        ],
+    )
+    def test_unresolved_momentum_stops_before_stepping(self, tmp_path, capsys, argv):
+        # |p0| h / hbar is 0.53, 40.5 and 0.24 on 2048 nodes; the first two
+        # used to exit 0 with energy_initial 195.85 and 47.2 against the
+        # exact 200.5 and 20000.5
+        code = run(
+            ["evolve-quantum", "--operator", "0.5 * D D + 0.5 * X X", "--q0", "0",
+             "--n_nodes", "2048", *argv, "--out", str(tmp_path), "--quiet"]
+        )
+        assert code == 3
+        assert "resolution limit" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag,value", [("--q_list", "1e308"), ("--omega", "1e300")])
     def test_extreme_flat_sheet_has_zero_curvature(self, tmp_path, flag, value):
         # the canonical metric is finite and constant there, so the sheet is flat

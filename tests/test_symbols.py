@@ -12,7 +12,6 @@ from cslab.symbols import (
     D,
     X,
     compute_C,
-    hbar_limit_check,
     parse_operator,
     symbol_quadrature_affine,
     symbol_quadrature_canonical,
@@ -206,54 +205,22 @@ class TestComputeC:
 
 
 class TestHbarLimit:
-    def test_harmonic_residual_linear(self):
-        omega = 1.0
-        op = parse_operator(f"0.5 * D D + {0.5 * omega**2} * X X")
-        report = hbar_limit_check(
-            op,
-            lambda hb: gaussian_fiducial(omega, hb),
-            lambda p, q: 0.5 * (p**2 + omega**2 * q**2),
-            p=1.0,
-            q=1.0,
-        )
-        assert report.passed and not report.exact
-        for hb, r in zip(report.hbars, report.residuals):
-            assert r == pytest.approx(hb * omega / 2, rel=1e-12)
-        assert report.fitted_exponent == pytest.approx(1.0, abs=1e-10)
-
-    def test_position_residual_exactly_zero(self):
-        report = hbar_limit_check(
-            parse_operator("1.0 * X"),
-            lambda hb: gaussian_fiducial(1.0, hb),
-            lambda p, q: q,
-            p=0.3,
-            q=-0.8,
-        )
-        assert report.exact and report.passed
-
-    def test_affine_dxd_residual(self):
-        beta = 1.0
-        report = hbar_limit_check(
-            parse_operator("1.0 * D X D"),
-            lambda hb: affine_fiducial(beta, hb),
-            lambda p, q: q * p**2,
-            p=1.0,
-            q=2.0,
-        )
-        assert report.passed
-        for hb, r in zip(report.hbars, report.residuals):
-            assert r == pytest.approx(hb * beta / 4, rel=1e-12)
-
-    def test_flat_residual_is_reported_not_raised(self):
-        # a wrong classical limit leaves the residual stuck at a constant;
-        # the check must report failure instead of raising
-        report = hbar_limit_check(
-            parse_operator("1.0 * X"),
-            lambda hb: gaussian_fiducial(1.0, hb),
-            lambda p, q: q + 1.0,
-            p=0.0,
-            q=0.0,
-        )
-        assert not report.passed
-        assert not report.exact
-        assert abs(report.fitted_exponent) < 0.1
+    # the symbol is exact, so H_hbar - H_classical is checked value by value
+    # down the hbar ladder: hbar omega / 2 for the oscillator, 0 for X, and
+    # hbar beta / (2 q) for D X D on the affine sheet
+    @pytest.mark.parametrize(
+        "text,fiducial,classical,p,q,per_hbar",
+        [
+            pytest.param("0.5 * D D + 0.5 * X X", lambda hb: gaussian_fiducial(1.0, hb),
+                         lambda p, q: 0.5 * (p**2 + q**2), 1.0, 1.0, 0.5, id="harmonic"),
+            pytest.param("1.0 * X", lambda hb: gaussian_fiducial(1.0, hb),
+                         lambda p, q: q, 0.3, -0.8, 0.0, id="position"),
+            pytest.param("1.0 * D X D", lambda hb: affine_fiducial(1.0, hb),
+                         lambda p, q: q * p**2, 1.0, 2.0, 0.25, id="affine-dxd"),
+        ],
+    )
+    def test_residual_is_linear_in_hbar(self, text, fiducial, classical, p, q, per_hbar):
+        op = parse_operator(text)
+        for hb in (1.0, 0.5, 0.25, 0.125):
+            residual = weak_symbol(op, fiducial(hb))(p, q) - classical(p, q)
+            assert residual == pytest.approx(per_hbar * hb, rel=1e-12)
