@@ -37,6 +37,7 @@ from .modeltwo import (
 )
 from .schrodinger import (
     MAX_PHASE_PER_NODE,
+    MAX_SPACING_PER_WIDTH,
     EvolutionSetup,
     evolve,
     half_line_window,
@@ -454,6 +455,13 @@ def run_evolve_quantum(params: dict, rng: np.random.Generator, out: Outputs) -> 
         grid = half_line_window(f, q_max=3 * params["q0"], n=n)
     else:
         grid = oscillation_window(f, params["p0"], params["q0"], n)
+        spacing_per_width = grid.spacing / f.sigma
+        if not spacing_per_width <= MAX_SPACING_PER_WIDTH:  # a NaN spacing fails too
+            raise NumericError(
+                f"the {grid.n}-node grid does not resolve the fiducial width "
+                f"sigma = {f.sigma:.3g}: its spacing is {spacing_per_width:.4g} sigma, over "
+                f"the resolution limit {MAX_SPACING_PER_WIDTH:g}; add nodes or lower |q0|"
+            )
     phase_per_node = abs(params["p0"]) * grid.spacing / f.hbar
     if not phase_per_node <= MAX_PHASE_PER_NODE:  # a NaN phase fails too
         raise NumericError(
@@ -601,13 +609,23 @@ _RUNNERS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(names: tuple[str, ...] = tuple(SCHEMAS)) -> argparse.ArgumentParser:
+    """The ``cslab`` parser with a subparser for each of ``names`` (all by default).
+
+    A subparser's ``prog`` is ``cslab <name>`` whichever names are built, and
+    the usage line always lists every subcommand, so the help and the error
+    messages of a parse that names a built subcommand do not depend on ``names``.
+    """
     parser = argparse.ArgumentParser(
         prog="cslab",
         description="coherent-state laboratory: batch scenario runner",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, schema in SCHEMAS.items():
+    # the full tree keeps argparse's own metavar: it names the positional
+    # "subcommand" in the message for a missing one
+    metavar = None if set(names) == set(SCHEMAS) else "{" + ",".join(SCHEMAS) + "}"
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
+    for name in names:
+        schema = SCHEMAS[name]
         p = sub.add_parser(name, help=_DESCRIPTIONS[name], description=_DESCRIPTIONS[name])
         p.add_argument("--scenario", help="flat key/value scenario file")
         p.add_argument("--out", default="out", help="output directory")
@@ -625,8 +643,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # build only the named subcommand; anything else (no argument, -h, a
+    # typo) gets the full tree, whose usage lists every choice
+    names = (argv[0],) if argv and argv[0] in SCHEMAS else tuple(SCHEMAS)
+    args = build_parser(names).parse_args(argv)
     try:
         params = resolve_params(args.subcommand, args)
     except ConfigError as exc:

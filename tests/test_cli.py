@@ -1,5 +1,6 @@
 """Scenario runner: schemas, exit codes, determinism, provenance."""
 
+import argparse
 import importlib
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 import cslab.cli
 import cslab.grids
 import cslab.symbols
-from cslab.cli import _RUNNERS, SCHEMAS, main
+from cslab.cli import _RUNNERS, SCHEMAS, build_parser, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -167,6 +168,20 @@ class TestExitCodes:
         assert "resolution limit" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_unresolved_fiducial_width_stops_before_stepping(self, tmp_path, capsys):
+        # q0 = 1000 spreads 2048 nodes at h = 1.39 sigma; it used to exit 0
+        # with energy_initial 500000.692 against the exact 500000.5
+        code = run(
+            ["evolve-quantum", "--operator", "0.5 * D D + 0.5 * X X", "--p0", "0",
+             "--q0", "1000", "--n_nodes", "2048", "--steps", "3",
+             "--out", str(tmp_path), "--quiet"]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "does not resolve the fiducial width" in err
+        assert "resolution limit" in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag,value", [("--q_list", "1e308"), ("--omega", "1e300")])
     def test_extreme_flat_sheet_has_zero_curvature(self, tmp_path, flag, value):
         # the canonical metric is finite and constant there, so the sheet is flat
@@ -271,6 +286,69 @@ class TestColdStart:
         assert "scipy.linalg" in quantum_loaded
         for name in ("special", "optimize", "integrate", "interpolate", "sparse"):
             assert not any(m.split(".")[:2] == ["scipy", name] for m in quantum_loaded), name
+
+
+def subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+class TestParserBuild:
+    """main builds only the subparser its argv names; help and errors do not change."""
+
+    def test_default_builds_every_subcommand(self):
+        assert list(subparsers(build_parser())) == list(SCHEMAS)
+
+    @pytest.mark.parametrize("name", list(SCHEMAS))
+    def test_one_subparser_has_the_full_tree_help(self, name):
+        alone = subparsers(build_parser((name,)))
+        assert list(alone) == [name]
+        assert alone[name].format_help() == subparsers(build_parser())[name].format_help()
+
+    @pytest.mark.parametrize("argv", COLD_ARGVS + [QUANTUM], ids=lambda argv: argv[0])
+    def test_main_adds_one_subparser(self, tmp_path, monkeypatch, argv):
+        calls = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counted(self, name, **kwargs):
+            calls.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        assert run(argv + ["--out", str(tmp_path), "--quiet"]) == 0
+        assert calls == [argv[0]]
+
+    @pytest.mark.parametrize(
+        "argv,code,message",
+        [
+            ([], 2, "the following arguments are required: subcommand"),
+            (["bogus"], 2, "invalid choice: 'bogus'"),
+            (["-h"], 0, "positional arguments"),
+        ],
+    )
+    def test_usage_still_lists_every_subcommand(self, capsys, argv, code, message):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == code
+        captured = capsys.readouterr()
+        text = captured.out + captured.err
+        assert "{" + ",".join(SCHEMAS) + "}" in text
+        assert message in text
+
+    def test_unrecognized_argument_error_matches_the_full_tree(self, capsys):
+        argv = ["metric", "--bogus", "1"]
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert capsys.readouterr().err == err
+
+    def test_none_reads_sys_argv(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["cslab", "metric", "--out", str(tmp_path), "--quiet"])
+        assert main(None) == 0
+        assert (tmp_path / "metric.json").exists()
 
 
 class TestCenteringCommand:
