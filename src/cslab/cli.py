@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import Trajectory, integrate, model_one_floor
-from .errors import ConfigError, CslabError, NumericError
+from .errors import ConfigError, CslabError, DomainError, NumericError
 from .geometry import fs_metric, scalar_curvature
 from .grids import WaveFunction
 from .modeltwo import (
@@ -256,7 +256,12 @@ class Outputs:
         self.fmt = fmt
         self.tag = tag
         self.quiet = quiet
-        out_dir.mkdir(parents=True, exist_ok=True)
+
+    def _path(self, suffix: str, extension: str) -> Path:
+        # the directory is made at the first write, so a run that stops
+        # before writing leaves no trace
+        self.dir.mkdir(parents=True, exist_ok=True)
+        return self.dir / f"{self.name}{suffix}.{extension}"
 
     def _announce(self, path: Path):
         if not self.quiet:
@@ -266,12 +271,12 @@ class Outputs:
         return {"tool_version": __version__, "scenario_hash": self.tag}
 
     def json(self, payload: dict, suffix: str = "") -> Path:
-        path = self.dir / f"{self.name}{suffix}.json"
         payload = {"provenance": self.provenance(), **payload}
         try:
             text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
         except ValueError as exc:
             raise NumericError(f"non-finite value in the {self.name} report") from exc
+        path = self._path(suffix, "json")
         path.write_text(text + "\n")
         self._announce(path)
         return path
@@ -280,7 +285,7 @@ class Outputs:
         """CSV file with the two-line provenance header; ``write_body(fh)`` adds the rest."""
         if self.fmt == "json":
             return None
-        path = self.dir / f"{self.name}{suffix}.csv"
+        path = self._path(suffix, "csv")
         with path.open("w", encoding="utf-8", newline="\n") as fh:
             fh.write(f"# tool: cslab {__version__}\n# scenario: {self.tag}\n")
             write_body(fh)
@@ -296,7 +301,7 @@ class Outputs:
     def svg(self, x, series, title, x_label, y_label, suffix: str = "") -> Path | None:
         if self.fmt != "svg":
             return None
-        path = self.dir / f"{self.name}{suffix}.svg"
+        path = self._path(suffix, "svg")
         with path.open("w", encoding="utf-8", newline="\n") as fh:
             write_line_plot(
                 fh,
@@ -315,6 +320,16 @@ def _fiducial(params: dict):
     if params["family"] == AFFINE_DOMAIN:
         return affine_fiducial(params["beta"], params["hbar"])
     return gaussian_fiducial(params["omega"], params["hbar"])
+
+
+def _start(params: dict, domain: str) -> PhasePoint:
+    """The run's start (p0, q0); a start off the sheet is a configuration error."""
+    try:
+        return PhasePoint(params["p0"], params["q0"], domain=domain)
+    except DomainError as exc:
+        raise ConfigError(
+            f"q0 = {params['q0']!r} is not a start on the {domain} sheet: {exc}"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +435,10 @@ def run_curvature(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
 
 
 def run_evolve_classical(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
+    start = _start(params, params["family"])
     op = parse_operator(params["operator"])
     f = _fiducial(params)
     symbol = weak_symbol(op, f)
-    start = PhasePoint(params["p0"], params["q0"], domain=f.kind)
     traj = integrate(symbol, start, params["t_final"], params["dt"])
     payload = {
         "operator": params["operator"],
@@ -448,6 +463,7 @@ def run_evolve_classical(params: dict, rng: np.random.Generator, out: Outputs) -
 def run_evolve_quantum(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
     if params["snapshot_every"] < 0:
         raise ConfigError(f"snapshot_every = {params['snapshot_every']} is negative")
+    start = _start(params, params["family"])
     op = parse_operator(params["operator"])
     f = _fiducial(params)
     n = params["n_nodes"]
@@ -469,7 +485,7 @@ def run_evolve_quantum(params: dict, rng: np.random.Generator, out: Outputs) -> 
             f"{phase_per_node:.3g} rad per node, over the resolution limit "
             f"{MAX_PHASE_PER_NODE:g}; add nodes or lower |p0|"
         )
-    psi0 = CoherentFamily(f, grid)(params["p0"], params["q0"]).normalized()
+    psi0 = CoherentFamily(f, grid)(start.p, start.q).normalized()
     setup = EvolutionSetup(op, grid, params["dt"], params["steps"], f.hbar)
     result = evolve(psi0, setup, snapshot_every=params["snapshot_every"] or None)
     traj = result.trajectory
@@ -496,10 +512,10 @@ def run_evolve_quantum(params: dict, rng: np.random.Generator, out: Outputs) -> 
 
 
 def run_model_one(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
+    start = _start(params, AFFINE_DOMAIN)
     hbar = params["hbar"]
     c = compute_C(affine_fiducial(params["beta"], hbar))  # the fiducial checks beta and hbar
     enhanced = polynomial_symbol({(2, 1): 1.0, (0, -1): c}, AFFINE_DOMAIN)
-    start = PhasePoint(params["p0"], params["q0"], domain=AFFINE_DOMAIN)
     dt = params["dt"]
     back = integrate(enhanced, start, params["t_min"], dt)
     fwd = integrate(enhanced, start, params["t_max"], dt)

@@ -13,10 +13,14 @@ Boundaries are homogeneous Dirichlet and follow the grid: a full-line
 window is pinned at both ends, a half-line grid only at its far end (x = 0
 is a ghost zero, not a node).  Crank-Nicolson is the Cayley form of the
 discrete Hamiltonian, hence unitary in the discrete norm up to solver
-roundoff: one LAPACK tridiagonal factorization per run and one tridiagonal
-product per step, guarded by the solve residual.  The run is measured as
-it steps, on the vector of unknowns with the grid's quadrature (<H> from
-that same product); the full-grid state is built once, at the end.
+roundoff.  With A = 1 + i lam H and B = 1 - i lam H, A + B = 2, so a step
+u' = A^-1 B u is u' = 2 A^-1 u - u: one solve with A and no right-hand-side
+product.  A is factored once per run as L D L^T without pivoting (see
+:func:`ldlt_tridiagonal`), so each step is two unit-bidiagonal BLAS sweeps
+around one multiply by 2/D, guarded by the residual A u' - B u from one
+tridiagonal product.  The run is measured as it steps, on the vector of
+unknowns with the grid's quadrature (<H> from H u, formed on recorded
+steps only); the full-grid state is built once, at the end.
 """
 
 from __future__ import annotations
@@ -153,6 +157,37 @@ def spectral_radius_estimate(diag: np.ndarray, off: np.ndarray) -> float:
     return float(np.max(tridiagonal_product(np.abs(diag), np.abs(off), np.ones(diag.size))))
 
 
+def ldlt_tridiagonal(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Multipliers l and pivots d of A = L D L^T, without pivoting.
+
+    A is the complex symmetric tridiagonal matrix with diagonal ``diag``
+    and off-diagonal ``off``; L is unit lower-bidiagonal with l below its
+    diagonal.  For A = 1 + i lam H, H real symmetric, the Hermitian part of
+    A is 1, so Re(x* A x) = |x|^2 and every leading block is nonsingular:
+    elimination without row swaps completes, and each pivot
+    d_i = 1 + i lam H_ii + lam^2 H_i,i-1^2 / d_(i-1) keeps Re d_i >= 1, so
+    |l_i| <= |lam H_i,i-1| whatever the sign of H.  A zero or non-finite
+    pivot (an H that overflowed) raises NumericError.
+    """
+    failure = NumericError(
+        f"tridiagonal factorization met a zero or non-finite pivot (n={diag.size})"
+    )
+    a, e = diag.tolist(), off.tolist()
+    pivots, multipliers = [a[0]], []
+    try:
+        for ai, ei in zip(a[1:], e):
+            li = ei / pivots[-1]
+            multipliers.append(li)
+            pivots.append(ai - li * ei)
+    except ZeroDivisionError:
+        raise failure from None
+    # a multiplier that overflows makes the next pivot non-finite
+    d = np.array(pivots)
+    if not (np.all(d) and np.all(np.isfinite(d))):
+        raise failure
+    return np.array(multipliers, dtype=complex), d
+
+
 @dataclass
 class EvolutionResult:
     """A run's setup, its last state, and its trajectory: t, <p>, <x> and <H>
@@ -178,7 +213,7 @@ def evolve(
     unknowns with the grid's quadrature (see :func:`track_expectations`);
     the full-grid state is built once, for ``EvolutionResult.final``.
     """
-    from scipy.linalg.lapack import zgttrf, zgttrs
+    from scipy.linalg.blas import ztbsv
 
     if not psi0.grid.same_as(setup.grid):
         raise GridMismatchError("initial state must live on the setup grid")
@@ -200,14 +235,19 @@ def evolve(
     diag, off = setup.tridiagonal
     sign = -1.0 if backward else 1.0
     lam = sign * setup.dt / (2 * setup.hbar)
-    # A = 1 + i lam H; b = B u = u - i lam H u and A u - b share one H u per step
-    *factors, info = zgttrf(1j * lam * off, 1 + 1j * lam * diag, 1j * lam * off)
-    if info != 0:
-        raise NumericError(f"tridiagonal factorization failed (LAPACK info {info}, n={diag.size})")
-    # complex copies, so that each step's product multiplies like with like
+    # A = 1 + i lam H = L D L^T; the unit bidiagonal L and L^T in BLAS band
+    # storage (Fortran order, so that no call copies them)
+    a_diag, a_off = 1 + 1j * lam * diag, 1j * lam * off
+    multipliers, pivots = ldlt_tridiagonal(a_diag, a_off)
+    m = diag.size
+    lower = np.zeros((2, m), dtype=complex, order="F")
+    lower[1, :-1] = multipliers
+    upper = np.zeros((2, m), dtype=complex, order="F")
+    upper[0, 1:] = multipliers
+    two_over_pivots = 2 / pivots
+    # complex copies, so that each product multiplies like with like
     diag, off = diag.astype(complex), off.astype(complex)
     x_weights = (grid.weights * grid.nodes)[sl]
-    minus_ilam, plus_ilam = -1j * lam, 1j * lam
 
     u = np.array(psi0.values[sl], dtype=complex)
     h = grid.spacing
@@ -215,22 +255,26 @@ def evolve(
     hu = tridiagonal_product(diag, off, u)
     records = [(0.0, *track_expectations(u, hu, x_weights, setup))]  # (t, <p>, <x>, <H>)
     for step in range(1, setup.steps + 1):
-        b = hu * minus_ilam
-        b += u
-        u, info = zgttrs(*factors, b)
-        if info != 0:
-            raise NumericError(f"tridiagonal solve failed (LAPACK info {info}) at step {step}")
-        hu = tridiagonal_product(diag, off, u)
-        r = hu * plus_ilam
-        r += u
-        r -= b
+        w = ztbsv(1, lower, u, lower=1, diag=1)
+        w *= two_over_pivots
+        w = ztbsv(1, upper, w, diag=1, overwrite_x=1)  # w = 2 A^-1 u
+        # A u' - B u = A w - 2 u must stay under 1e-10 max(|u|, 1), which
+        # |B u| >= |u| makes no looser a bound than 1e-10 max(|B u|, 1);
+        # |u| is formed only when the residual exceeds 1e-10
+        r = tridiagonal_product(a_diag, a_off, w)
+        r -= u
+        r -= u
         res = math.sqrt(np.vdot(r, r).real)
-        if not res <= 1e-10 * max(math.sqrt(np.vdot(b, b).real), 1.0):  # a NaN residual fails too
+        if not res <= 1e-10 and not res <= 1e-10 * math.sqrt(np.vdot(u, u).real):
+            # a NaN residual fails too
             raise NumericError(
                 f"tridiagonal solve residual {res:.2e} at step {step} "
-                f"(dt={setup.dt:g}, n={diag.size})"
+                f"(dt={setup.dt:g}, n={m})"
             )
+        w -= u
+        u = w
         if step % snapshot_every == 0 or step == setup.steps:
+            hu = tridiagonal_product(diag, off, u)
             records.append((sign * step * setup.dt, *track_expectations(u, hu, x_weights, setup)))
 
     norm1 = math.sqrt(np.vdot(u, u).real * h)

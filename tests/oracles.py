@@ -150,9 +150,10 @@ def h1_terms(n, nu):
 # ---------------------------------------------------------------------------
 # Crank-Nicolson by general sparse matrices
 #
-# A = 1 + i lam H and B = 1 - i lam H are assembled as sparse matrices and A
-# is factored by a general sparse LU: the reference the tridiagonal LAPACK
-# solver in cslab.schrodinger is tested against.
+# A = 1 + i lam H and B = 1 - i lam H are assembled as sparse matrices, A is
+# factored by a general sparse LU with its own pivoting, and each step solves
+# A u' = B u: the reference for cslab.schrodinger, which instead steps
+# u' = 2 A^-1 u - u on a pivot-free L D L^T of A.
 
 
 def crank_nicolson_sparse(diag, off, lam, u, steps):

@@ -182,6 +182,44 @@ class TestExitCodes:
         assert "resolution limit" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, code", [
+        pytest.param(QUANTUM + ["--snapshot_every=-1"], 2, id="exit-2"),
+        pytest.param(QUANTUM + ["--p0", "0", "--q0", "1000", "--n_nodes", "2048"], 3, id="exit-3"),
+    ])
+    def test_failed_run_leaves_no_output_directory(self, tmp_path, argv, code):
+        # both stop inside the runner, after the output directory is known
+        out = tmp_path / "never-written"
+        assert run(argv + ["--out", str(out), "--quiet"]) == code
+        assert not out.exists()
+
+    @pytest.mark.parametrize("q0", ["-1", "0", "nan"])
+    def test_evolve_quantum_start_off_the_half_line_exits_2(self, tmp_path, capsys, q0):
+        # it used to exit 3 naming half_line_window's upper end, not q0
+        self._assert_off_half_line(
+            tmp_path, capsys, q0,
+            ["evolve-quantum", "--family", "affine", "--operator", "1.0 * D X D", "--p0", "0",
+             "--n_nodes", "64", "--steps", "3"],
+        )
+
+    @pytest.mark.parametrize("q0", ["-1", "0", "nan"])
+    def test_evolve_classical_start_off_the_half_line_exits_2(self, tmp_path, capsys, q0):
+        self._assert_off_half_line(
+            tmp_path, capsys, q0,
+            ["evolve-classical", "--family", "affine", "--operator", "1.0 * D X D", "--p0", "0"],
+        )
+
+    @pytest.mark.parametrize("q0", ["-1", "0", "nan"])
+    def test_model_one_start_off_the_half_line_exits_2(self, tmp_path, capsys, q0):
+        self._assert_off_half_line(tmp_path, capsys, q0, ["model-one"])
+
+    @staticmethod
+    def _assert_off_half_line(tmp_path, capsys, q0, argv):
+        out = tmp_path / "out"
+        assert run(argv + ["--q0", q0, "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: q0 = {float(q0)!r} is not a start on the affine sheet" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag,value", [("--q_list", "1e308"), ("--omega", "1e300")])
     def test_extreme_flat_sheet_has_zero_curvature(self, tmp_path, flag, value):
         # the canonical metric is finite and constant there, so the sheet is flat

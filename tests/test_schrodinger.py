@@ -5,17 +5,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg.blas
+from scipy.linalg.lapack import zgttrf
 
 import cslab.grids
 import cslab.schrodinger
 from cslab.dynamics import integrate
-from cslab.errors import DomainError, GridMismatchError, PreconditionError
+from cslab.errors import DomainError, GridMismatchError, NumericError, PreconditionError
 from cslab.grids import WaveFunction, momentum_expectation, position_moment, uniform_grid
 from cslab.schrodinger import (
     EvolutionSetup,
     evolve,
     half_line_window,
     hamiltonian_tridiagonal,
+    ldlt_tridiagonal,
     oscillation_window,
     tridiagonal_product,
 )
@@ -34,6 +37,9 @@ from oracles import crank_nicolson_sparse
 HARMONIC = parse_operator("0.5 * D D + 0.5 * X X")
 DXD = parse_operator("1.0 * D X D")
 SOLVER_CASES = ["harmonic", "dxd", "dxd-b1"]  # see TestTridiagonalSolver._setup
+# a case where partial pivoting swaps rows of A = 1 + i lam H; its <H> is
+# too large for the trajectory tests' absolute bound
+PIVOTING_CASE = "inverted-quartic"
 
 
 class TestEvolutionSetup:
@@ -186,7 +192,13 @@ class TestEvolve:
 
 
 class TestTridiagonalSolver:
-    """The LAPACK tridiagonal route against the sparse LU in tests/oracles.py."""
+    """The pivot-free L D L^T route against the sparse LU in tests/oracles.py.
+
+    Each step is u' = 2 A^-1 u - u with A = 1 + i lam H factored once per
+    run without row swaps; the Hermitian part of A is 1, so elimination
+    completes whatever the sign of H, including where LAPACK's partial
+    pivoting would swap rows (``PIVOTING_CASE``).
+    """
 
     @staticmethod
     def _setup(case):
@@ -200,6 +212,13 @@ class TestTridiagonalSolver:
             grid = half_line_window(f, 2.0, 512)
             psi0 = affine_coherent(f, PhasePoint(0.5, 1.0, domain=AFFINE_DOMAIN), grid=grid)
             setup = EvolutionSetup(DXD, grid, 1e-3, 200)
+        elif case == PIVOTING_CASE:
+            # the potential -x^4 cancels the kinetic diagonal near |x| = 3.8,
+            # where |A_ii| is about 1 against |A_i,i+1| = 10
+            f = gaussian_fiducial(1.0, 1.0)
+            grid = uniform_grid(-9, 9, 256)
+            psi0 = canonical_coherent(f, PhasePoint(0.4, 0.2), grid=grid)
+            setup = EvolutionSetup(parse_operator("0.5 * D D + -1 * X^4"), grid, 0.2, 200)
         else:
             # beta = 1, as in the flow benchmark: psi ~ sqrt(x) near 0, so the
             # first node's one-sided stencil weighs in <p>
@@ -210,7 +229,7 @@ class TestTridiagonalSolver:
         return psi0.normalized(), setup
 
     @pytest.mark.parametrize("backward", [False, True])
-    @pytest.mark.parametrize("case", SOLVER_CASES)
+    @pytest.mark.parametrize("case", SOLVER_CASES + [PIVOTING_CASE])
     def test_evolve_matches_sparse_lu(self, case, backward):
         psi0, setup = self._setup(case)
         result = evolve(psi0, setup, snapshot_every=setup.steps, backward=backward)
@@ -249,6 +268,71 @@ class TestTridiagonalSolver:
         got = np.column_stack([traj.times, traj.p, traj.q, traj.energy])
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_pivoting_case_swaps_rows_under_partial_pivoting(self, backward):
+        _, setup = self._setup(PIVOTING_CASE)
+        diag, off = hamiltonian_tridiagonal(setup)
+        lam = setup.dt / (2 * setup.hbar) * (-1 if backward else 1)
+        *_, ipiv, info = zgttrf(1j * lam * off, 1 + 1j * lam * diag, 1j * lam * off)
+        assert info == 0
+        assert np.count_nonzero(ipiv != np.arange(1, diag.size + 1)) > 0
+
+    @pytest.mark.parametrize("backward", [False, True])
+    @pytest.mark.parametrize("case", SOLVER_CASES + [PIVOTING_CASE])
+    def test_factors_rebuild_a_with_pivots_off_the_imaginary_axis(self, case, backward):
+        _, setup = self._setup(case)
+        diag, off = hamiltonian_tridiagonal(setup)
+        lam = setup.dt / (2 * setup.hbar) * (-1 if backward else 1)
+        a_diag, a_off = 1 + 1j * lam * diag, 1j * lam * off
+        l, d = ldlt_tridiagonal(a_diag, a_off)
+        lower = np.eye(diag.size, dtype=complex) + np.diag(l, -1)
+        a = np.diag(a_diag) + np.diag(a_off, 1) + np.diag(a_off, -1)
+        rebuilt = lower @ np.diag(d) @ lower.T
+        assert np.max(np.abs(rebuilt - a)) <= 1e-13 * np.max(np.abs(a))
+        assert np.min(d.real) >= 1.0
+
+    @pytest.mark.parametrize("diag, off", [
+        pytest.param([0.0, 1.0, 1.0], [1.0, 1.0], id="zero-first-pivot"),
+        pytest.param([1.0, 1.0, 1.0], [1.0, 1.0], id="zero-middle-pivot"),
+        pytest.param([1.0, 2.0, 1.0], [1.0, 1.0], id="zero-last-pivot"),
+        pytest.param([1.0, np.inf, 1.0], [1.0, 1.0], id="infinite-pivot"),
+        pytest.param([1.0, 1.0, 1.0], [np.nan, 1.0], id="nan-off-diagonal"),
+    ])
+    def test_factorization_rejects_zero_or_non_finite_pivots(self, diag, off):
+        with pytest.raises(NumericError, match="pivot"):
+            ldlt_tridiagonal(np.array(diag, dtype=complex), np.array(off, dtype=complex))
+
+    @staticmethod
+    def _spoil_step(monkeypatch, step, kick):
+        """Add ``kick`` to one entry of ``step``'s solution; return the sweep log."""
+        sweeps = []
+        sweep = scipy.linalg.blas.ztbsv
+
+        def spoiled(*args, **kwargs):
+            w = sweep(*args, **kwargs)
+            sweeps.append(1)
+            if len(sweeps) == 2 * step:  # each step makes two sweeps
+                w[w.size // 2] += kick
+            return w
+
+        monkeypatch.setattr(scipy.linalg.blas, "ztbsv", spoiled)
+        return sweeps
+
+    def test_residual_guard_names_the_perturbed_step(self, monkeypatch):
+        psi0, setup = self._setup("harmonic")
+        sweeps = self._spoil_step(monkeypatch, 7, 1e-6)
+        with pytest.raises(NumericError, match=r"residual .* at step 7 "):
+            evolve(psi0, setup)
+        assert len(sweeps) == 14
+
+    def test_residual_guard_scales_with_the_state(self, monkeypatch):
+        # |u| is about 5.3 here, so a residual of about 2.2e-10 is inside
+        # 1e-10 max(|u|, 1) though over 1e-10
+        psi0, setup = self._setup("harmonic")
+        sweeps = self._spoil_step(monkeypatch, 7, 2e-10)
+        evolve(psi0, setup)
+        assert len(sweeps) == 2 * setup.steps
 
     @pytest.mark.parametrize("case", ["harmonic", "dxd"])
     def test_product_matches_dense_matrix(self, case):
