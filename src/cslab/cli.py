@@ -170,9 +170,7 @@ _DESCRIPTIONS = {
 }
 
 
-def _parse_value(key: str, param: Param, raw, where: str):
-    if not isinstance(raw, str):
-        return raw
+def _parse_value(key: str, param: Param, raw: str, where: str):
     raw = raw.strip()
     try:
         if param.kind == "float":
@@ -221,7 +219,7 @@ def resolve_params(subcommand: str, args: argparse.Namespace) -> dict:
     if args.scenario:
         values.update(load_scenario(Path(args.scenario), schema))
     for key, param in schema.items():
-        cli_val = getattr(args, key.replace("-", "_"), None)
+        cli_val = getattr(args, key, None)
         if cli_val is not None:
             values[key] = _parse_value(key, param, cli_val, "command line")
     for key, param in schema.items():
@@ -270,13 +268,13 @@ class Outputs:
     def provenance(self) -> dict:
         return {"tool_version": __version__, "scenario_hash": self.tag}
 
-    def json(self, payload: dict, suffix: str = "") -> Path:
+    def json(self, payload: dict) -> Path:
         payload = {"provenance": self.provenance(), **payload}
         try:
             text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
         except ValueError as exc:
             raise NumericError(f"non-finite value in the {self.name} report") from exc
-        path = self._path(suffix, "json")
+        path = self._path("", "json")
         path.write_text(text + "\n")
         self._announce(path)
         return path
@@ -292,16 +290,16 @@ class Outputs:
         self._announce(path)
         return path
 
-    def csv_trajectory(self, traj: Trajectory, suffix: str = "") -> Path | None:
-        return self._csv(suffix, traj.write_csv)
+    def csv_trajectory(self, traj: Trajectory) -> Path | None:
+        return self._csv("", traj.write_csv)
 
     def csv_snapshot(self, state: WaveFunction, suffix: str) -> Path | None:
         return self._csv(suffix, lambda fh: snapshot_csv(state, fh))
 
-    def svg(self, x, series, title, x_label, y_label, suffix: str = "") -> Path | None:
+    def svg(self, x, series, title, x_label, y_label) -> Path | None:
         if self.fmt != "svg":
             return None
-        path = self._path(suffix, "svg")
+        path = self._path("", "svg")
         with path.open("w", encoding="utf-8", newline="\n") as fh:
             write_line_plot(
                 fh,
@@ -361,7 +359,7 @@ def run_centering(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
         points.append(
             {"p": p, "q": q, "p_read": p_read, "q_read": q_read, "error": err}
         )
-    report = verify_centering(f)
+    report = verify_centering(f, tol)
     payload = {
         "family": params["family"],
         "fiducial_centering": {
@@ -654,7 +652,7 @@ def build_parser(names: tuple[str, ...] = tuple(SCHEMAS)) -> argparse.ArgumentPa
         )
         p.add_argument("--quiet", action="store_true")
         for key, param in schema.items():
-            p.add_argument(f"--{key}", dest=key.replace("-", "_"), help=param.help or key)
+            p.add_argument(f"--{key}", help=param.help or key)
     return parser
 
 
@@ -677,7 +675,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, CslabError) as exc:
+    except CslabError as exc:
         print(f"numerical failure in {args.subcommand}: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # a defect, or a dependency that failed to import

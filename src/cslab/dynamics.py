@@ -63,13 +63,12 @@ def integrate(
     start: PhasePoint,
     t_final: float,
     dt: float,
-    q_floor: float = Q_FLOOR,
 ) -> Trajectory:
     """Classic RK4 for pdot = -dH/dq, qdot = dH/dp.
 
     ``t_final`` may be negative (backward run; the step is negated).  For
     affine symbols the run halts with the singularity flag once q crosses
-    ``q_floor`` or a step leaves the domain; a gradient overflow is flagged
+    ``Q_FLOOR`` or a step leaves the domain; a gradient overflow is flagged
     the same way.  Non-finite state is an error carrying the last point.
     """
     if not (math.isfinite(dt) and dt > 0):
@@ -91,7 +90,7 @@ def integrate(
     singular = False
     reason = None
 
-    gradient = symbol.gradient  # SymbolFn.grad without its call layer
+    gradient = symbol.gradient  # SymbolFn.grad without its domain check
 
     def rhs(pp, qq):
         if affine and qq <= 0:
@@ -123,13 +122,13 @@ def integrate(
             raise IntegrationError(
                 "non-finite state", last_state=(times[-1], ps[-1], qs[-1])
             )
-        if affine and q_new < q_floor:
+        if affine and q_new < Q_FLOOR:
             p, q = p_new, max(q_new, 0.0)
             times.append((i + 1) * h)
             ps.append(p)
             qs.append(q)
             energies.append(energies[-1])  # symbol undefined at/below the floor
-            singular, reason = True, f"q crossed the floor {q_floor:g}"
+            singular, reason = True, f"q crossed the floor {Q_FLOOR:g}"
             break
         p, q = p_new, q_new
         times.append((i + 1) * h)

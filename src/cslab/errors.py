@@ -1,8 +1,11 @@
 """Exception hierarchy shared across the package.
 
-Two broad families matter to callers: configuration/input problems
-(``ConfigError`` and the structural errors, CLI exit code 2) and numerical
-failures discovered during a computation (``NumericError``, exit code 3).
+The CLI maps them to exit codes: a ``ConfigError`` (input that does not
+match the documented schema) exits 2, and every other ``CslabError`` exits
+3 as a numerical failure.  That includes the structural errors
+(``DomainError``, ``PreconditionError``, ``GridMismatchError``,
+``CoverageError``), which report a value the computation cannot take, and
+``NumericError``, a failure discovered during the computation.
 """
 
 

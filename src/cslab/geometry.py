@@ -56,17 +56,15 @@ class RayDistance:
         return self.d_squared
 
 
-def ray_distance(psi1: WaveFunction, psi2: WaveFunction, hbar: float | None = None) -> RayDistance:
-    """2 hbar min_alpha ||psi1 - e^{i alpha} psi2||^2 via the closed form.
+def ray_distance(psi1: WaveFunction, psi2: WaveFunction) -> RayDistance:
+    """2 hbar min_alpha ||psi1 - e^{i alpha} psi2||^2 via the closed form, in psi1's hbar.
 
     ``alpha`` is the minimizing phase: e^{i alpha} psi2 aligned with psi1.
     """
     psi1.require_normalized(1e-8)
     psi2.require_normalized(1e-8)
-    if hbar is None:
-        hbar = psi1.hbar
     overlap = inner_product(psi1, psi2)
-    d2 = 4.0 * hbar * (1.0 - abs(overlap))
+    d2 = 4.0 * psi1.hbar * (1.0 - abs(overlap))
     alpha = -cmath.phase(overlap) if overlap != 0 else 0.0
     return RayDistance(max(d2, 0.0), alpha, abs(overlap))
 

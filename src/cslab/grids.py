@@ -23,77 +23,54 @@ HALF_LINE = "half-line"
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform 1-D grid with trapezoid quadrature weights.
+    """Uniform 1-D grid of ``n`` nodes on [lower, upper] with trapezoid weights.
 
     ``kind`` is ``"full-line"`` or ``"half-line"``; half-line grids never
-    include x = 0 (the first node sits at the grid spacing).
+    include x = 0 (the first node sits at the grid spacing).  The nodes and
+    weights are derived from the four fields once, at construction.
     """
 
     kind: str
-    nodes: np.ndarray
-    weights: np.ndarray = field(repr=False)
+    lower: float
+    upper: float
+    n: int
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
         if self.kind not in (FULL_LINE, HALF_LINE):
             raise DomainError(f"unknown grid kind {self.kind!r}")
-        if nodes.ndim != 1 or nodes.size < 2:
-            raise DomainError("grid needs at least two nodes")
-        if weights.shape != nodes.shape:
-            raise DomainError("weights and nodes must have equal length")
-        if not np.all(np.diff(nodes) > 0):
-            raise DomainError("grid nodes must be strictly increasing")
-        if not np.all(weights > 0):
-            raise DomainError("quadrature weights must be strictly positive")
-        if self.kind == HALF_LINE and nodes[0] < 0:
+        if self.upper <= self.lower:
+            raise DomainError("upper must exceed lower")
+        if self.n < 2:
+            raise DomainError("need at least two nodes")
+        # NaN ends, or a spacing that overflows, give NaN nodes, silently
+        with np.errstate(over="ignore", invalid="ignore"):
+            nodes = np.linspace(self.lower, self.upper, self.n)
+            if not np.all(np.diff(nodes) > 0):
+                raise DomainError("grid nodes must be strictly increasing")
+        if self.kind == HALF_LINE and self.lower < 0:
             raise DomainError("half-line grid has negative nodes")
-
-    @property
-    def n(self) -> int:
-        return self.nodes.size
-
-    @property
-    def lower(self) -> float:
-        return float(self.nodes[0])
-
-    @property
-    def upper(self) -> float:
-        return float(self.nodes[-1])
+        h = nodes[1] - nodes[0]
+        weights = np.full(self.n, h)
+        weights[0] = weights[-1] = h / 2
+        object.__setattr__(self, "lower", float(self.lower))
+        object.__setattr__(self, "upper", float(self.upper))
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def spacing(self) -> float:
         return float(self.nodes[1] - self.nodes[0])
 
-    def is_uniform(self, rtol: float = 1e-9) -> bool:
-        d = np.diff(self.nodes)
-        return bool(np.all(np.abs(d - d[0]) <= rtol * d[0]))
-
     def integrate(self, values: np.ndarray) -> complex:
         """Quadrature of sampled values with the grid's weights."""
         return complex(np.sum(self.weights * np.asarray(values)))
 
-    def same_as(self, other: "Grid") -> bool:
-        return (
-            self.kind == other.kind
-            and self.n == other.n
-            and np.array_equal(self.nodes, other.nodes)
-        )
-
 
 def uniform_grid(lower: float, upper: float, n: int, kind: str = FULL_LINE) -> Grid:
     """Uniform grid on [lower, upper] with trapezoid weights."""
-    if upper <= lower:
-        raise DomainError("upper must exceed lower")
-    if n < 2:
-        raise DomainError("need at least two nodes")
-    nodes = np.linspace(lower, upper, n)
-    h = nodes[1] - nodes[0]
-    weights = np.full(n, h)
-    weights[0] = weights[-1] = h / 2
-    return Grid(kind, nodes, weights)
+    return Grid(kind, lower, upper, n)
 
 
 def half_line_grid(upper: float, n: int) -> Grid:
@@ -141,15 +118,9 @@ class WaveFunction:
 
 def inner_product(phi: WaveFunction, psi: WaveFunction) -> complex:
     """Quadrature inner product  integral conj(phi) * psi dx."""
-    if not phi.grid.same_as(psi.grid):
+    if phi.grid != psi.grid:
         raise GridMismatchError("inner product requires identical grids")
     return complex(np.sum(phi.grid.weights * np.conj(phi.values) * psi.values))
-
-
-def _uniform_spacing(grid: Grid) -> float:
-    if not grid.is_uniform():
-        raise DomainError("finite differences require a uniform grid")
-    return grid.spacing
 
 
 def derivative(psi: WaveFunction, order: int = 1) -> WaveFunction:
@@ -157,13 +128,13 @@ def derivative(psi: WaveFunction, order: int = 1) -> WaveFunction:
 
     Interior nodes use the 3-point central stencils, edges the matching
     one-sided second-order stencils, so degree-2 polynomials differentiate
-    exactly on uniform grids.
+    exactly.
     """
     if order not in (1, 2):
         raise ValueError("derivative order must be 1 or 2")
     if psi.grid.n < 5:
         raise PreconditionError("derivative needs at least 5 nodes")
-    h = _uniform_spacing(psi.grid)
+    h = psi.grid.spacing
     v = psi.values
     out = np.empty_like(v)
     if order == 1:

@@ -160,13 +160,13 @@ class LadderPolynomial:
             sums[key] = sums.get(key, 0j) + term[0]
         return {key: c for key, c in sums.items() if not abs(c) <= 1e-300}
 
-    def is_hermitian(self, rtol: float = 1e-12) -> bool:
+    def is_hermitian(self) -> bool:
         mine = self._monomials()
         theirs = self.dagger()._monomials()
         if mine.keys() != theirs.keys():
             return False
         scale = max(map(abs, mine.values()), default=1.0)
-        return all(abs(c - theirs[key]) <= rtol * scale for key, c in mine.items())
+        return all(abs(c - theirs[key]) <= 1e-12 * scale for key, c in mine.items())
 
 
 def _evaluate(poly: LadderPolynomial, values: tuple[list, ...]) -> complex:
@@ -404,13 +404,13 @@ class RadialDensity:
         """int rho d^N x on the RADIAL_NODES-point rule."""
         return float(np.sum(self._rule()[1]))
 
-    def require_normalized(self, tol: float = 1e-8) -> None:
-        _require_unit_mass(self.normalization(), tol)
+    def require_normalized(self) -> None:
+        _require_unit_mass(self.normalization())
 
 
-def _require_unit_mass(total: float, tol: float = 1e-8) -> None:
+def _require_unit_mass(total: float) -> None:
     dev = abs(total - 1.0)
-    if not dev <= tol:
+    if not dev <= 1e-8:
         raise PreconditionError(f"radial density normalization off by {dev:.3e}")
 
 

@@ -206,10 +206,8 @@ def default_canonical_grid(
     return uniform_grid(-L, L, n, kind=FULL_LINE)
 
 
-def affine_node_count(
-    beta: float, hbar: float, upper: float, norm_tol: float = 1e-8
-) -> int:
-    """Node count keeping the norm the half-line trapezoid rule misses below norm_tol.
+def affine_node_count(beta: float, hbar: float, upper: float) -> int:
+    """Node count keeping the norm the half-line trapezoid rule misses below 1e-8.
 
     Near 0, |xi|^2 ~ M^2 x^(nu - 1), nu = 2 beta / hbar; on nodes k eps with
     half weight at the first, the rule misses M^2 eps^nu (1/2 - zeta(1 - nu)),
@@ -217,7 +215,7 @@ def affine_node_count(
     """
     nu = 2.0 * beta / hbar
     log_m2 = 2 * affine_log_norm(beta, hbar)
-    log_eps = (math.log(norm_tol) - log_m2 - math.log(7 / 12)) / nu
+    log_eps = (math.log(1e-8) - log_m2 - math.log(7 / 12)) / nu
     eps = math.exp(log_eps)
     n = int(math.ceil(upper / eps))
     return min(max(n, 20_000), 2_000_000)
@@ -233,7 +231,7 @@ def default_affine_grid(f: Fiducial, q: float = 1.0, n: int | None = None) -> Gr
     with eps/q, so the node count is chosen per unit dilation and the
     resolution is q-independent.
     """
-    upper = q * (1 + max(20 * f.hbar / f.beta, 10 * math.sqrt(f.hbar / (2 * f.beta))))
+    upper = q * (1 + max(20 * f.hbar / f.beta, 10 * f.sigma))
     if n is None:
         n = affine_node_count(f.beta, f.hbar, upper / q)
     return half_line_grid(upper, n)
@@ -331,12 +329,8 @@ class CoherentFamily:
 
 @dataclass(frozen=True)
 class CenteringReport:
-    kind: str
     x_moment: float
-    x_expected: float
     conjugate_moment: float  # momentum (canonical) or dilation moment (affine)
-    conjugate_expected: float
-    tolerance: float
     passed: bool
 
 
@@ -355,7 +349,7 @@ def verify_centering(f: Fiducial, tol: float = 1e-7) -> CenteringReport:
     p_read, q_read = state_labels(f, PhasePoint(0.0, x_expected, domain=f.kind))
     conjugate = p_read * q_read if affine else p_read
     passed = abs(q_read - x_expected) <= tol and abs(conjugate) <= tol
-    return CenteringReport(f.kind, q_read, x_expected, conjugate, 0.0, tol, passed)
+    return CenteringReport(q_read, conjugate, passed)
 
 
 def state_labels(f: Fiducial, pt: PhasePoint) -> tuple[float, float]:

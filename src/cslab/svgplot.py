@@ -21,10 +21,10 @@ def write_line_plot(
     stream: IO[str],
     x: Sequence[float],
     series: Sequence[tuple[str, Sequence[float]]],
-    title: str = "",
-    x_label: str = "",
-    y_label: str = "",
-    comment: str = "",
+    title: str,
+    x_label: str,
+    y_label: str,
+    comment: str,
 ) -> None:
     """Write one SVG with a polyline per (label, values) pair."""
     xs = list(x)
@@ -39,8 +39,7 @@ def write_line_plot(
     y_hi += pad
 
     stream.write('<?xml version="1.0" encoding="UTF-8"?>\n')
-    if comment:
-        stream.write(f"<!-- {comment} -->\n")
+    stream.write(f"<!-- {comment} -->\n")
     stream.write(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">\n'
@@ -50,22 +49,19 @@ def write_line_plot(
         f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{_W - 2 * _MARGIN}" '
         f'height="{_H - 2 * _MARGIN}" fill="none" stroke="#333"/>\n'
     )
-    if title:
-        stream.write(
-            f'<text x="{_W / 2:.1f}" y="30" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{title}</text>\n'
-        )
-    if x_label:
-        stream.write(
-            f'<text x="{_W / 2:.1f}" y="{_H - 15}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{x_label}</text>\n'
-        )
-    if y_label:
-        stream.write(
-            f'<text x="18" y="{_H / 2:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 18 {_H / 2:.1f})">{y_label}</text>\n'
-        )
+    stream.write(
+        f'<text x="{_W / 2:.1f}" y="30" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="16">{title}</text>\n'
+    )
+    stream.write(
+        f'<text x="{_W / 2:.1f}" y="{_H - 15}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12">{x_label}</text>\n'
+    )
+    stream.write(
+        f'<text x="18" y="{_H / 2:.1f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12" '
+        f'transform="rotate(-90 18 {_H / 2:.1f})">{y_label}</text>\n'
+    )
     # axis extents
     for val, xp, yp, anchor in (
         (x_lo, _MARGIN, _H - _MARGIN + 16, "middle"),

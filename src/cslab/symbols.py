@@ -22,8 +22,7 @@ independent cross-check of the closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,13 +95,13 @@ class OperatorExpr:
         """Formal adjoint: reverse each factor sequence (factors are self-adjoint)."""
         return OperatorExpr(tuple((c, tuple(reversed(fs))) for c, fs in self.terms))
 
-    def is_hermitian(self, rtol: float = 1e-12) -> bool:
+    def is_hermitian(self) -> bool:
         mine = self._canonical_dict()
         theirs = self.adjoint()._canonical_dict()
         if mine.keys() != theirs.keys():
             return False
         scale = max((abs(v) for v in mine.values()), default=1.0)
-        return all(abs(mine[k] - theirs[k]) <= rtol * scale for k in mine)
+        return all(abs(mine[k] - theirs[k]) <= 1e-12 * scale for k in mine)
 
     def scaled(self, a: float) -> "OperatorExpr":
         return OperatorExpr(tuple((a * c, fs) for c, fs in self.terms))
@@ -173,48 +172,46 @@ def _monomial_sum(terms: list[tuple[float, int, int]], p: float, q: float) -> fl
 
 @dataclass
 class SymbolFn:
-    """Classical Hamiltonian H(p, q) with evaluation and gradient."""
+    """Classical Hamiltonian H(p, q) = sum of c p^i q^j over its (i, j) -> c.
 
-    evaluator: Callable[[float, float], float]
-    gradient: Callable[[float, float], tuple[float, float]]
+    q powers may be negative (Laurent) for affine symbols.  The value and
+    the gradient are monomial sums over ``poly``; every symbol is in closed
+    form, which ``closed_form`` states for the symbol report.
+    """
+
+    poly: dict[tuple[int, int], float]
     provenance: str  # CANONICAL_DOMAIN or AFFINE_DOMAIN
-    closed_form: bool
-    poly: dict[tuple[int, int], float] | None = field(default=None, repr=False)
+    closed_form = True
+
+    def __post_init__(self):
+        self.poly = {k: float(v) for k, v in self.poly.items() if abs(v) > 1e-300}
+        self._value = [(c, i, j) for (i, j), c in self.poly.items()]
+        d_dp = [(c * i, i - 1, j) for (i, j), c in self.poly.items() if i]
+        d_dq = [(c * j, i, j - 1) for (i, j), c in self.poly.items() if j]
+
+        def gradient(p: float, q: float) -> tuple[float, float]:
+            return _monomial_sum(d_dp, p, q), _monomial_sum(d_dq, p, q)
+
+        # (dH/dp, dH/dq) without the domain check of grad; a closure, not a
+        # method, since RK4 calls it four times a step and a bound-method
+        # call costs about a third more
+        self.gradient = gradient
 
     def __call__(self, p: float, q: float) -> float:
         if self.provenance == AFFINE_DOMAIN and q <= 0:
             raise DomainError(AFFINE_DOMAIN_MESSAGE)
-        return self.evaluator(p, q)
+        return _monomial_sum(self._value, p, q)
 
     def grad(self, p: float, q: float) -> tuple[float, float]:
         if self.provenance == AFFINE_DOMAIN and q <= 0:
             raise DomainError(AFFINE_DOMAIN_MESSAGE)
         return self.gradient(p, q)
 
-    @staticmethod
-    def from_poly(poly: dict[tuple[int, int], float], provenance: str) -> "SymbolFn":
-        """Closed-form symbol from (p-power, q-power) -> coefficient.
-
-        q powers may be negative (Laurent) for affine symbols.
-        """
-        poly = {k: float(v) for k, v in poly.items() if abs(v) > 1e-300}
-        value = [(c, i, j) for (i, j), c in poly.items()]
-        d_dp = [(c * i, i - 1, j) for (i, j), c in poly.items() if i]
-        d_dq = [(c * j, i, j - 1) for (i, j), c in poly.items() if j]
-
-        def evaluator(p: float, q: float) -> float:
-            return _monomial_sum(value, p, q)
-
-        def gradient(p: float, q: float) -> tuple[float, float]:
-            return _monomial_sum(d_dp, p, q), _monomial_sum(d_dq, p, q)
-
-        return SymbolFn(evaluator, gradient, provenance, True, poly=poly)
-
 
 def polynomial_symbol(
     poly: dict[tuple[int, int], float], provenance: str = CANONICAL_DOMAIN
 ) -> SymbolFn:
-    return SymbolFn.from_poly(poly, provenance)
+    return SymbolFn(poly, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +316,7 @@ def weak_symbol(op: OperatorExpr, f: Fiducial) -> SymbolFn:
         raise AccuracyError(
             f"closed-form symbol of a Hermitian operator has imaginary part {max_imag:.2e}"
         )
-    return SymbolFn.from_poly({k: v.real for k, v in total.items()}, f.kind)
+    return SymbolFn({k: v.real for k, v in total.items()}, f.kind)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,128 @@
+"""Regenerate the reference outputs that ``tests/test_reference.py`` checks.
+
+Run from the root of the repository:
+
+    PYTHONPATH=src python tests/reference/generate.py
+
+Each argv in ``RUNS`` is one in-process ``cslab.cli.main`` call; its JSON
+and CSV outputs are stored under ``tests/reference/<name>/``.  Each argv in
+``FAILURES`` is stored in ``failures.json`` as its exit code and the first
+line of its stderr.  A change that regenerates these files names every
+value that moved in CHANGES.md, as a defect fix or as roundoff.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import shutil
+from pathlib import Path
+from unittest import mock
+
+from cslab.cli import main as cslab_main
+
+REFERENCE = Path(__file__).resolve().parent
+
+HARMONIC = "0.5 * D D + 0.5 * X X"
+DXD = "1.0 * D X D"
+HIGH_DEGREE = "1.0 * X^3 D D D D D D X^3"
+MIXED = "0.5 * D D + 0.5 * X X + 0.1 * X^4 + 0.3 * D X D"
+N30_P = ",".join(f"{0.1 * ((7 * i) % 11 - 5):.1f}" for i in range(30))
+N30_Q = ",".join(f"{0.05 * ((5 * i) % 13 - 6):.2f}" for i in range(30))
+
+# each subcommand on each sheet it supports
+RUNS: dict[str, list[str]] = {
+    "centering-canonical": ["centering", "--n_points", "5"],
+    "centering-affine": ["centering", "--family", "affine", "--beta", "2", "--n_points", "5"],
+    "symbol-canonical": ["symbol", "--operator", MIXED, "--omega", "1.5", "--hbar", "0.5"],
+    "symbol-canonical-highdeg": ["symbol", "--operator", HIGH_DEGREE],
+    "symbol-affine": ["symbol", "--family", "affine", "--beta", "2",
+                      "--operator", DXD + " + 0.5 * X^2 + 0.25 * D D"],
+    "symbol-affine-highdeg": ["symbol", "--family", "affine", "--operator", HIGH_DEGREE],
+    "metric-canonical": ["metric", "--omega", "2", "--p_list=0,1", "--q_list=-1,2"],
+    "metric-affine": ["metric", "--family", "affine", "--beta", "3", "--q_list", "0.5,1,4"],
+    "curvature-canonical": ["curvature"],
+    "curvature-affine": ["curvature", "--family", "affine", "--beta", "2", "--hbar", "0.5"],
+    "evolve-classical-canonical": ["evolve-classical", "--operator", MIXED, "--p0", "0.5",
+                                   "--q0", "0.3", "--t_final", "1", "--dt", "0.01"],
+    "evolve-classical-affine": ["evolve-classical", "--family", "affine", "--operator", DXD,
+                                "--p0", "0.4", "--q0", "1.5", "--t_final", "-1",
+                                "--dt", "0.01"],
+    "evolve-quantum-canonical": ["evolve-quantum", "--operator", HARMONIC, "--p0", "0.5",
+                                 "--q0", "-0.3", "--n_nodes", "1024", "--dt", "1e-3",
+                                 "--steps", "200"],
+    "evolve-quantum-affine": ["evolve-quantum", "--family", "affine", "--operator", DXD,
+                              "--p0", "0.2", "--q0", "1", "--n_nodes", "1024",
+                              "--dt", "1e-3", "--steps", "200"],
+    "model-one": ["model-one", "--p0", "0.8", "--q0", "1.2", "--t_min", "-2", "--t_max", "2",
+                  "--dt", "0.01"],
+    "model-two-N30": ["model-two", "--N", "30", "--m", "1.3", "--zeta", "0.4", "--nu", "0.7",
+                      f"--p={N30_P}", f"--q={N30_Q}"],
+    "charfn-atoms": ["charfn", "--n_list", "4,16,64", "--atoms", "0.25:0.5,0.5:0.5"],
+}
+
+QUANTUM = ["evolve-quantum", "--operator", HARMONIC, "--p0", "0.1", "--q0", "0.2",
+           "--steps", "3", "--n_nodes", "64"]
+
+# the exit-2 and exit-3 argvs that README and CHANGES.md name
+FAILURES: dict[str, list[str]] = {
+    "metric-n-nodes": ["metric", "--n_nodes", "64"],
+    "curvature-n-nodes": ["curvature", "--n_nodes", "64"],
+    "model-one-beta-below-hbar": ["model-one", "--beta", "0.5"],
+    "model-one-beta-nan": ["model-one", "--beta", "nan"],
+    "symbol-affine-beta-below-hbar": ["symbol", "--family", "affine", "--beta", "0.5",
+                                      "--operator", DXD],
+    "evolve-classical-off-half-line": ["evolve-classical", "--family", "affine",
+                                       "--operator", DXD, "--p0", "0", "--q0", "0"],
+    "evolve-quantum-off-half-line": ["evolve-quantum", "--family", "affine",
+                                     "--operator", DXD, "--p0", "0", "--q0", "nan"],
+    "model-one-off-half-line": ["model-one", "--q0", "-1"],
+    "evolve-quantum-p0-20": ["evolve-quantum", "--operator", HARMONIC, "--p0", "20",
+                             "--q0", "0"],
+    "evolve-quantum-q0-1000": [*QUANTUM, "--p0", "0", "--q0", "1000", "--n_nodes", "2048"],
+    "evolve-quantum-negative-stride": [*QUANTUM, "--snapshot_every=-1"],
+    "evolve-quantum-dt-0": [*QUANTUM, "--dt", "0"],
+    "evolve-classical-dt-nan": ["evolve-classical", "--operator", HARMONIC, "--p0", "0.5",
+                                "--q0", "0.5", "--dt", "nan"],
+    "centering-p-scale-inf": ["centering", "--p_scale", "inf"],
+    "charfn-series-cancellation": ["charfn", "--p_r_list", "8", "--n_list", "4"],
+}
+
+
+def run_cli(argv: list[str], out: Path) -> tuple[int, str]:
+    """Exit code and first stderr line of ``main(argv)`` writing to ``out``.
+
+    argparse wraps its usage line at the terminal width, so the width is
+    pinned while the call runs.
+    """
+    err = io.StringIO()
+    try:
+        with mock.patch.dict(os.environ, COLUMNS="200"), contextlib.redirect_stderr(err):
+            code = cslab_main([*argv, "--out", str(out), "--quiet"])
+    except SystemExit as exc:  # argparse rejects its argv by exiting
+        code = exc.code
+    lines = err.getvalue().splitlines()
+    return code, lines[0] if lines else ""
+
+
+def main() -> None:
+    for name, argv in RUNS.items():
+        out = REFERENCE / name
+        shutil.rmtree(out, ignore_errors=True)
+        code, first = run_cli(argv, out)
+        if code != 0:
+            raise SystemExit(f"{name} exited {code}: {first}")
+    failures = {}
+    for name, argv in FAILURES.items():
+        code, first = run_cli(argv, REFERENCE / "unwritten")
+        if code == 0 or (REFERENCE / "unwritten").exists():
+            raise SystemExit(f"{name} was expected to fail without writing")
+        failures[name] = {"exit": code, "stderr": first}
+    text = json.dumps(failures, indent=2, sort_keys=True, ensure_ascii=False)
+    (REFERENCE / "failures.json").write_text(text + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    main()

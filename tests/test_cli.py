@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -236,6 +237,21 @@ class TestExitCodes:
         assert "non-negative" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_overflowing_potential_stops_without_a_warning(self, tmp_path, capsys):
+        # X^400 overflows on the grid; the spectral-radius guard stops the run
+        # and numpy prints nothing of it
+        argv = QUANTUM + ["--operator", "1.0 * X^400 + -1.0 * X^400 + 0.5 * D D",
+                          "--out", str(tmp_path)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(argv)
+        assert code == 3
+        assert caught == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("numerical failure in evolve-quantum: dt * spectral radius")
+        assert list(tmp_path.iterdir()) == []
+
     def test_negative_snapshot_stride_exits_2(self, tmp_path, capsys):
         code = run(QUANTUM + ["--snapshot_every=-1", "--out", str(tmp_path), "--quiet"])
         assert code == 2
@@ -412,6 +428,21 @@ class TestCenteringCommand:
         payload = read_json(tmp_path / "centering.json")
         assert payload["family"] == "affine"
         assert len(payload["points"]) == 3  # flag overrides the file
+
+    @pytest.mark.parametrize("family", ["canonical", "affine"])
+    def test_fiducial_check_uses_the_tolerance(self, tmp_path, monkeypatch, family):
+        seen = []
+
+        def spy(f, tol):
+            seen.append(tol)
+            return verify_centering(f, tol)
+
+        verify_centering = cslab.cli.verify_centering
+        monkeypatch.setattr(cslab.cli, "verify_centering", spy)
+        code = run(["centering", "--family", family, "--n_points", "2", "--tolerance", "3e-5",
+                    "--out", str(tmp_path), "--quiet"])
+        assert code == 0
+        assert seen == [3e-5]
 
 
 class TestDeterminism:

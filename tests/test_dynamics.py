@@ -101,12 +101,8 @@ class TestIntegrate:
         from cslab.errors import IntegrationError
         from cslab.symbols import SymbolFn
 
-        broken = SymbolFn(
-            lambda p, q: p * q,
-            lambda p, q: (float("nan"), 0.0),
-            "canonical",
-            closed_form=False,
-        )
+        # inf p q - inf p q^2: its gradient at q = 1 is inf - inf = NaN
+        broken = SymbolFn({(1, 1): float("inf"), (1, 2): -float("inf")}, "canonical")
         with pytest.raises(IntegrationError) as excinfo:
             integrate(broken, PhasePoint(1.0, 1.0), 1.0, 1e-2)
         assert excinfo.value.last_state == (0.0, 1.0, 1.0)

@@ -48,12 +48,24 @@ class TestGrid:
         with pytest.raises(DomainError):
             uniform_grid(2.0, 1.0, 100)
 
-    def test_rejects_negative_weights(self):
-        from cslab.grids import FULL_LINE, Grid
-
-        nodes = np.linspace(0, 1, 5)
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [(np.nan, 1.0), (0.0, np.nan), (0.0, np.inf), (-np.inf, 0.0), (-1e308, 1e308)],
+    )
+    def test_non_finite_ends_and_overflowing_spacing_rejected(self, lower, upper):
+        # linspace gives NaN nodes here; the rejection raises no numpy warning
         with pytest.raises(DomainError):
-            Grid(FULL_LINE, nodes, -np.ones(5))
+            uniform_grid(lower, upper, 10)
+
+    @pytest.mark.parametrize("upper", [np.nan, np.inf])
+    def test_half_line_rejects_non_finite_end(self, upper):
+        with pytest.raises(DomainError):
+            half_line_grid(upper, 10)
+
+    def test_grids_compare_by_kind_ends_and_size(self):
+        assert uniform_grid(-1.0, 1.0, 9) == uniform_grid(-1, 1, 9)
+        assert uniform_grid(-1.0, 1.0, 9) != uniform_grid(-1.0, 1.0, 11)
+        assert half_line_grid(2.0, 8) != uniform_grid(0.25, 2.0, 8)
 
 
 class TestInnerProduct:

@@ -69,7 +69,7 @@ class TestCanonicalSymbols:
 
     def test_non_hermitian_real_part(self):
         # X D D has symbol q p^2 + q hbar omega / 2 + i hbar p; the
-        # evaluator keeps the real part
+        # symbol keeps the real part
         omega, hbar = 1.0, 1.0
         s = weak_symbol(parse_operator("1.0 * X D D"), gaussian_fiducial(omega, hbar))
         assert s(1.0, 2.0) == pytest.approx(2.0 + 2.0 * hbar * omega / 2)
