@@ -31,6 +31,8 @@ HIGH_DEGREE = "1.0 * X^3 D D D D D D X^3"
 MIXED = "0.5 * D D + 0.5 * X X + 0.1 * X^4 + 0.3 * D X D"
 N30_P = ",".join(f"{0.1 * ((7 * i) % 11 - 5):.1f}" for i in range(30))
 N30_Q = ",".join(f"{0.05 * ((5 * i) % 13 - 6):.2f}" for i in range(30))
+N300_P = ",".join(f"{0.1 * ((7 * i) % 11 - 5):.1f}" for i in range(300))
+N300_Q = ",".join(f"{0.05 * ((5 * i) % 13 - 6):.2f}" for i in range(300))
 
 # each subcommand on each sheet it supports
 RUNS: dict[str, list[str]] = {
@@ -60,6 +62,8 @@ RUNS: dict[str, list[str]] = {
                   "--dt", "0.01"],
     "model-two-N30": ["model-two", "--N", "30", "--m", "1.3", "--zeta", "0.4", "--nu", "0.7",
                       f"--p={N30_P}", f"--q={N30_Q}"],
+    "model-two-N300": ["model-two", "--N", "300", "--m", "1.3", "--zeta", "0.4", "--nu", "0.7",
+                       f"--p={N300_P}", f"--q={N300_Q}"],
     "charfn-atoms": ["charfn", "--n_list", "4,16,64", "--atoms", "0.25:0.5,0.5:0.5"],
 }
 
@@ -88,6 +92,19 @@ FAILURES: dict[str, list[str]] = {
                                 "--q0", "0.5", "--dt", "nan"],
     "centering-p-scale-inf": ["centering", "--p_scale", "inf"],
     "charfn-series-cancellation": ["charfn", "--p_r_list", "8", "--n_list", "4"],
+    "model-two-q-overflow": ["model-two", "--N", "2", "--zeta", "0.5", "--p", "1,2",
+                             "--q", "1,1e200"],
+    "model-two-p-nan": ["model-two", "--N", "1", "--zeta", "0.5", "--p", "nan", "--q", "1"],
+    "model-two-nu-inf": ["model-two", "--N", "1", "--zeta", "0.5", "--p", "1", "--q", "1",
+                         "--nu", "inf"],
+    "evolve-quantum-affine-n-nodes-0": ["evolve-quantum", "--family", "affine", "--operator",
+                                        DXD, "--p0", "0", "--q0", "1", "--n_nodes", "0"],
+    "evolve-quantum-q0-1e308": ["evolve-quantum", "--operator", "0.5 * D D", "--p0", "0",
+                                "--q0", "1e308"],
+    "evolve-quantum-p0-1e308": ["evolve-quantum", "--operator", "0.5 * D D", "--p0", "1e308",
+                                "--q0", "0"],
+    "evolve-quantum-affine-q0-1e308": ["evolve-quantum", "--family", "affine", "--operator",
+                                       DXD, "--p0", "0", "--q0", "1e308"],
 }
 
 
