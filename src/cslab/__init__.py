@@ -5,7 +5,7 @@ Hamiltonians to their classical symbols on those sheets, measures the
 sheet geometry (Fubini-Study metric, curvature), integrates the resulting
 classical flow, benchmarks it against full Crank-Nicolson quantum
 evolution, and evaluates the reducible-representation quartic oscillator
-exactly through a ladder-operator engine.
+exactly at the ladder eigenvalues of its displaced coherent states.
 """
 
 __version__ = "0.1.0"
@@ -50,12 +50,10 @@ from .dynamics import (
 # track_expectations(u, hu, x_weights, setup) -> (<p>, <x>, <H>) on the unknown vector u
 from .schrodinger import EvolutionSetup, evolve, track_expectations
 from .modeltwo import (
-    LadderPolynomial,
     RadialDensity,
     ReducibleRep,
     characteristic_exact_gaussian,
     characteristic_radial,
-    displaced_expectation,
     gaussian_radial_density,
     h1_expectation,
     h1_matrix_element,

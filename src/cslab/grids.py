@@ -81,6 +81,8 @@ def half_line_grid(upper: float, n: int) -> Grid:
     """
     if upper <= 0:
         raise DomainError("upper must be positive")
+    if n < 2:  # before the spacing divides by n
+        raise DomainError("need at least two nodes")
     h = upper / n
     return uniform_grid(h, upper, n, kind=HALF_LINE)
 

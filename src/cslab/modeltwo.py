@@ -15,13 +15,10 @@ the expectation of any normal-ordered polynomial is the polynomial evaluated
 at those c-numbers; everything in this module is exact arithmetic, valid
 uniformly in the number of degrees of freedom N.
 
-Ladder polynomials are lists of normal-ordered terms, evaluated term by
-term at those eigenvalues.  The quartic Hamiltonian
-H1 = H_p + H_r + 4 nu :H_r^2:  (with H_p = (1/2) sum A+A and
-H_r = (1/2) sum B+B) is never expanded for evaluation: at c-numbers
-:H_r^2: is the square of the value of H_r, so H1 costs two O(N) pair
-sums, and its N^2-term form (``h1_operator``) is kept for tests.  It
-reproduces
+The quartic Hamiltonian H1 = H_p + H_r + 4 nu :H_r^2:  (with
+H_p = (1/2) sum A+A and H_r = (1/2) sum B+B) is never expanded for
+evaluation: at c-numbers :H_r^2: is the square of the value of H_r, so H1
+costs two O(N) dot products of the eigenvalues.  It reproduces
 
     <p,q| H1 |p,q> = (1/2)[p^2 + (1+zeta^2) m^2 q^2] + nu zeta^4 m^4 (q^2)^2
 
@@ -41,9 +38,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import AccuracyError, DomainError, NumericError, PreconditionError
-
-MultiIndex = tuple[tuple[int, int], ...]  # sorted ((site, power), ...)
-SLOTS = ("A+", "B+", "A", "B")
 
 
 def _power(base: float, exponent: int) -> float:
@@ -88,117 +82,12 @@ class ReducibleRep:
         return m0_sq, nu * self.zeta**4 * _power(self.m, 4)
 
 
-def _normalize_index(index) -> MultiIndex:
-    out: dict[int, int] = {}
-    for site, power in index:
-        if power < 0:
-            raise DomainError("multi-index powers must be non-negative")
-        if power:
-            out[site] = out.get(site, 0) + power
-    return tuple(sorted(out.items()))
-
-
-@dataclass(frozen=True, eq=False)
-class LadderPolynomial:
-    """Normal-ordered polynomial: every term has daggers left of annihilators.
-
-    ``terms`` holds one (coeff, A+, B+, A, B) tuple per term, each of the four
-    a normalized multi-index: distinct sites in increasing order, each with
-    a positive power.  Equal monomials are not merged, so ``len(poly.terms)``
-    is the number of terms the polynomial was built from.
-    """
-
-    terms: tuple[tuple[complex, MultiIndex, MultiIndex, MultiIndex, MultiIndex], ...]
-
-    @staticmethod
-    def build(terms) -> "LadderPolynomial":
-        """Polynomial from (coeff, adag, bdag, a, b) tuples of multi-indices."""
-        return LadderPolynomial(
-            tuple(
-                (complex(c), *(_normalize_index(index) for index in (adag, bdag, a, b)))
-                for c, adag, bdag, a, b in terms
-            )
-        )
-
-    @staticmethod
-    def from_factors(coeff: complex, factors: Sequence[tuple[str, int]]) -> "LadderPolynomial":
-        """Single term from an ordered factor list like [("A+", 1), ("A", 1)].
-
-        Raises a structural error if any daggered factor appears to the
-        right of an annihilator (the input would not be normal ordered).
-        """
-        slots: tuple[list, ...] = ([], [], [], [])
-        seen_annihilator = False
-        for kind, site in factors:
-            if kind not in SLOTS:
-                raise DomainError(f"unknown ladder factor {kind!r}")
-            if kind in ("A+", "B+") and seen_annihilator:
-                raise DomainError(f"factor {kind} right of an annihilator: not normal ordered")
-            seen_annihilator = seen_annihilator or kind in ("A", "B")
-            slots[SLOTS.index(kind)].append((site, 1))
-        return LadderPolynomial.build([(coeff, *slots)])
-
-    def __add__(self, other: "LadderPolynomial") -> "LadderPolynomial":
-        return LadderPolynomial(self.terms + other.terms)
-
-    def scaled(self, factor: complex) -> "LadderPolynomial":
-        factor = complex(factor)
-        return LadderPolynomial(tuple((c * factor, *index) for c, *index in self.terms))
-
-    def dagger(self) -> "LadderPolynomial":
-        """Adjoint: conjugate coefficients, swap A+ with A and B+ with B."""
-        return LadderPolynomial(
-            tuple((c.conjugate(), a, b, adag, bdag) for c, adag, bdag, a, b in self.terms)
-        )
-
-    def _monomials(self) -> dict[tuple[MultiIndex, ...], complex]:
-        """Summed coefficient of each distinct monomial; sums that vanish are
-        dropped, NaN sums kept, so they never compare equal to anything."""
-        sums: dict[tuple[MultiIndex, ...], complex] = {}
-        for term in self.terms:
-            key = term[1:]
-            sums[key] = sums.get(key, 0j) + term[0]
-        return {key: c for key, c in sums.items() if not abs(c) <= 1e-300}
-
-    def is_hermitian(self) -> bool:
-        mine = self._monomials()
-        theirs = self.dagger()._monomials()
-        if mine.keys() != theirs.keys():
-            return False
-        scale = max(map(abs, mine.values()), default=1.0)
-        return all(abs(c - theirs[key]) <= 1e-12 * scale for key, c in mine.items())
-
-
-def _evaluate(poly: LadderPolynomial, values: tuple[list, ...]) -> complex:
-    """Sum of the terms at the values of the slots (A+, B+, A, B); a power
-    that overflows is a NumericError."""
-    products = []
-    try:
-        for term, *indices in poly.terms:
-            for index, v in zip(indices, values):
-                for site, power in index:
-                    term *= v[site] ** power
-            products.append(term)
-    except OverflowError as exc:
-        raise NumericError(f"a ladder monomial overflows: {exc}") from exc
-    return complex(np.sum(products))
-
-
 def _vectors(rep: ReducibleRep, p, q) -> tuple[np.ndarray, np.ndarray]:
     p = np.atleast_1d(np.asarray(p, dtype=float))
     q = np.atleast_1d(np.asarray(q, dtype=float))
     if p.shape != (rep.N,) or q.shape != (rep.N,):
         raise DomainError(f"p and q must be vectors of length N = {rep.N}")
     return p, q
-
-
-def _slot_values(rep: ReducibleRep, p_left, q_left, p_right, q_right) -> tuple[list, ...]:
-    """Values of the slots (A+, B+, A, B) between <p',q'| and |p,q>: the
-    conjugated eigenvalues of the left state, then those of the right one."""
-    pl, ql = _vectors(rep, p_left, q_left)
-    pr, qr = _vectors(rep, p_right, q_right)
-    daggers = np.conj(rep.alpha(pl, ql)), np.conj(rep.beta(ql))
-    return tuple(v.tolist() for v in (*daggers, rep.alpha(pr, qr), rep.beta(qr)))
 
 
 def _require_finite(value, what: str):
@@ -208,68 +97,55 @@ def _require_finite(value, what: str):
     return value
 
 
-def _real_value(value: complex, hermitian: Callable[[], bool]) -> float:
-    """Real part of a diagonal expectation.  An imaginary residue of a
-    ``hermitian()`` operator is an AccuracyError, a non-finite value a
-    NumericError."""
-    if not abs(value.imag) <= 1e-12 * (1 + abs(value.real)) and hermitian():
-        raise AccuracyError(f"Hermitian polynomial produced imaginary residue {value.imag:.2e}")
-    return _require_finite(value, "ladder expectation").real
-
-
-def displaced_expectation(poly: LadderPolynomial, rep: ReducibleRep, p, q) -> float:
-    """<p,q| :poly: |p,q> = poly at <A_n> = p_n - i m q_n, <B_n> = -i m zeta q_n."""
-    return _real_value(_evaluate(poly, _slot_values(rep, p, q, p, q)), poly.is_hermitian)
-
-
 # ---------------------------------------------------------------------------
 # the quartic model
 
 
-def h_p_operator(rep: ReducibleRep) -> LadderPolynomial:
-    """(1/2) sum_n A+_n A_n (free-looking kinetic-plus-trap block)."""
-    return LadderPolynomial(tuple((0.5 + 0j, ((n, 1),), (), ((n, 1),), ()) for n in range(rep.N)))
+@dataclass(frozen=True, eq=False)
+class LadderPolynomial:
+    """Normal-ordered terms (coeff, A+, B+, A, B), each index a tuple of (site, power)."""
 
-
-def h_r_operator(rep: ReducibleRep) -> LadderPolynomial:
-    """(1/2) sum_n B+_n B_n (the partner block)."""
-    return LadderPolynomial(tuple((0.5 + 0j, (), ((n, 1),), (), ((n, 1),)) for n in range(rep.N)))
-
-
-def quartic_operator(rep: ReducibleRep, nu: float) -> LadderPolynomial:
-    """4 nu :H_r^2: = nu sum_{m,n} B+_m B+_n B_m B_n."""
-    N = rep.N
-    # one term per ordered pair (m, n); m == n is the single site m at power 2
-    pairs = (
-        ((m, 2),) if m == n else ((min(m, n), 1), (max(m, n), 1))
-        for m in range(N)
-        for n in range(N)
-    )
-    c = complex(nu)
-    return LadderPolynomial(tuple((c, (), pair, (), pair) for pair in pairs))
+    terms: tuple
 
 
 def _require_nu(nu: float) -> None:
-    if not nu >= 0:
-        raise DomainError("nu must be non-negative")
+    if not 0 <= nu < math.inf:
+        raise DomainError("nu must be finite and non-negative")
 
 
 def h1_operator(rep: ReducibleRep, nu: float) -> LadderPolynomial:
-    """H1 as its explicit 2N + N^2 terms: the oracle the pair-sum route is tested against."""
-    _require_nu(nu)
-    return h_p_operator(rep) + h_r_operator(rep) + quartic_operator(rep, nu)
+    """H1 as its 2N + N^2 normal-ordered terms, which nothing here evaluates.
 
-
-def _h1_value(rep: ReducibleRep, nu: float, values: tuple[list, ...]) -> complex:
-    """H1 at the slot values as H_p + H_r + 4 nu H_r H_r.
-
-    At c-numbers, 4 nu :H_r^2: = nu sum_{m,n} conj(b_m) conj(b_n) b'_m b'_n
-    is nu (sum_m conj(b_m) b'_m)^2, four nu times the square of the value of
-    H_r, so two O(N) pair sums give H1 without its N^2 quartic terms.
+    It stays because ``perfbench/tracer.py`` wraps it by name and counts its
+    terms (ROADMAP item 1); the tests check them against ``tests/oracles.py``.
     """
     _require_nu(nu)
-    h_p = _evaluate(h_p_operator(rep), values)
-    h_r = _evaluate(h_r_operator(rep), values)
+    N = rep.N
+    sites = [((n, 1),) for n in range(N)]
+    # one term nu B+_m B+_n B_m B_n per ordered pair; m == n is site m at power 2
+    pairs = [((m, 2),) if m == n else ((min(m, n), 1), (max(m, n), 1))
+             for m in range(N) for n in range(N)]
+    terms = [(0.5 + 0j, site, (), site, ()) for site in sites]
+    terms += [(0.5 + 0j, (), site, (), site) for site in sites]
+    terms += [(complex(nu), (), pair, (), pair) for pair in pairs]
+    return LadderPolynomial(tuple(terms))
+
+
+def _h1_value(rep: ReducibleRep, nu: float, p_left, q_left, p_right, q_right) -> complex:
+    """<p',q'| H1 |p,q> / <p',q'|p,q> from two O(N) dot products.
+
+    With H_p = (1/2) sum conj(a'_n) a_n and H_r = (1/2) sum conj(b'_n) b_n,
+    4 nu :H_r^2: at c-numbers is nu (sum conj(b'_m) b_m)^2 = 4 nu H_r^2, so
+    none of the N^2 quartic terms is formed.
+    """
+    _require_nu(nu)
+    pl, ql = _vectors(rep, p_left, q_left)
+    pr, qr = _vectors(rep, p_right, q_right)
+    # an overflow, in numpy's m q or in the Python complex arithmetic below,
+    # leaves an inf or NaN for the caller's finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_p = 0.5 * complex(np.vdot(rep.alpha(pl, ql), rep.alpha(pr, qr)))
+        h_r = 0.5 * complex(np.vdot(rep.beta(ql), rep.beta(qr)))
     return h_p + h_r + 4 * nu * h_r * h_r
 
 
@@ -284,9 +160,13 @@ def h1_closed_form(rep: ReducibleRep, nu: float, p, q) -> float:
 
 
 def h1_expectation(rep: ReducibleRep, nu: float, p, q) -> float:
-    """Diagonal expectation of H1 from its two pair sums.  H1 is Hermitian by
-    construction: a residue is an AccuracyError without a hermiticity check."""
-    return _real_value(_h1_value(rep, nu, _slot_values(rep, p, q, p, q)), lambda: True)
+    """Diagonal expectation of H1.  A non-finite value is a NumericError,
+    checked first (an overflowing pair sum has a NaN imaginary part too); a
+    finite imaginary residue beyond roundoff is an AccuracyError."""
+    value = _require_finite(_h1_value(rep, nu, p, q, p, q), "H1 expectation")
+    if not abs(value.imag) <= 1e-12 * (1 + abs(value.real)):
+        raise AccuracyError(f"H1 expectation has imaginary residue {value.imag:.2e}")
+    return value.real
 
 
 def match_target(m0_sq: float, lambda0: float, zeta: float) -> tuple[float, float]:
@@ -316,21 +196,12 @@ def overlap_reducible(rep: ReducibleRep, p_left, q_left, p_right, q_right) -> co
     return complex(np.exp(1j * phase - decay))
 
 
-def matrix_element(
-    poly: LadderPolynomial, rep: ReducibleRep, p_left, q_left, p_right, q_right
-) -> complex:
-    """<p',q'| :poly: |p,q> = poly(conj-left, right eigenvalues) * overlap."""
-    points = (p_left, q_left, p_right, q_right)
-    value = _evaluate(poly, _slot_values(rep, *points)) * overlap_reducible(rep, *points)
-    return _require_finite(value, "ladder matrix element")
-
-
 def h1_matrix_element(
     rep: ReducibleRep, nu: float, p_left, q_left, p_right, q_right
 ) -> complex:
     """<p',q'| H1 |p,q> from the two pair sums, as in ``h1_expectation``."""
     points = (p_left, q_left, p_right, q_right)
-    value = _h1_value(rep, nu, _slot_values(rep, *points)) * overlap_reducible(rep, *points)
+    value = _h1_value(rep, nu, *points) * overlap_reducible(rep, *points)
     return _require_finite(value, "H1 matrix element")
 
 

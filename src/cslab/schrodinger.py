@@ -327,10 +327,14 @@ def oscillation_window(f: Fiducial, p0: float, q0: float, n: int) -> Grid:
     """Full-line grid covering the classical oscillation with 10-sigma margins."""
     amp = math.hypot(q0, p0 / f.omega)
     half = amp + 10 * f.sigma
+    if not math.isfinite(2 * half):
+        raise DomainError(f"p0 = {p0!r}, q0 = {q0!r} needs a window of non-finite width")
     return uniform_grid(-half, half, n, kind=FULL_LINE)
 
 
 def half_line_window(f: Fiducial, q_max: float, n: int) -> Grid:
     """Half-line grid covering dilated states up to q_max with 10-sigma margins."""
     upper = q_max * (1 + 10 * f.sigma)
+    if not math.isfinite(upper):
+        raise DomainError(f"q_max = {q_max!r} needs a window of non-finite width; lower q0")
     return half_line_grid(upper, n)

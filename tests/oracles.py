@@ -89,8 +89,8 @@ def quadrature_overlap(m, zeta, hbar, pl, ql, pr, qr):
 #
 # A term is (coeff, adag, bdag, a, b); each index lists (site, power) pairs
 # in any order, repeats allowed.  These loops, which neither normalize the
-# indices nor share code with cslab.modeltwo, are the references its
-# term-list engine is tested against.
+# indices nor share code with cslab.modeltwo, are the references the terms
+# of its h1_operator and its pair-sum route to H1 are tested against.
 
 
 def ladder_evaluate(terms, left_alpha, left_beta, right_alpha, right_beta):

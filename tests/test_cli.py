@@ -132,6 +132,9 @@ class TestExitCodes:
             ["curvature", "--p", "nan"],
             ["curvature", "--family", "affine", "--q_list", "nan"],
             *UNCHECKED,
+            # half_line_grid divided by n before checking it: ZeroDivisionError
+            QUANTUM + ["--family", "affine", "--operator", "1.0 * D X D", "--q0", "1",
+                       "--n_nodes", "0"],
         ],
     )
     def test_non_finite_input_fails_closed(self, tmp_path, capsys, argv):
@@ -181,6 +184,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "does not resolve the fiducial width" in err
         assert "resolution limit" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, named", [
+        pytest.param(["--operator", "0.5 * D D", "--p0", "0", "--q0", "1e308"],
+                     "p0 = 0.0, q0 = 1e+308", id="full-line-q0"),
+        pytest.param(["--operator", "0.5 * D D", "--p0", "1e308", "--q0", "0"],
+                     "p0 = 1e+308, q0 = 0.0", id="full-line-p0"),
+        pytest.param(["--family", "affine", "--operator", "1.0 * D X D", "--p0", "0",
+                      "--q0", "1e308"], "lower q0", id="half-line"),
+    ])
+    def test_far_start_names_the_start(self, tmp_path, capsys, argv, named):
+        # these used to name grid internals: "grid nodes must be strictly
+        # increasing" and "upper must exceed lower"
+        code = run(["evolve-quantum", *argv, "--out", str(tmp_path), "--quiet"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "non-finite width" in err and named in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, code", [
@@ -630,6 +650,22 @@ class TestModelTwoCommand:
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "model_two.json").exists()
 
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["--N", "2", "--p", "1,2", "--q", "1,1e200"], id="q-overflows"),
+        pytest.param(["--N", "1", "--p", "nan", "--q", "1"], id="p-nan"),
+        pytest.param(["--N", "1", "--p", "1", "--q", "1", "--nu", "inf"], id="nu-inf"),
+        # m q overflows in numpy, whose warning preceded the message
+        pytest.param(["--N", "1", "--m", "2", "--p", "1", "--q", "1e308"], id="m-q-overflows"),
+    ])
+    def test_non_finite_h1_is_reported_as_non_finite(self, tmp_path, capsys, argv):
+        # the first three used to be reported as the imaginary residue nan of a
+        # Hermitian polynomial
+        code = run(["model-two", "--zeta", "0.5", *argv, "--out", str(tmp_path), "--quiet"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "finite" in err and "residue" not in err and "Warning" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_float_power_overflow_exits_3(self, tmp_path, capsys):
         # m**4 overflows a Python float; it used to escape as OverflowError

@@ -62,6 +62,12 @@ class TestGrid:
         with pytest.raises(DomainError):
             half_line_grid(upper, 10)
 
+    @pytest.mark.parametrize("n", [0, 1, -5])
+    def test_half_line_checks_the_node_count_before_dividing_by_it(self, n):
+        # n = 0 used to raise ZeroDivisionError from the spacing upper / n
+        with pytest.raises(DomainError, match="need at least two nodes"):
+            half_line_grid(2.0, n)
+
     def test_grids_compare_by_kind_ends_and_size(self):
         assert uniform_grid(-1.0, 1.0, 9) == uniform_grid(-1, 1, 9)
         assert uniform_grid(-1.0, 1.0, 9) != uniform_grid(-1.0, 1.0, 11)

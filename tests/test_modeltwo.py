@@ -1,35 +1,29 @@
-"""Ladder engine, reducible overlaps and characteristic functions."""
+"""H1 of the quartic model, reducible overlaps and characteristic functions."""
 
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cslab.errors import AccuracyError, DomainError, NumericError, PreconditionError
 from cslab.modeltwo import (
-    LadderPolynomial,
     RadialDensity,
     ReducibleRep,
     _angular_series,
     _gauss_legendre,
     characteristic_exact_gaussian,
     characteristic_radial,
-    displaced_expectation,
     gaussian_radial_density,
     h1_closed_form,
     h1_expectation,
     h1_matrix_element,
     h1_operator,
-    h_p_operator,
-    h_r_operator,
     match_target,
-    matrix_element,
     measure_superposition,
     overlap_reducible,
-    quartic_operator,
     scenario_record,
     solid_angle,
 )
@@ -38,151 +32,74 @@ from cslab.modeltwo import (
 from oracles import (
     characteristic_kernel,
     h1_terms,
-    ladder_dagger,
     ladder_evaluate,
     ladder_hermitian,
     quadrature_expectations,
     quadrature_overlap,
 )
 
-SITES = 4
-# dyadic coefficients keep every sum exact, so the hermiticity verdict
-# cannot depend on the order in which equal monomials are summed
-_dyadic = st.integers(-8, 8).map(lambda k: k / 4)
-_coeffs = st.builds(complex, _dyadic, _dyadic)
-_index = st.lists(st.tuples(st.integers(0, SITES - 1), st.integers(0, 3)), max_size=3)
-_terms = st.lists(st.tuples(_coeffs, _index, _index, _index, _index), max_size=6)
+
+def _eigenvalues(rep, p, q):
+    """(alpha, beta) of the displaced state at (p, q), as ``ladder_evaluate`` takes them."""
+    p, q = np.atleast_1d(p), np.atleast_1d(q)
+    return rep.alpha(p, q), rep.beta(q)
 
 
 class TestDisplacedExpectation:
-    def test_h_p_is_free_oscillator(self):
-        rep = ReducibleRep(3, 1.5, 0.4)
-        p = np.array([1.0, -0.5, 0.2])
-        q = np.array([0.3, 1.1, -0.7])
-        want = 0.5 * (p @ p + rep.m**2 * (q @ q))
-        assert displaced_expectation(h_p_operator(rep), rep, p, q) == pytest.approx(
-            want, rel=1e-14
-        )
-
-    def test_h_r_from_b_eigenvalue(self):
-        rep = ReducibleRep(2, 2.0, 0.6)
-        p = np.array([1.0, 0.0])
-        q = np.array([0.0, 1.0])
-        want = 0.5 * rep.m**2 * rep.zeta**2 * (q @ q)
-        assert displaced_expectation(h_r_operator(rep), rep, p, q) == pytest.approx(
-            want, rel=1e-14
-        )
-
-    def test_quartic_from_b_eigenvalue_fourth_power(self):
-        rep = ReducibleRep(2, 1.0, 0.5)
-        nu = 0.7
-        q = np.array([0.4, -1.2])
-        want = nu * rep.m**4 * rep.zeta**4 * (q @ q) ** 2
-        got = displaced_expectation(quartic_operator(rep, nu), rep, np.zeros(2), q)
-        assert got == pytest.approx(want, rel=1e-13)
+    """<p,q| H1 |p,q> against quadrature and at values that do not fit a float."""
 
     @pytest.mark.parametrize("m,zeta,hbar", [(1, 0.3, 1), (2, 0.6, 1), (1, 0.9, 0.5)])
     def test_wick_engine_against_quadrature(self, m, zeta, hbar):
+        # at N = 1 the terms of H1 are H_p, H_r and nu B+B+BB, in that order
         rep = ReducibleRep(1, m, zeta, hbar)
         p, q = 0.8, -1.1
         h_p_quad, h_r_quad, quartic_quad = quadrature_expectations(m, zeta, hbar, p, q)
-        assert displaced_expectation(h_p_operator(rep), rep, [p], [q]) == pytest.approx(
-            h_p_quad, abs=1e-6
+        terms = h1_operator(rep, 1.0).terms
+        at = _eigenvalues(rep, p, q)
+        pieces = [ladder_evaluate([term], *at, *at)[0] for term in terms]
+        assert [piece.real for piece in pieces] == pytest.approx(
+            [h_p_quad, h_r_quad, quartic_quad], abs=1e-6
         )
-        assert displaced_expectation(h_r_operator(rep), rep, [p], [q]) == pytest.approx(
-            h_r_quad, abs=1e-6
-        )
-        assert displaced_expectation(
-            quartic_operator(rep, 1.0), rep, [p], [q]
-        ) == pytest.approx(quartic_quad, abs=1e-6)
+        for nu in (0.0, 1.0):
+            want = h_p_quad + h_r_quad + nu * quartic_quad
+            assert h1_expectation(rep, nu, [p], [q]) == pytest.approx(want, abs=1e-6)
 
     def test_wrong_vector_length_rejected(self):
         rep = ReducibleRep(3, 1.0, 0.2)
         with pytest.raises(DomainError):
-            displaced_expectation(h_p_operator(rep), rep, [1.0], [1.0])
-
-    def test_h1_skips_the_hermiticity_check(self, monkeypatch):
-        calls = []
-        check = LadderPolynomial.is_hermitian
-
-        def counted(poly, *args, **kwargs):
-            calls.append(poly)
-            return check(poly, *args, **kwargs)
-
-        monkeypatch.setattr(LadderPolynomial, "is_hermitian", counted)
-        rep = ReducibleRep(3, 1.0, 0.4)
-        p, q = np.array([1.0, -0.5, 0.2]), np.array([0.3, 1.1, -0.7])
-        got = h1_expectation(rep, 0.7, p, q)
-        assert got == pytest.approx(h1_closed_form(rep, 0.7, p, q), rel=1e-13)
-        assert calls == []
+            h1_expectation(rep, 0.5, [1.0], [1.0])
+        with pytest.raises(DomainError):
+            h1_matrix_element(rep, 0.5, [1.0] * 3, [1.0] * 3, [1.0], [1.0])
 
     def test_nan_residue_of_hermitian_polynomial_raises(self):
+        # a NaN eigenvalue makes the imaginary part NaN too; the value is
+        # reported as non-finite, not as an imaginary residue
         rep = ReducibleRep(2, 1.0, 0.5)
-        with pytest.raises(AccuracyError):
-            displaced_expectation(h_p_operator(rep), rep, [math.nan, 0.0], [0.3, 1.0])
+        with pytest.raises(NumericError, match="non-finite H1 expectation") as info:
+            h1_expectation(rep, 1.0, [math.nan, 0.0], [0.3, 1.0])
+        assert not isinstance(info.value, AccuracyError)
 
     def test_non_finite_values_are_numeric_errors(self):
         rep = ReducibleRep(1, 1.0, 0.5)
-        # the complex power (B_0)^2 overflows at q = 1e200
-        with pytest.raises(NumericError):
-            displaced_expectation(quartic_operator(rep, 1.0), rep, [0.0], [1e200])
-        # the product A+_0 A_0 overflows to inf without an exception
-        with pytest.raises(NumericError):
-            displaced_expectation(h_p_operator(rep), rep, [1e200], [1.0])
-        # a non-Hermitian polynomial at an infinite eigenvalue
-        lone_a = LadderPolynomial.from_factors(1.0, [("A", 0)])
-        with pytest.raises(NumericError):
-            displaced_expectation(lone_a, rep, [math.inf], [1.0])
-        # H_r is finite, 4 nu H_r H_r is not
-        with pytest.raises(NumericError):
-            h1_expectation(rep, 1.0, [1.0], [1e100])
-
-    def test_imaginary_value_of_non_hermitian_polynomial_returns_real_part(self):
-        rep = ReducibleRep(1, 1.5, 0.4)
-        lone_a = LadderPolynomial.from_factors(1.0, [("A", 0)])
-        assert not lone_a.is_hermitian()
-        assert displaced_expectation(lone_a, rep, [0.8], [-1.1]) == 0.8
-
-    def test_normal_order_enforced_structurally(self):
-        with pytest.raises(DomainError):
-            LadderPolynomial.from_factors(1.0, [("A", 0), ("A+", 0)])
-        ok = LadderPolynomial.from_factors(1.0, [("A+", 0), ("A", 0)])
-        assert ok.is_hermitian()
+        points = [
+            (0.0, 1e200),  # |a_0|^2 and |b_0|^2 overflow
+            (1e200, 1.0),  # |a_0|^2 overflows
+            (math.inf, 1.0),
+            (1.0, 1e100),  # H_r is finite, 4 nu H_r H_r is not
+        ]
+        for p, q in points:
+            # the expanded terms do not fit a float either: the value overflows, not the route
+            at = _eigenvalues(rep, p, q)
+            with np.errstate(over="ignore", invalid="ignore"):
+                expanded, _ = ladder_evaluate(h1_terms(1, 1.0), *at, *at)
+            assert not math.isfinite(expanded.real)
+            with pytest.raises(NumericError, match="non-finite H1 expectation"):
+                h1_expectation(rep, 1.0, [p], [q])
 
 
 class TestCompiledEngine:
-    """The term-list engine against the independent loops in tests/oracles.py,
-    and H1's pair-sum route against its expanded 2N + N^2 terms."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(_terms, _terms, _coeffs, st.integers(0, 2**32 - 1))
-    # A+_0 - A+_0 cancels to the zero polynomial, which is Hermitian
-    @example([(1 + 0j, [(0, 1)], [], [], [])], [(1 + 0j, [(0, 1)], [], [], [])], -1 + 0j, 0)
-    def test_matches_loop_oracle(self, first, second, factor, seed):
-        terms = first + [(c * factor, *indices) for c, *indices in second]
-        poly = LadderPolynomial.build(first) + LadderPolynomial.build(second).scaled(factor)
-        assert len(poly.terms) == len(terms)
-
-        rng = np.random.default_rng(seed)
-        rep = ReducibleRep(SITES, float(rng.uniform(0.5, 2)), float(rng.uniform(0, 0.9)))
-        pl, ql, pr, qr = rng.normal(0, 1, (4, SITES))
-        got = matrix_element(poly, rep, pl, ql, pr, qr)
-        overlap = overlap_reducible(rep, pl, ql, pr, qr)
-        want, size = ladder_evaluate(
-            terms, rep.alpha(pl, ql), rep.beta(ql), rep.alpha(pr, qr), rep.beta(qr)
-        )
-        assert abs(got - want * overlap) <= 1e-12 * size * abs(overlap)
-        adjoint = matrix_element(poly.dagger(), rep, pr, qr, pl, ql)
-        assert abs(adjoint - np.conj(got)) <= 1e-12 * size * abs(overlap)
-
-        cases = [
-            (terms, poly),
-            (ladder_dagger(terms), poly.dagger()),
-            (terms + ladder_dagger(terms), poly + poly.dagger()),
-        ]
-        for case_terms, case in cases:
-            assert case.is_hermitian() == ladder_hermitian(case_terms)
-        assert (poly + poly.dagger()).is_hermitian()
+    """H1's explicit terms and its pair-sum route against the independent
+    loops in tests/oracles.py."""
 
     @pytest.mark.parametrize("n", [1, 2, 7, 40])
     def test_h1_operator_term_count(self, n):
@@ -192,31 +109,29 @@ class TestCompiledEngine:
     def test_h1_operator_matches_term_list(self, n):
         rng = np.random.default_rng(n)
         rep = ReducibleRep(n, 1.3, 0.6)
-        poly = h1_operator(rep, 0.7)
-        assert poly.is_hermitian() and ladder_hermitian(h1_terms(n, 0.7))
+        terms = h1_operator(rep, 0.7).terms
+        assert ladder_hermitian(terms) and ladder_hermitian(h1_terms(n, 0.7))
         pl, ql, pr, qr = rng.normal(0, 1, (4, n))
-        want, size = ladder_evaluate(
-            h1_terms(n, 0.7), rep.alpha(pl, ql), rep.beta(ql), rep.alpha(pr, qr), rep.beta(qr)
-        )
-        got = matrix_element(poly, rep, pl, ql, pr, qr) / overlap_reducible(rep, pl, ql, pr, qr)
+        at = (*_eigenvalues(rep, pl, ql), *_eigenvalues(rep, pr, qr))
+        want, size = ladder_evaluate(h1_terms(n, 0.7), *at)
+        got, _ = ladder_evaluate(terms, *at)
         assert abs(got - want) <= 1e-12 * size
 
     @pytest.mark.parametrize("n", [1, 3, 12])
     def test_h1_pair_sums_match_expanded_operator(self, n):
         rng = np.random.default_rng(100 + n)
         rep = ReducibleRep(n, 1.3, 0.6)
-        poly = h1_operator(rep, 0.7)
+        terms = h1_operator(rep, 0.7).terms
         pl, ql, pr, qr = rng.normal(0, 1, (4, n))
-        left, right = (rep.alpha(pl, ql), rep.beta(ql)), (rep.alpha(pr, qr), rep.beta(qr))
+        left, right = _eigenvalues(rep, pl, ql), _eigenvalues(rep, pr, qr)
 
-        _, size = ladder_evaluate(h1_terms(n, 0.7), *left, *right)
-        overlap = abs(overlap_reducible(rep, pl, ql, pr, qr))
+        want, size = ladder_evaluate(terms, *left, *right)
+        overlap = overlap_reducible(rep, pl, ql, pr, qr)
         got = h1_matrix_element(rep, 0.7, pl, ql, pr, qr)
-        assert abs(got - matrix_element(poly, rep, pl, ql, pr, qr)) <= 1e-12 * size * overlap
+        assert abs(got - want * overlap) <= 1e-12 * size * abs(overlap)
 
-        _, size = ladder_evaluate(h1_terms(n, 0.7), *left, *left)
-        got = h1_expectation(rep, 0.7, pl, ql)
-        assert abs(got - displaced_expectation(poly, rep, pl, ql)) <= 1e-12 * size
+        want, size = ladder_evaluate(terms, *left, *left)
+        assert abs(h1_expectation(rep, 0.7, pl, ql) - want) <= 1e-12 * size
 
 
 class TestH1:
@@ -348,11 +263,6 @@ class TestMatrixElements:
         # the brace overflows to inf while the overlap underflows to 0
         with pytest.raises(NumericError, match="non-finite H1 matrix element"):
             h1_matrix_element(ReducibleRep(1, 1.0, 0.5), 1.0, [1.0], [1e100], [1.0], [q_right])
-
-    def test_ladder_element_fails_closed(self):
-        rep = ReducibleRep(1, 1.0, 0.5)
-        with pytest.raises(NumericError, match="non-finite ladder matrix element"):
-            matrix_element(h_p_operator(rep), rep, [1e200], [1.0], [1e200], [1.0])
 
 
 class TestOverlap:

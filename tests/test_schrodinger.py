@@ -1,6 +1,7 @@
 """Crank-Nicolson benchmarks against the restricted dynamics."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -89,6 +90,19 @@ class TestEvolutionSetup:
         setup = EvolutionSetup(HARMONIC, grid, 1e-3, 20)
         evolve(psi0, setup, snapshot_every=1)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("p0, q0", [(0.0, 1e308), (1e308, 0.0), (0.0, math.nan)])
+    def test_window_of_non_finite_width_names_the_start(self, p0, q0):
+        # the grid used to fail on its own nodes, naming no input
+        f = gaussian_fiducial(1.0, 1.0)
+        with pytest.raises(DomainError, match=re.escape(f"p0 = {p0!r}, q0 = {q0!r}")):
+            oscillation_window(f, p0, q0, 64)
+
+    @pytest.mark.parametrize("q_max", [1e308, math.inf])
+    def test_half_line_window_of_non_finite_width_names_q0(self, q_max):
+        f = affine_fiducial(2.0, 1.0)
+        with pytest.raises(DomainError, match="non-finite width; lower q0"):
+            half_line_window(f, q_max, 64)
 
     def test_dxd_discretization_is_symmetric(self):
         f = affine_fiducial(2.0, 1.0)
