@@ -92,6 +92,9 @@ FAILURES: dict[str, list[str]] = {
                                 "--q0", "0.5", "--dt", "nan"],
     "centering-p-scale-inf": ["centering", "--p_scale", "inf"],
     "charfn-series-cancellation": ["charfn", "--p_r_list", "8", "--n_list", "4"],
+    "charfn-n-negative": ["charfn", "--n_list", "-3"],
+    "charfn-hbar-0": ["charfn", "--hbar", "0"],
+    "charfn-n-2": ["charfn", "--n_list", "2"],
     "model-two-q-overflow": ["model-two", "--N", "2", "--zeta", "0.5", "--p", "1,2",
                              "--q", "1,1e200"],
     "model-two-p-nan": ["model-two", "--N", "1", "--zeta", "0.5", "--p", "nan", "--q", "1"],
