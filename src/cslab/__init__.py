@@ -50,7 +50,6 @@ from .dynamics import (
 # track_expectations(u, hu, x_weights, setup) -> (<p>, <x>, <H>) on the unknown vector u
 from .schrodinger import EvolutionSetup, evolve, track_expectations
 from .modeltwo import (
-    RadialDensity,
     ReducibleRep,
     characteristic_exact_gaussian,
     characteristic_radial,

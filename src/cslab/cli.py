@@ -466,7 +466,7 @@ def run_evolve_quantum(params: dict, rng: np.random.Generator, out: Outputs) -> 
     f = _fiducial(params)
     n = params["n_nodes"]
     if f.kind == AFFINE_DOMAIN:
-        grid = half_line_window(f, q_max=3 * params["q0"], n=n)
+        grid = half_line_window(f, params["q0"], n)
     else:
         grid = oscillation_window(f, params["p0"], params["q0"], n)
         spacing_per_width = grid.spacing / f.sigma
@@ -510,13 +510,16 @@ def run_evolve_quantum(params: dict, rng: np.random.Generator, out: Outputs) -> 
 
 
 def run_model_one(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
+    t_min, t_max = params["t_min"], params["t_max"]
+    if not t_min <= 0 <= t_max:  # a NaN fails too
+        raise ConfigError(f"t_min = {t_min!r} and t_max = {t_max!r} must bracket t = 0")
     start = _start(params, AFFINE_DOMAIN)
     hbar = params["hbar"]
     c = compute_C(affine_fiducial(params["beta"], hbar))  # the fiducial checks beta and hbar
     enhanced = polynomial_symbol({(2, 1): 1.0, (0, -1): c}, AFFINE_DOMAIN)
     dt = params["dt"]
-    back = integrate(enhanced, start, params["t_min"], dt)
-    fwd = integrate(enhanced, start, params["t_max"], dt)
+    back = integrate(enhanced, start, t_min, dt)
+    fwd = integrate(enhanced, start, t_max, dt)
     # merge backward (reversed) and forward branches into one record
     times = np.concatenate([back.times[::-1], fwd.times[1:]])
     traj = Trajectory(
@@ -538,7 +541,7 @@ def run_model_one(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
     }
     if params["include_classical"]:
         classical = polynomial_symbol({(2, 1): 1.0}, AFFINE_DOMAIN)
-        direction = params["t_min"] if params["p0"] > 0 else params["t_max"]
+        direction = t_min if params["p0"] > 0 else t_max
         run = integrate(classical, start, direction, dt)
         payload["classical_singular"] = run.singular
         payload["classical_q_min"] = run.min_q()

@@ -24,18 +24,19 @@ costs two O(N) dot products of the eigenvalues.  It reproduces
 
 so an arbitrary quartic target (m0^2, lambda0 > 0) is matched by choosing
 m^2 = m0^2/(1+zeta^2) and nu = lambda0/(zeta^4 m^4).
+
+The characteristic function of N free oscillators in their ground state and
+its large-N descent value are closed forms too: exp(-z) and (1 + 2z/N)^(-N/2).
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import AccuracyError, DomainError, NumericError, PreconditionError
 
@@ -209,103 +210,35 @@ def h1_matrix_element(
 # rotationally symmetric characteristic functions
 
 
-# radial Gauss-Legendre nodes of the normalization check and, by default,
-# of the characteristic function, so that both use one rule
-RADIAL_NODES = 800
-
-
-@functools.cache
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only nodes and weights of the n-point rule on [-1, 1].
-
-    numpy builds a rule by an O(n^3) eigen-solve, which costs far more than
-    any one integral below, so each node count is built once per process.
-    The normalization check and ``characteristic_radial`` share the
-    RADIAL_NODES-point rule, so a process builds that one only.
-    """
-    x, w = leggauss(n)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
-def _log_solid_angle(dim: int) -> float:
-    return math.log(2) + dim / 2 * math.log(math.pi) - math.lgamma(dim / 2)
-
-
-def solid_angle(dim: int) -> float:
-    """Surface area of the unit sphere S^(dim-1) in R^dim."""
-    return math.exp(_log_solid_angle(dim))
+def _require_scale(value: float, what: str) -> None:
+    if not 0 < value < math.inf:  # a NaN fails too
+        raise DomainError(f"{what} = {value!r} must be finite and positive")
 
 
 @dataclass(frozen=True)
-class RadialDensity:
-    """Rotationally symmetric ground-state density rho(|x|) in N dimensions.
+class GaussianRadialDensity:
+    """rho(x) = (m_prime / pi hbar)^(N/2) exp(-m_prime |x|^2 / hbar) on R^N."""
 
-    ``log_rho``, when given, is log rho evaluated directly; a density whose
-    values underflow in high dimension (the Gaussian one does near N = 600)
-    supplies it so that no weight is formed from an underflowed rho.
-    """
-
-    rho: Callable[[np.ndarray], np.ndarray]
     N: int
-    r_max: float
-    log_rho: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def _log_radial(self, r: np.ndarray) -> np.ndarray:
-        """log[rho(r) r^(N-1)]: r^(N-1) alone overflows once N is in the hundreds."""
-        if self.log_rho is not None:
-            log_rho = self.log_rho(r)
-        else:
-            with np.errstate(divide="ignore"):
-                log_rho = np.log(self.rho(r))
-        return log_rho + (self.N - 1) * np.log(r)
-
-    def weight(self, r: np.ndarray) -> np.ndarray:
-        """Induced radial weight rho(r) r^(N-1) times the full solid angle."""
-        return np.exp(self._log_radial(r) + _log_solid_angle(self.N))
-
-    def _rule(self, n_nodes: int = RADIAL_NODES) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes r in [0, r_max] and weights w, sum(w f(r)) ~ int f rho d^N x."""
-        x, w = _gauss_legendre(n_nodes)
-        r = (x + 1) / 2 * self.r_max
-        return r, self.weight(r) * (w / 2 * self.r_max)
-
-    def normalization(self) -> float:
-        """int rho d^N x on the RADIAL_NODES-point rule."""
-        return float(np.sum(self._rule()[1]))
-
-    def require_normalized(self) -> None:
-        _require_unit_mass(self.normalization())
+    m_prime: float
+    hbar: float
 
 
-def _require_unit_mass(total: float) -> None:
-    dev = abs(total - 1.0)
-    if not dev <= 1e-8:
-        raise PreconditionError(f"radial density normalization off by {dev:.3e}")
-
-
-def gaussian_radial_density(N: int, m_prime: float, hbar: float = 1.0) -> RadialDensity:
+def gaussian_radial_density(N: int, m_prime: float, hbar: float = 1.0) -> GaussianRadialDensity:
     """Ground-state density of N independent oscillators of mass m_prime."""
-    if not m_prime > 0:
-        raise DomainError("m_prime must be positive")
-    log_norm = 0.5 * N * math.log(m_prime / (math.pi * hbar))
-
-    def log_rho(r):
-        return log_norm - m_prime * np.asarray(r, dtype=float) ** 2 / hbar
-
-    def rho(r):
-        return np.exp(log_rho(r))
-
-    r_max = 2.5 * math.sqrt((N + 10 * math.sqrt(N) + 10) * hbar / (2 * m_prime))
-    return RadialDensity(rho, N, r_max, log_rho)
+    if not N >= 1:
+        raise DomainError(f"N = {N!r} must be at least 1")
+    _require_scale(m_prime, "m_prime")
+    _require_scale(hbar, "hbar")
+    return GaussianRadialDensity(N, m_prime, hbar)
 
 
 def characteristic_exact_gaussian(p_r: float, m_prime: float, hbar: float = 1.0) -> float:
     """Characteristic function of a free ground state: exp[-p^2 / 4 m' hbar]."""
     if not m_prime > 0:
         raise DomainError("m_prime must be positive")
-    return math.exp(-_power(p_r, 2) / (4 * m_prime * hbar))
+    # divided in turn: a tiny hbar overflows the quotient instead of zeroing the divisor
+    return math.exp(-_power(p_r, 2) / (4 * m_prime) / hbar)
 
 
 @dataclass(frozen=True)
@@ -318,108 +251,32 @@ class CharacteristicResult:
         return abs(self.exact - self.descent)
 
 
-# largest cancellation bound at which the exact value is still reported
-SERIES_ATOL = 1e-10
-# the series stops once its weighted term is below this share of the weights
-_SERIES_TAIL = 1e-18
-
-
-def _angular_series(b: float, z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
-    """0F1(; b; -z) at every node, and sum_k sum_r w(r) |t_k(r)|.
-
-    The terms are t_0 = 1 and t_(k+1) = -z t_k / ((b + k)(k + 1)), one array
-    over the nodes per term.  For b >= 1, |t_k| <= z^k / (k!)^2 <=
-    (e^2 z / k^2)^k, so from k = 2e sqrt(z) on |t_k| <= 4^-k, and 40 terms
-    later that is below 1e-24 at every node: that is the cap.  The sum
-    stops before it, once the next ratio is at most 1/2
-    at every node (the weighted tail is then below the last weighted term)
-    and the last weighted term is below 1e-18 of sum(w).  A non-finite z,
-    weight or term, or a run past the cap, raises AccuracyError.
-    """
-    z_max = float(np.max(z))
-    if not 0 <= z_max < math.inf:
-        raise AccuracyError(f"series argument {z_max!r} is not finite")
-    size = float(np.sum(w))
-    tail = _SERIES_TAIL * size
-    term = np.ones_like(z)
-    value = term.copy()
-    for k in range(math.ceil(2 * math.e * math.sqrt(z_max)) + 40):
-        with np.errstate(over="ignore", invalid="ignore"):
-            term *= z
-            term *= -1.0 / ((b + k) * (k + 1))
-            last = float(w @ np.abs(term))
-        if not math.isfinite(last):
-            raise AccuracyError(f"term {k + 1} of the angular series is not finite")
-        value += term
-        size += last
-        if z_max <= 0.5 * (b + k + 1) * (k + 2) and last <= tail:
-            return value, size
-    raise AccuracyError("the angular series did not converge within its term cap")
-
-
 def characteristic_radial(
-    density: RadialDensity,
+    density: GaussianRadialDensity,
     p_r: float,
     hbar: float = 1.0,
-    n_r: int = RADIAL_NODES,
+    n_r: int = 800,
     n_theta: int = 800,
 ) -> CharacteristicResult:
-    """Characteristic function of a radial density, exactly and by steepest
-    descent, on an ``n_r``-point radial Gauss-Legendre rule.
+    """<exp(i p.x / hbar)> over the density at |p| = p_r, exactly and by
+    steepest descent, in closed form for any N >= 1.
 
-    With lambda = p_r r / hbar, the angular integral is Poisson's integral
-    for J_nu (DLMF 10.9.4):
+    With z = p_r^2 hbar_rho / (4 m' hbar^2), hbar_rho the density's hbar,
+    exact = exp(-z) and descent = (1 + 2z/N)^(-N/2), the radial Gaussian
+    integral of exp(-p_r^2 r^2 / 2N hbar^2), the angular average's descent
+    value at theta = pi/2.  The descent is exp(-(N/2) log1p(2z/N)), so the
+    difference z^2 exp(-z) / N (1 + O(1/N)) is not lost to rounding.
 
-        int_0^pi exp(i lambda cos theta) sin^(N-2) theta dtheta
-            = B(1/2, (N-1)/2) 0F1(; N/2; -lambda^2/4),
-
-    and S^(N-2) times that beta function is the full solid angle S^(N-1), so
-    the exact value is the radial weights ``density.weight(r) w`` applied to
-    the angular average 0F1(; N/2; -z), z = lambda^2 / 4, summed as its
-    alternating power series (``_angular_series``).  For large N the angular
-    integrand concentrates at theta = pi/2; the quadratic-order descent
-    approximation of the average is exp(-lambda^2 / 2N).
-
-    Both sums are divided by the rule's own sum of weights.  That sum is
-    rho's normalization, which must be 1 to within 1e-8 (PreconditionError
-    otherwise); at the default ``n_r`` it is ``density.normalization()`` on
-    the same rule, so no second rule is built.  The division cancels the
-    rounding the weights share from their log-space form, which at N in the
-    hundreds is ~1e-13 relative.
-
-    Cancellation bound: each t_k(r) carries the roundings of its 2k
-    multiplications and of one addition, so the computed series at r is
-    off by a few ulps of sum_k |t_k(r)|, and the weighted mean by about
-
-        eps * sum_r w(r) sum_k |t_k(r)| / sum_r w(r),
-
-    which for a Gaussian rho is eps exp(p_r^2 / 4 m' hbar).  Measured errors
-    against that closed form stay 20-100 times below the bound (N = 3 to 400,
-    p_r up to 10).  Above SERIES_ATOL = 1e-10 the series is not trusted and
-    AccuracyError is raised; at N = 4, m' = hbar = 1 that is p_r above ~7.2.
-
-    ``n_theta`` is unused: no angular rule is built.  It stays because
-    ``perfbench/tracer.py`` reads it from every call (ROADMAP item 1).
+    ``n_r`` and ``n_theta`` are unused; they stay because ``perfbench/tracer.py``
+    reads them from every call (ROADMAP item 1).
     """
-    N = density.N
-    if N < 3:
-        raise DomainError("the angular reduction requires N >= 3")
-    r, w = density._rule(n_r)
-    w_sum = float(np.sum(w))
-    _require_unit_mass(w_sum)
-    p_sq = _power(p_r, 2)
-    scaled = (r / hbar) ** 2
-
-    angular, size = _angular_series(N / 2, p_sq * scaled / 4, w)
-    bound = float(np.finfo(float).eps) * size / w_sum
-    if not bound <= SERIES_ATOL:
-        raise AccuracyError(
-            f"angular series at p_r = {p_r!r} may lose {bound:.2e} to cancellation "
-            f"(bound {SERIES_ATOL:g})"
-        )
-    exact = float(w @ angular) / w_sum
-    descent = float(w @ np.exp(-p_sq * scaled / (2 * N))) / w_sum
-    return CharacteristicResult(exact, descent)
+    _require_scale(hbar, "hbar")
+    # as in characteristic_exact_gaussian, which it equals when the two hbar agree
+    z = _power(p_r, 2) / (4 * density.m_prime) / hbar * (density.hbar / hbar)
+    if math.isnan(z):
+        raise NumericError(f"p_r = {p_r!r} gives no characteristic function")
+    half_n = density.N / 2
+    return CharacteristicResult(math.exp(-z), math.exp(-half_n * math.log1p(z / half_n)))
 
 
 def measure_superposition(

@@ -332,9 +332,9 @@ def oscillation_window(f: Fiducial, p0: float, q0: float, n: int) -> Grid:
     return uniform_grid(-half, half, n, kind=FULL_LINE)
 
 
-def half_line_window(f: Fiducial, q_max: float, n: int) -> Grid:
-    """Half-line grid covering dilated states up to q_max with 10-sigma margins."""
-    upper = q_max * (1 + 10 * f.sigma)
+def half_line_window(f: Fiducial, q0: float, n: int) -> Grid:
+    """Half-line grid covering dilated states up to 3 q0 with 10-sigma margins."""
+    upper = 3 * q0 * (1 + 10 * f.sigma)
     if not math.isfinite(upper):
-        raise DomainError(f"q_max = {q_max!r} needs a window of non-finite width; lower q0")
+        raise DomainError(f"q0 = {q0!r} needs a window of non-finite width; lower q0")
     return half_line_grid(upper, n)

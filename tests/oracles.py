@@ -9,6 +9,7 @@ constant C by adaptive quadrature, the Model One flow from energy
 conservation, and characteristic functions by a 2-D radial-angular rule.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -20,7 +21,6 @@ from scipy.sparse.linalg import splu
 from cslab.errors import AccuracyError, DomainError
 from cslab.geometry import MetricTensor
 from cslab.grids import WaveFunction, inner_product
-from cslab.modeltwo import _gauss_legendre, _log_solid_angle
 from cslab.states import (
     AFFINE_DOMAIN,
     CANONICAL_DOMAIN,
@@ -471,22 +471,36 @@ def model_one_reference(p0, q0, c):
 # characteristic functions by a 2-D radial-angular rule
 #
 # The exp(i lambda cos theta) kernel on an n_r x n_theta Gauss-Legendre
-# product rule: the reference the 0F1 series of
-# cslab.modeltwo.characteristic_radial is tested against.
+# product rule over the ground state of N free oscillators: the reference
+# the closed forms of cslab.modeltwo.characteristic_radial are tested against.
 
 
-def characteristic_kernel(density, p_r, hbar=1.0, n_r=800, n_theta=800):
-    """Complex characteristic function of a radial density by the 2-D kernel."""
-    N = density.N
-    xr, wr = _gauss_legendre(n_r)
-    r = (xr + 1) / 2 * density.r_max
-    wr = wr / 2 * density.r_max
-    radial = np.exp(density._log_radial(r) + _log_solid_angle(N - 1))
+@functools.cache
+def _legendre(n):
+    """The n-point Gauss-Legendre rule on [-1, 1]; numpy builds it by an eigen-solve."""
+    return leggauss(n)
 
-    xt, wt = _gauss_legendre(n_theta)
+
+def gaussian_radial_rule(N, m_prime, hbar=1.0, n_r=800):
+    """Nodes r and weights w, sum(w f(r)) ~ int f(|x|) rho(x) d^N x, for
+    rho = (m'/pi hbar)^(N/2) exp(-m' |x|^2 / hbar) on R^N."""
+    r_max = 2.5 * math.sqrt((N + 10 * math.sqrt(N) + 10) * hbar / (2 * m_prime))
+    x, w = _legendre(n_r)
+    r = (x + 1) / 2 * r_max
+    # rho, r^(N-1) and the sphere's area |S^(N-1)| each over- or underflow at
+    # large N, so the weight is formed from the sum of their logs
+    log_rho = N / 2 * math.log(m_prime / (math.pi * hbar)) - m_prime * r**2 / hbar
+    log_sphere = math.log(2) + N / 2 * math.log(math.pi) - math.lgamma(N / 2)
+    return r, np.exp(log_rho + (N - 1) * np.log(r) + log_sphere) * w / 2 * r_max
+
+
+def characteristic_kernel(N, m_prime, p_r, hbar=1.0, n_r=800, n_theta=800):
+    """Complex characteristic function of the N-oscillator ground state by the
+    2-D kernel; the angular measure sin^(N-2) theta dtheta on [0, pi] is
+    normalized on its own rule.  N >= 2."""
+    r, w = gaussian_radial_rule(N, m_prime, hbar, n_r)
+    xt, wt = _legendre(n_theta)
     theta = (xt + 1) / 2 * math.pi
-    wt = wt / 2 * math.pi
     angular = np.sin(theta) ** (N - 2) * wt
-
     kernel = np.exp(1j * np.outer(p_r * r / hbar, np.cos(theta)))
-    return complex(np.einsum("i,j,ij->", radial * wr, angular, kernel))
+    return complex(w @ kernel @ angular / np.sum(angular))

@@ -65,6 +65,8 @@ RUNS: dict[str, list[str]] = {
     "model-two-N300": ["model-two", "--N", "300", "--m", "1.3", "--zeta", "0.4", "--nu", "0.7",
                        f"--p={N300_P}", f"--q={N300_Q}"],
     "charfn-atoms": ["charfn", "--n_list", "4,16,64", "--atoms", "0.25:0.5,0.5:0.5"],
+    "charfn-large-momentum": ["charfn", "--p_r_list", "8", "--n_list", "4"],
+    "charfn-any-n": ["charfn", "--n_list", "1,2,100000"],
 }
 
 QUANTUM = ["evolve-quantum", "--operator", HARMONIC, "--p0", "0.1", "--q0", "0.2",
@@ -91,10 +93,9 @@ FAILURES: dict[str, list[str]] = {
     "evolve-classical-dt-nan": ["evolve-classical", "--operator", HARMONIC, "--p0", "0.5",
                                 "--q0", "0.5", "--dt", "nan"],
     "centering-p-scale-inf": ["centering", "--p_scale", "inf"],
-    "charfn-series-cancellation": ["charfn", "--p_r_list", "8", "--n_list", "4"],
     "charfn-n-negative": ["charfn", "--n_list", "-3"],
     "charfn-hbar-0": ["charfn", "--hbar", "0"],
-    "charfn-n-2": ["charfn", "--n_list", "2"],
+    "model-one-window-without-t0": ["model-one", "--t_min", "5", "--t_max", "1", "--dt", "0.5"],
     "model-two-q-overflow": ["model-two", "--N", "2", "--zeta", "0.5", "--p", "1,2",
                              "--q", "1,1e200"],
     "model-two-p-nan": ["model-two", "--N", "1", "--zeta", "0.5", "--p", "nan", "--q", "1"],

@@ -487,6 +487,18 @@ class TestDeterminism:
 
 
 class TestModelOneCommand:
+    @pytest.mark.parametrize("t_min, t_max", [("5", "1"), ("-2", "-1"), ("nan", "1"),
+                                              ("-1", "nan")])
+    def test_window_without_t0_exits_2(self, tmp_path, capsys, t_min, t_max):
+        # t_min = 5, t_max = 1 used to exit 0 with a t column of 5, 4.5, ..., 0, 0.5, 1
+        out = tmp_path / "never-written"
+        code = run(["model-one", "--t_min", t_min, "--t_max", t_max, "--dt", "0.5",
+                    "--out", str(out), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"t_min = {float(t_min)!r} and t_max = {float(t_max)!r}" in err
+        assert not out.exists()
+
     def test_floor_and_classical_collapse(self, tmp_path):
         code = run(
             ["model-one", "--beta", "1.0", "--p0", "1.0", "--q0", "1.0",
@@ -725,14 +737,40 @@ class TestCharfnCommand:
         assert "b=inf" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_series_cancellation_exits_3(self, tmp_path, capsys):
-        # the alternating 0F1 series at p_r = 12 may lose O(1) to cancellation
+    def test_large_momentum_computes(self, tmp_path):
+        # it exited 3 while the exact value was an alternating 0F1 series,
+        # which may lose O(1) to cancellation at p_r = 12
         code = run(
             ["charfn", "--n_list", "4", "--p_r_list", "12", "--out", str(tmp_path), "--quiet"]
         )
+        assert code == 0
+        (row,) = read_json(tmp_path / "charfn.json")["table"]
+        assert row["exact"] == row["gaussian_closed_form"]
+
+    @pytest.mark.parametrize("n_list", ["1,2", "100000"])
+    def test_any_n_computes(self, tmp_path, n_list):
+        # N < 3 and N = 100000 exited 3 while a radial rule was summed
+        code = run(["charfn", "--n_list", n_list, "--out", str(tmp_path), "--quiet"])
+        assert code == 0
+        for row in read_json(tmp_path / "charfn.json")["table"]:
+            assert row["exact"] == row["gaussian_closed_form"]
+            assert 0 < row["exact"] < row["descent"] < 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--n_list", "-3"], "N = -3 must be at least 1"),
+        (["--hbar", "0"], "hbar = 0.0 must be finite and positive"),
+        (["--hbar", "-1"], "hbar = -1.0 must be finite and positive"),
+        (["--m_prime", "inf"], "m_prime = inf must be finite and positive"),
+    ])
+    def test_density_out_of_domain_exits_3(self, tmp_path, capsys, argv, message):
+        # these ended in a ValueError, a ZeroDivisionError or numpy warnings
+        out = tmp_path / "never-written"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["charfn", *argv, "--out", str(out), "--quiet"])
         assert code == 3
-        assert "cancellation" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().err.splitlines() == [f"numerical failure in charfn: {message}"]
+        assert not out.exists()
 
 
 class TestTracerContract:

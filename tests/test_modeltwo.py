@@ -10,10 +10,7 @@ from hypothesis import strategies as st
 
 from cslab.errors import AccuracyError, DomainError, NumericError, PreconditionError
 from cslab.modeltwo import (
-    RadialDensity,
     ReducibleRep,
-    _angular_series,
-    _gauss_legendre,
     characteristic_exact_gaussian,
     characteristic_radial,
     gaussian_radial_density,
@@ -25,12 +22,12 @@ from cslab.modeltwo import (
     measure_superposition,
     overlap_reducible,
     scenario_record,
-    solid_angle,
 )
 
 
 from oracles import (
     characteristic_kernel,
+    gaussian_radial_rule,
     h1_terms,
     ladder_evaluate,
     ladder_hermitian,
@@ -324,24 +321,31 @@ class TestCharacteristic:
         values = [characteristic_exact_gaussian(p, 1.3) for p in (0, 0.5, 1, 2, 4)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
-    def test_radial_density_normalized(self):
-        for n in (4, 16, 64):
-            gaussian_radial_density(n, 1.0).require_normalized()
+    def test_small_n_computes(self):
+        # N = 1 and 2 were rejected while the exact value came from an
+        # angular series that needed N >= 3
+        for n in (1, 2):
+            for p_r in (0.5, 1.0, 3.0):
+                z = p_r**2 / 4
+                res = characteristic_radial(gaussian_radial_density(n, 1.0), p_r)
+                assert res.exact == pytest.approx(math.exp(-z), rel=1e-15)
+                assert res.descent == pytest.approx((1 + 2 * z / n) ** (-n / 2), rel=1e-15)
+        # the kernel oracle's angular rule takes N = 2, not N = 1
+        assert abs(res.exact - characteristic_kernel(2, 1.0, 3.0).real) <= 1e-13
 
-    def test_unnormalized_density_rejected(self):
-        density = RadialDensity(lambda r: np.exp(-(r**2)), 4, 10.0)
-        with pytest.raises(PreconditionError):
-            characteristic_radial(density, 1.0)
-
-    def test_one_rule_per_process(self):
-        # the normalization check runs on the rule the integral uses
-        _gauss_legendre.cache_clear()
-        characteristic_radial(gaussian_radial_density(8, 1.0), 1.0)
-        assert _gauss_legendre.cache_info().currsize == 1
-
-    def test_small_n_rejected(self):
-        with pytest.raises(DomainError):
-            characteristic_radial(gaussian_radial_density(2, 1.0), 1.0)
+    @pytest.mark.parametrize("n, m_prime, hbar, named", [
+        (0, 1.0, 1.0, "N = 0"),
+        (-3, 1.0, 1.0, "N = -3"),
+        (4, 0.0, 1.0, "m_prime = 0.0"),
+        (4, math.inf, 1.0, "m_prime = inf"),
+        (4, math.nan, 1.0, "m_prime = nan"),
+        (4, 1.0, 0.0, "hbar = 0.0"),
+        (4, 1.0, -1.0, "hbar = -1.0"),
+        (4, 1.0, math.nan, "hbar = nan"),
+    ])
+    def test_density_rejects_what_it_cannot_take(self, n, m_prime, hbar, named):
+        with pytest.raises(DomainError, match=named):
+            gaussian_radial_density(n, m_prime, hbar)
 
     def test_zero_momentum_is_one(self):
         res = characteristic_radial(gaussian_radial_density(8, 1.0), 0.0)
@@ -353,23 +357,10 @@ class TestCharacteristic:
             res = characteristic_radial(gaussian_radial_density(n, 1.0), 1.0)
             assert res.exact == pytest.approx(math.exp(-0.25), abs=1e-8)
 
-    def test_nan_density_rejected(self):
-        density = RadialDensity(lambda r: np.full_like(r, np.nan), 4, 10.0)
-        with pytest.raises(PreconditionError):
-            density.require_normalized()
-        with pytest.raises(PreconditionError):
-            characteristic_radial(density, 1.0)
-
-    def test_solid_angle_in_high_dimension(self):
-        assert solid_angle(3) == pytest.approx(4 * math.pi, rel=1e-14)
-        assert 0.0 <= solid_angle(400) < 1e-100
-        assert solid_angle(4000) == 0.0
-
     @pytest.mark.parametrize("n", [256, 400])
     def test_large_n_normalized_and_exact(self, n):
-        density = gaussian_radial_density(n, 1.0)
-        assert abs(density.normalization() - 1.0) < 2e-13
-        res = characteristic_radial(density, 1.0)
+        # the density is normalized by construction: nothing is summed
+        res = characteristic_radial(gaussian_radial_density(n, 1.0), 1.0)
         assert res.exact == pytest.approx(math.exp(-0.25), abs=5e-14)
 
     @pytest.mark.parametrize("p_r", [0.5, 1.0, 2.0])
@@ -380,45 +371,43 @@ class TestCharacteristic:
         ]
         assert all(b < a for a, b in zip(errors, errors[1:]))
 
+    @pytest.mark.parametrize("n", [16, 64, 256, 1000])
+    def test_difference_falls_as_one_over_n(self, n):
+        # exact - descent = z^2 exp(-z) / N (1 + O(1/N)); N |ratio - 1| reads
+        # about 0.08, 0.30 and 0.83 at z = 1/16, 1/4 and 1
+        for p_r in (0.5, 1.0, 2.0):
+            z = p_r**2 / 4
+            res = characteristic_radial(gaussian_radial_density(n, 1.0), p_r)
+            assert abs(n * res.difference / (z**2 * math.exp(-z)) - 1) <= 1 / n
+
     @pytest.mark.parametrize("n", [3, 4, 8, 16, 64, 128, 256])
     def test_series_matches_kernel_oracle(self, n):
+        # named for the 0F1 series it checked; it now checks exp(-z)
         density = gaussian_radial_density(n, 1.0)
         for p_r in (0.0, 0.5, 1.0, 2.0, 5.0):
-            want = characteristic_kernel(density, p_r).real
+            want = characteristic_kernel(n, 1.0, p_r).real
             assert abs(characteristic_radial(density, p_r).exact - want) <= 1e-13
 
-    def test_series_matches_kernel_for_non_gaussian_density(self):
-        # rho ~ exp(-r^4), normalized by int_0^inf exp(-r^4) r^(N-1) dr = Gamma(N/4)/4;
-        # only rho is given, so the weights take its log
-        n = 5
-        norm = 4 / (solid_angle(n) * math.gamma(n / 4))
-        density = RadialDensity(lambda r: norm * np.exp(-(r**4)), n, 4.0)
-        for p_r in (0.0, 0.5, 1.0, 2.0, 5.0):
-            want = characteristic_kernel(density, p_r).real
-            assert abs(characteristic_radial(density, p_r).exact - want) <= 1e-13
+    @pytest.mark.parametrize("n", [3, 16, 64, 256, 1000])
+    def test_descent_matches_radial_rule(self, n):
+        # the descent is the radial integral of exp(-p_r^2 r^2 / 2N hbar^2)
+        m_prime, hbar = 2.0, 0.5
+        r, w = gaussian_radial_rule(n, m_prime, hbar)
+        density = gaussian_radial_density(n, m_prime, hbar)
+        for p_r in (0.5, 1.0, 2.0, 3.0, 6.0):
+            want = w @ np.exp(-(p_r**2) * r**2 / (2 * n * hbar**2)) / np.sum(w)
+            assert abs(characteristic_radial(density, p_r, hbar).descent - want) <= 1e-13
 
     def test_nan_momentum_raises(self):
-        with pytest.raises(AccuracyError, match="not finite"):
+        with pytest.raises(NumericError, match="p_r = nan"):
             characteristic_radial(gaussian_radial_density(4, 1.0), float("nan"))
 
-    def test_nan_weight_stops_series(self):
-        z = np.linspace(0.0, 4.0, 9)
-        w = np.full(9, 0.1)
-        w[4] = np.nan
-        with pytest.raises(AccuracyError, match="not finite"):
-            _angular_series(2.0, z, w)
-
-    def test_momentum_overflowing_series_raises(self):
-        # p_r^2 and z = p_r^2 r^2 / 4 are finite; the second term overflows
-        with pytest.raises(AccuracyError, match="not finite"):
-            characteristic_radial(gaussian_radial_density(4, 1.0), 1e150)
-
-    def test_cancellation_bound_stops_large_momentum(self):
-        # the bound is eps exp(p_r^2 / 4) for this density: 4.6e-11 at p_r = 7
-        density = gaussian_radial_density(4, 1.0)
-        characteristic_radial(density, 7.0)
-        with pytest.raises(AccuracyError, match="cancellation"):
-            characteristic_radial(density, 7.5)
+    def test_momentum_overflow_and_tiny_hbar(self):
+        # p_r^2 overflows; a tiny hbar sends z to inf, not through a zero divisor
+        with pytest.raises(NumericError, match="overflows"):
+            characteristic_radial(gaussian_radial_density(4, 1.0), 1e300)
+        res = characteristic_radial(gaussian_radial_density(4, 1e-10, 1e-320), 1.0, 1e-320)
+        assert (res.exact, res.descent) == (0.0, 0.0)
 
 
 class TestMeasureSuperposition:

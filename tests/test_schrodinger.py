@@ -98,15 +98,17 @@ class TestEvolutionSetup:
         with pytest.raises(DomainError, match=re.escape(f"p0 = {p0!r}, q0 = {q0!r}")):
             oscillation_window(f, p0, q0, 64)
 
-    @pytest.mark.parametrize("q_max", [1e308, math.inf])
-    def test_half_line_window_of_non_finite_width_names_q0(self, q_max):
+    @pytest.mark.parametrize("q0", [1e308, math.inf])
+    def test_half_line_window_of_non_finite_width_names_q0(self, q0):
+        # the window's upper end 3 q0 overflows for q0 = 1e308; it used to be
+        # passed in as q_max, and the message named q_max = inf
         f = affine_fiducial(2.0, 1.0)
-        with pytest.raises(DomainError, match="non-finite width; lower q0"):
-            half_line_window(f, q_max, 64)
+        with pytest.raises(DomainError, match=re.escape(f"q0 = {q0!r} needs a window")):
+            half_line_window(f, q0, 64)
 
     def test_dxd_discretization_is_symmetric(self):
         f = affine_fiducial(2.0, 1.0)
-        grid = half_line_window(f, 2.0, 512)
+        grid = half_line_window(f, 1.0, 512)
         setup = EvolutionSetup(DXD, grid, 1e-4, 10)
         diag, off = hamiltonian_tridiagonal(setup)
         assert diag.size == grid.n - 1
@@ -223,7 +225,7 @@ class TestTridiagonalSolver:
             setup = EvolutionSetup(HARMONIC, grid, 1e-3, 200)
         elif case == "dxd":
             f = affine_fiducial(2.0, 1.0)
-            grid = half_line_window(f, 2.0, 512)
+            grid = half_line_window(f, 1.0, 512)
             psi0 = affine_coherent(f, PhasePoint(0.5, 1.0, domain=AFFINE_DOMAIN), grid=grid)
             setup = EvolutionSetup(DXD, grid, 1e-3, 200)
         elif case == PIVOTING_CASE:
@@ -237,7 +239,7 @@ class TestTridiagonalSolver:
             # beta = 1, as in the flow benchmark: psi ~ sqrt(x) near 0, so the
             # first node's one-sided stencil weighs in <p>
             f = affine_fiducial(1.0, 1.0)
-            grid = half_line_window(f, 3.0, 512)
+            grid = half_line_window(f, 1.0, 512)
             psi0 = affine_coherent(f, PhasePoint(0.3, 1.0, domain=AFFINE_DOMAIN), grid=grid)
             setup = EvolutionSetup(DXD, grid, 1e-3, 200)
         return psi0.normalized(), setup
@@ -364,7 +366,7 @@ class TestHalfLineModelOne:
     def test_energy_conserved_and_matches_symbol(self):
         beta, hbar = 4.0, 1.0
         f = affine_fiducial(beta, hbar)
-        grid = half_line_window(f, q_max=3.0, n=2048)
+        grid = half_line_window(f, 1.0, 2048)
         psi0 = affine_coherent(f, PhasePoint(1.0, 1.0, domain=AFFINE_DOMAIN), grid=grid)
         psi0 = psi0.normalized()
         setup = EvolutionSetup(DXD, grid, 2e-4, 2500, hbar)
@@ -381,7 +383,7 @@ class TestHalfLineModelOne:
         for hbar in (0.5, 0.25, 0.125):
             f = affine_fiducial(beta, hbar)
             symbol = weak_symbol(DXD, f)
-            grid = half_line_window(f, q_max=3.0, n=4096)
+            grid = half_line_window(f, 1.0, 4096)
             start = PhasePoint(1.0, 1.0, domain=AFFINE_DOMAIN)
             psi0 = affine_coherent(f, start, grid=grid).normalized()
             setup = EvolutionSetup(DXD, grid, 1e-4, 5000, hbar)
