@@ -44,7 +44,7 @@ from .geometry import MetricTensor, fs_metric, ray_distance, scalar_curvature
 from .dynamics import (
     Trajectory,
     integrate,
-    model_one_floor,
+    model_one_flow,
     restricted_action,
 )
 # track_expectations(u, hu, x_weights, setup) -> (<p>, <x>, <H>) on the unknown vector u

@@ -22,12 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import Trajectory, integrate, model_one_floor
+from .dynamics import Trajectory, integrate, model_one_flow, step_count
 from .errors import ConfigError, CslabError, DomainError, NumericError
 from .geometry import fs_metric, scalar_curvature
 from .grids import WaveFunction
 from .modeltwo import (
     ReducibleRep,
+    _require_scale,
     characteristic_exact_gaussian,
     characteristic_radial,
     gaussian_radial_density,
@@ -56,12 +57,12 @@ from .states import (
     verify_centering,
 )
 from .svgplot import write_line_plot
-from .symbols import compute_C, parse_operator, polynomial_symbol, weak_symbol
+from .symbols import compute_C, parse_operator, weak_symbol
 
 
 @dataclass(frozen=True)
 class Param:
-    kind: str  # float | int | str | bool | floats | ints
+    kind: str  # float | int | str | floats | ints
     default: object = None
     required: bool = False
     help: str = ""
@@ -137,8 +138,7 @@ SCHEMAS: dict[str, dict[str, Param]] = {
         "q0": Param("float", 1.0),
         "t_min": Param("float", -10.0),
         "t_max": Param("float", 10.0),
-        "dt": Param("float", 1e-3),
-        "include_classical": Param("bool", True, help="also run the C = 0 flow"),
+        "dt": Param("float", 1e-3, help="spacing of the records"),
     },
     "model-two": {
         "N": Param("int", required=True),
@@ -177,12 +177,6 @@ def _parse_value(key: str, param: Param, raw: str, where: str):
             return float(raw)
         if param.kind == "int":
             return int(raw)
-        if param.kind == "bool":
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         if param.kind == "floats":
             return tuple(float(tok) for tok in raw.split(",") if tok.strip())
         if param.kind == "ints":
@@ -320,6 +314,18 @@ def _fiducial(params: dict):
     return gaussian_fiducial(params["omega"], params["hbar"])
 
 
+# rows of one trajectory run; model-one's default window writes 20001
+MAX_RECORDS = 10**6
+
+
+def _step_counts(dt: float, **spans: float) -> list[int]:
+    """Steps of dt over each span; over MAX_RECORDS rows in all is refused before allocating."""
+    steps = [step_count(span, dt, name) for name, span in spans.items()]
+    if (n := sum(steps) + 1) > MAX_RECORDS:
+        raise ConfigError(f"dt = {dt!r} gives {n:.12g} records, over the cap of {MAX_RECORDS}")
+    return steps
+
+
 def _start(params: dict, domain: str) -> PhasePoint:
     """The run's start (p0, q0); a start off the sheet is a configuration error."""
     try:
@@ -434,6 +440,7 @@ def run_curvature(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
 
 def run_evolve_classical(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
     start = _start(params, params["family"])
+    _step_counts(params["dt"], t_final=params["t_final"])
     op = parse_operator(params["operator"])
     f = _fiducial(params)
     symbol = weak_symbol(op, f)
@@ -510,42 +517,33 @@ def run_evolve_quantum(params: dict, rng: np.random.Generator, out: Outputs) -> 
 
 
 def run_model_one(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
-    t_min, t_max = params["t_min"], params["t_max"]
+    t_min, t_max, dt = params["t_min"], params["t_max"], params["dt"]
     if not t_min <= 0 <= t_max:  # a NaN fails too
         raise ConfigError(f"t_min = {t_min!r} and t_max = {t_max!r} must bracket t = 0")
-    start = _start(params, AFFINE_DOMAIN)
-    hbar = params["hbar"]
-    c = compute_C(affine_fiducial(params["beta"], hbar))  # the fiducial checks beta and hbar
-    enhanced = polynomial_symbol({(2, 1): 1.0, (0, -1): c}, AFFINE_DOMAIN)
-    dt = params["dt"]
-    back = integrate(enhanced, start, t_min, dt)
-    fwd = integrate(enhanced, start, t_max, dt)
-    # merge backward (reversed) and forward branches into one record
-    times = np.concatenate([back.times[::-1], fwd.times[1:]])
-    traj = Trajectory(
-        times,
-        np.concatenate([back.p[::-1], fwd.p[1:]]),
-        np.concatenate([back.q[::-1], fwd.q[1:]]),
-        np.concatenate([back.energy[::-1], fwd.energy[1:]]),
-        singular=back.singular or fwd.singular,
-    )
-    energy = float(fwd.energy[0])
-    floor = model_one_floor(params["p0"], params["q0"], c)
+    p0, q0 = params["p0"], params["q0"]
+    _start(params, AFFINE_DOMAIN)
+    c = compute_C(affine_fiducial(params["beta"], params["hbar"]))  # the fiducial checks both
+    n_back, n_fwd = _step_counts(dt, t_min=t_min, t_max=t_max)
+    # records every dt back to t_min and forward to t_max, t = 0 included
+    times = np.concatenate([np.arange(n_back, 0, -1) * -dt, np.arange(n_fwd + 1) * dt])
+    energy, traj = model_one_flow(p0, q0, c, times)
+    floor = c / energy
+    if not floor > 0:  # C = hbar beta / 2 or C/E underflowed
+        raise NumericError(f"the floor C/E = {c!r}/{energy!r} underflows to 0")
+    # the C = 0 flow q0 (1 + p0 t)^2 collapses at t = -1/p0 if the window reaches it
+    collapses = bool(p0 and times[0] <= -1 / p0 <= times[-1])
+    end = float(times[0] if p0 > 0 else times[-1])
     payload = {
         "C": c,
         "energy": energy,
         "q_floor_predicted": floor,
         "q_min_observed": traj.min_q(),
         "floor_ratio": traj.min_q() / floor,
-        "enhanced_singular": traj.singular,
+        "enhanced_singular": False,  # C > 0 keeps q at or above C/E > 0
+        "classical_singular": collapses,
+        "classical_q_min": 0.0 if collapses else q0 * (1 + p0 * end) ** 2,
+        "classical_stop_time": -1 / p0 if collapses else end,
     }
-    if params["include_classical"]:
-        classical = polynomial_symbol({(2, 1): 1.0}, AFFINE_DOMAIN)
-        direction = t_min if params["p0"] > 0 else t_max
-        run = integrate(classical, start, direction, dt)
-        payload["classical_singular"] = run.singular
-        payload["classical_q_min"] = run.min_q()
-        payload["classical_stop_time"] = float(run.times[-1])
     out.json(payload)
     out.csv_trajectory(traj)
     out.svg(
@@ -573,8 +571,9 @@ def run_model_two(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
 
 
 def run_charfn(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
-    hbar = params["hbar"]
-    m_prime = params["m_prime"]
+    hbar, m_prime = params["hbar"], params["m_prime"]
+    _require_scale(m_prime, "m_prime")  # checked here: an empty n_list builds no density
+    _require_scale(hbar, "hbar")
     table = []
     monotone = {}
     for p_r in params["p_r_list"]:

@@ -2,10 +2,10 @@
 
 Stationary variation of the restricted action  A = integral [p qdot - H] dt
 gives Hamilton's equations for the symbol H, integrated here with fixed-step
-RK4.  The affine Model-One symbol  H = q p^2 + C / q  is handled specially:
-its C = 0 trajectories collapse to q = 0 in finite time, while any C > 0
-keeps q above the energy floor C / E, so the integrator carries an explicit
-singularity flag instead of failing silently.
+RK4, with a singularity flag for an affine flow that leaves the half line.
+The Model-One symbol  H = q p^2 + C / q  is not integrated: its flow is
+known in closed form, collapsing to q = 0 at t = -1/p0 for C = 0 and
+turning back at the energy floor C / E for any C > 0.
 """
 
 from __future__ import annotations
@@ -16,12 +16,11 @@ from typing import IO
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError, PreconditionError
+from .errors import DomainError, IntegrationError, NumericError, PreconditionError
 from .states import AFFINE_DOMAIN, PhasePoint
 from .symbols import AFFINE_DOMAIN_MESSAGE, SymbolFn
 
 Q_FLOOR = 1e-6
-GRADIENT_OVERFLOW = 1e12
 
 
 @dataclass
@@ -58,6 +57,15 @@ class Trajectory:
         stream.writelines(f"{t:.17g},{p:.17g},{q:.17g},{e:.17g}\n" for t, p, q, e in zip(*columns))
 
 
+def step_count(span: float, dt: float, name: str = "t_final") -> int:
+    """Steps of size ``dt`` that cover ``|span|``, rounded to the nearest count."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise DomainError("dt must be finite and positive")
+    if not math.isfinite(abs(span) / dt):  # a NaN span fails too
+        raise DomainError(f"{name} = {span!r} over dt = {dt!r} is not a finite step count")
+    return int(round(abs(span) / dt))
+
+
 def integrate(
     symbol: SymbolFn,
     start: PhasePoint,
@@ -68,27 +76,19 @@ def integrate(
 
     ``t_final`` may be negative (backward run; the step is negated).  For
     affine symbols the run halts with the singularity flag once q crosses
-    ``Q_FLOOR`` or a step leaves the domain; a gradient overflow is flagged
-    the same way.  Non-finite state is an error carrying the last point.
+    ``Q_FLOOR`` or a step leaves the domain.  A non-finite gradient or state
+    is an error carrying the last point.
     """
-    if not (math.isfinite(dt) and dt > 0):
-        raise DomainError("dt must be finite and positive")
+    n_steps = step_count(t_final, dt)
     affine = symbol.provenance == AFFINE_DOMAIN
     if affine and start.q <= 0:
         raise DomainError("affine dynamics requires q > 0")
 
-    if not math.isfinite(abs(t_final) / dt):  # a NaN t_final fails too
-        raise DomainError(f"t_final = {t_final!r} over dt = {dt!r} is not a finite step count")
-    n_steps = int(round(abs(t_final) / dt))
     h = dt if t_final >= 0 else -dt
     p, q = float(start.p), float(start.q)
 
-    times = [0.0]
-    ps = [p]
-    qs = [q]
-    energies = [symbol(p, q)]
-    singular = False
-    reason = None
+    times, ps, qs, energies = [0.0], [p], [q], [symbol(p, q)]
+    singular, reason = False, None
 
     gradient = symbol.gradient  # SymbolFn.grad without its domain check
 
@@ -97,11 +97,7 @@ def integrate(
             raise DomainError(AFFINE_DOMAIN_MESSAGE)
         dp, dq = gradient(pp, qq)
         if not (math.isfinite(dp) and math.isfinite(dq)):
-            raise IntegrationError(
-                "non-finite gradient", last_state=(times[-1], ps[-1], qs[-1])
-            )
-        if abs(dp) > GRADIENT_OVERFLOW or abs(dq) > GRADIENT_OVERFLOW:
-            raise _Overflow()
+            raise IntegrationError("non-finite gradient", last_state=(times[-1], ps[-1], qs[-1]))
         return -dq, dp
 
     for i in range(n_steps):
@@ -110,40 +106,25 @@ def integrate(
             k2p, k2q = rhs(p + 0.5 * h * k1p, q + 0.5 * h * k1q)
             k3p, k3q = rhs(p + 0.5 * h * k2p, q + 0.5 * h * k2q)
             k4p, k4q = rhs(p + h * k3p, q + h * k3q)
-        except _Overflow:
-            singular, reason = True, "gradient overflow"
-            break
         except DomainError:
             singular, reason = True, "step left the affine domain"
             break
         p_new = p + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
         q_new = q + h / 6 * (k1q + 2 * k2q + 2 * k3q + k4q)
         if not (math.isfinite(p_new) and math.isfinite(q_new)):
-            raise IntegrationError(
-                "non-finite state", last_state=(times[-1], ps[-1], qs[-1])
-            )
-        if affine and q_new < Q_FLOOR:
-            p, q = p_new, max(q_new, 0.0)
-            times.append((i + 1) * h)
-            ps.append(p)
-            qs.append(q)
-            energies.append(energies[-1])  # symbol undefined at/below the floor
-            singular, reason = True, f"q crossed the floor {Q_FLOOR:g}"
-            break
-        p, q = p_new, q_new
+            raise IntegrationError("non-finite state", last_state=(times[-1], ps[-1], qs[-1]))
+        floor_crossed = affine and q_new < Q_FLOOR
+        p, q = p_new, max(q_new, 0.0) if floor_crossed else q_new
         times.append((i + 1) * h)
         ps.append(p)
         qs.append(q)
+        if floor_crossed:
+            energies.append(energies[-1])  # symbol undefined at/below the floor
+            singular, reason = True, f"q crossed the floor {Q_FLOOR:g}"
+            break
         energies.append(symbol(p, q))
 
-    return Trajectory(
-        np.array(times), np.array(ps), np.array(qs), np.array(energies),
-        singular=singular, singular_reason=reason,
-    )
-
-
-class _Overflow(Exception):
-    pass
+    return Trajectory(times, ps, qs, energies, singular=singular, singular_reason=reason)
 
 
 def restricted_action(path: Trajectory, symbol: SymbolFn) -> float:
@@ -161,7 +142,25 @@ def restricted_action(path: Trajectory, symbol: SymbolFn) -> float:
     return pdq - h_int
 
 
-def model_one_floor(p0: float, q0: float, c: float) -> float:
-    """Turning-point floor q_min = C / E of the enhanced flow."""
-    energy = q0 * p0**2 + c / q0
-    return c / energy
+def model_one_flow(p0: float, q0: float, c: float, times: np.ndarray) -> tuple[float, Trajectory]:
+    """Energy E and exact path of  H = q p^2 + C / q  from (p0, q0) at t = 0.
+
+    d(pq)/dt = E and q E = C + (pq)^2, so with u = t - t*, t* = -p0 q0 / E:
+    q = C/E + E u^2 and p = E u / q.  Both terms of q are non-negative, so
+    q >= C/E holds exactly; the expanded q0 + 2 p0 q0 t + E t^2 loses it to
+    roundoff once |p0| is about 1e6.  C = 0 collapses at t* = -1/p0.
+    """
+    energy = q0 * p0 * p0 + c / q0
+    if not 0 < energy < math.inf:  # a NaN fails too
+        raise NumericError(f"E = {energy!r} at p0 = {p0!r}, q0 = {q0!r} is not finite and positive")
+    u = times + p0 * q0 / energy  # t - t*
+    with np.errstate(over="ignore", invalid="ignore"):
+        pq = energy * u
+        q = c / energy + pq * u
+        p = pq / q
+        h = q * p * p + c / q  # the symbol on the path
+    if not np.isfinite(h).all():  # a non-finite p or q makes H non-finite too
+        i = int(np.argmin(np.isfinite(h)))
+        p_i, q_i, h_i, t_i = (float(v[i]) for v in (p, q, h, times))
+        raise NumericError(f"p = {p_i!r}, q = {q_i!r}, H = {h_i!r} at t = {t_i!r}")
+    return energy, Trajectory(times, p, q, h)

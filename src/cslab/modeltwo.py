@@ -286,6 +286,7 @@ def measure_superposition(
 
     A single atom at b = 1/(4 m') reproduces the free ground state.
     """
+    _require_scale(hbar, "hbar")
     total = sum(mu for _, mu in weights)
     if not abs(total - 1.0) <= 1e-9:
         raise PreconditionError(f"measure weights sum to {total!r}, not 1")

@@ -34,6 +34,9 @@ N30_Q = ",".join(f"{0.05 * ((5 * i) % 13 - 6):.2f}" for i in range(30))
 N300_P = ",".join(f"{0.1 * ((7 * i) % 11 - 5):.1f}" for i in range(300))
 N300_Q = ",".join(f"{0.05 * ((5 * i) % 13 - 6):.2f}" for i in range(300))
 
+# the C = 0 flow collapses at t = -1/p0: inside this window for |p0| >= 0.5
+MODEL_ONE = ["model-one", "--q0", "1.2", "--t_min", "-2", "--t_max", "2", "--dt", "0.01"]
+
 # each subcommand on each sheet it supports
 RUNS: dict[str, list[str]] = {
     "centering-canonical": ["centering", "--n_points", "5"],
@@ -58,8 +61,10 @@ RUNS: dict[str, list[str]] = {
     "evolve-quantum-affine": ["evolve-quantum", "--family", "affine", "--operator", DXD,
                               "--p0", "0.2", "--q0", "1", "--n_nodes", "1024",
                               "--dt", "1e-3", "--steps", "200"],
-    "model-one": ["model-one", "--p0", "0.8", "--q0", "1.2", "--t_min", "-2", "--t_max", "2",
-                  "--dt", "0.01"],
+    "model-one": [*MODEL_ONE, "--p0", "0.8"],
+    "model-one-forward-collapse": [*MODEL_ONE, "--p0", "-0.8"],
+    "model-one-at-rest": [*MODEL_ONE, "--p0", "0"],
+    "model-one-collapse-outside": [*MODEL_ONE, "--p0", "0.3"],
     "model-two-N30": ["model-two", "--N", "30", "--m", "1.3", "--zeta", "0.4", "--nu", "0.7",
                       f"--p={N30_P}", f"--q={N30_Q}"],
     "model-two-N300": ["model-two", "--N", "300", "--m", "1.3", "--zeta", "0.4", "--nu", "0.7",
@@ -107,6 +112,15 @@ FAILURES: dict[str, list[str]] = {
                                 "--q0", "1e308"],
     "evolve-quantum-p0-1e308": ["evolve-quantum", "--operator", "0.5 * D D", "--p0", "1e308",
                                 "--q0", "0"],
+    "model-one-record-cap": ["model-one", "--dt", "1e-9"],
+    "evolve-classical-record-cap": ["evolve-classical", "--operator", HARMONIC, "--p0", "0",
+                                    "--q0", "0", "--t_final", "10", "--dt", "1e-6"],
+    "model-one-p0-1e200": ["model-one", "--p0", "1e200"],
+    "model-one-floor-underflow": ["model-one", "--hbar", "1e-200", "--beta", "1e-200",
+                                  "--t_min", "0", "--t_max", "0.5"],
+    "charfn-atoms-hbar-0": ["charfn", "--n_list=", "--hbar", "0", "--atoms", "0.25:1"],
+    "charfn-atoms-hbar-negative": ["charfn", "--p_r_list=", "--hbar", "-1", "--atoms", "0.25:1"],
+    "charfn-m-prime-negative": ["charfn", "--n_list=", "--m_prime", "-1"],
     "evolve-quantum-affine-q0-1e308": ["evolve-quantum", "--family", "affine", "--operator",
                                        DXD, "--p0", "0", "--q0", "1e308"],
 }

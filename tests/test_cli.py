@@ -14,7 +14,7 @@ import pytest
 import cslab.cli
 import cslab.grids
 import cslab.symbols
-from cslab.cli import _RUNNERS, SCHEMAS, build_parser, main
+from cslab.cli import _RUNNERS, MAX_RECORDS, SCHEMAS, build_parser, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -516,6 +516,69 @@ class TestModelOneCommand:
         assert lines[2] == "t,p,q,H"
 
 
+class TestModelOneClosedForm:
+    @pytest.mark.parametrize("p0, singular, stop, q_min", [
+        (0.8, True, -1.25, 0.0),  # collapses backward, inside the window
+        (-0.8, True, 1.25, 0.0),  # collapses forward
+        (0.0, False, 2.0, 1.2),  # at rest
+        (0.3, False, -2.0, 1.2 * (1 - 0.6) ** 2),  # collapses at t = -10/3, outside
+    ])
+    def test_classical_keys_are_exact(self, tmp_path, p0, singular, stop, q_min):
+        code = run(["model-one", "--p0", str(p0), "--q0", "1.2", "--t_min", "-2",
+                    "--t_max", "2", "--dt", "0.01", "--out", str(tmp_path), "--quiet"])
+        assert code == 0
+        payload = read_json(tmp_path / "model_one.json")
+        assert payload["classical_singular"] is singular
+        assert payload["classical_stop_time"] == stop
+        assert payload["classical_q_min"] == q_min
+        assert payload["enhanced_singular"] is False
+        assert payload["floor_ratio"] >= 1
+
+    def test_large_momentum_is_not_a_collapse(self, tmp_path):
+        # RK4 read the gradient overflow at p0 = 1e150 as a collapse of the
+        # enhanced flow and stopped the C = 0 run at t = 0
+        code = run(["model-one", "--p0", "1e150", "--t_min", "-1", "--t_max", "1",
+                    "--dt", "0.01", "--out", str(tmp_path), "--quiet"])
+        assert code == 0
+        payload = read_json(tmp_path / "model_one.json")
+        assert payload["enhanced_singular"] is False
+        assert payload["classical_stop_time"] == -1e-150
+        assert payload["floor_ratio"] >= 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--p0", "1e200"], "E = inf at p0 = 1e+200, q0 = 1.0 is not finite and positive"),
+        (["--hbar", "1e-200", "--beta", "1e-200", "--t_max", "0.5"],
+         "the floor C/E = 0.0/1.0 underflows to 0"),
+    ])
+    def test_overflow_and_underflow_exit_3(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "never-written"
+        code = run(["model-one", *argv, "--t_min", "0", "--out", str(out), "--quiet"])
+        assert code == 3
+        assert capsys.readouterr().err == f"numerical failure in model-one: {message}\n"
+        assert not out.exists()
+
+    def test_include_classical_is_gone(self, tmp_path):
+        scenario = tmp_path / "classical.scn"
+        scenario.write_text("include_classical = false\n")
+        assert run(["model-one", "--scenario", str(scenario), "--out", str(tmp_path)]) == 2
+
+
+class TestRecordCap:
+    @pytest.mark.parametrize("argv, records", [
+        (["model-one", "--dt", "1e-9"], 20000000001),
+        (["model-one", "--t_min", "-1", "--t_max", "1", "--dt", "2e-6"], MAX_RECORDS + 1),
+        (["evolve-classical", "--operator", "1.0 * D D", "--p0", "0", "--q0", "0",
+          "--t_final", "-1", "--dt", "1e-6"], MAX_RECORDS + 1),
+    ])
+    def test_over_the_cap_exits_2_before_allocating(self, tmp_path, capsys, argv, records):
+        # model-one --dt 1e-9 asked RK4 for 2e10 steps
+        out = tmp_path / "never-written"
+        assert run(argv + ["--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"gives {records} records, over the cap of {MAX_RECORDS}" in err
+        assert not out.exists()
+
+
 class TestGeometryCommands:
     def test_metric_affine(self, tmp_path):
         code = run(
@@ -761,6 +824,12 @@ class TestCharfnCommand:
         (["--hbar", "0"], "hbar = 0.0 must be finite and positive"),
         (["--hbar", "-1"], "hbar = -1.0 must be finite and positive"),
         (["--m_prime", "inf"], "m_prime = inf must be finite and positive"),
+        # with no density to build, hbar and m_prime went unchecked
+        (["--n_list=", "--hbar", "0", "--atoms", "0.25:1"],
+         "hbar = 0.0 must be finite and positive"),
+        (["--p_r_list=", "--hbar", "-1", "--atoms", "0.25:1"],
+         "hbar = -1.0 must be finite and positive"),
+        (["--n_list=", "--m_prime", "-1"], "m_prime = -1.0 must be finite and positive"),
     ])
     def test_density_out_of_domain_exits_3(self, tmp_path, capsys, argv, message):
         # these ended in a ValueError, a ZeroDivisionError or numpy warnings

@@ -1,14 +1,16 @@
-"""RK4 flow and the restricted action."""
+"""RK4 flow, the closed-form Model One flow and the restricted action."""
 
 import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import model_one_reference
 
-from cslab.dynamics import Trajectory, integrate, restricted_action
-from cslab.errors import DomainError, PreconditionError
+from cslab.dynamics import Trajectory, integrate, model_one_flow, restricted_action
+from cslab.errors import DomainError, NumericError, PreconditionError
 from cslab.states import AFFINE_DOMAIN, PhasePoint, gaussian_fiducial
 from cslab.symbols import parse_operator, polynomial_symbol, weak_symbol
 
@@ -93,6 +95,13 @@ class TestIntegrate:
         )
         assert err <= 1e-6
 
+    def test_large_gradient_is_not_a_singularity(self):
+        # a gradient above 1e12 used to stop the run after 0 steps as "gradient overflow"
+        traj = integrate(harmonic_symbol(), PhasePoint(1e13, 0.0), 1.0, 1e-3)
+        assert not traj.singular
+        assert traj.p[-1] == pytest.approx(1e13 * np.cos(1.0), rel=1e-9)
+        assert traj.q[-1] == pytest.approx(1e13 * np.sin(1.0), rel=1e-9)
+
     def test_bad_dt_rejected(self):
         with pytest.raises(DomainError):
             integrate(harmonic_symbol(), PhasePoint(0, 0), 1.0, -0.1)
@@ -106,6 +115,70 @@ class TestIntegrate:
         with pytest.raises(IntegrationError) as excinfo:
             integrate(broken, PhasePoint(1.0, 1.0), 1.0, 1e-2)
         assert excinfo.value.last_state == (0.0, 1.0, 1.0)
+
+
+def _close(got, want, rtol):
+    return np.abs(got - want) <= rtol * np.maximum(1.0, np.maximum(np.abs(got), np.abs(want)))
+
+
+class TestModelOneFlow:
+    @pytest.mark.parametrize(
+        "p0, q0, c",
+        [(p0, q0, c) for p0 in (-1.3, -0.4, 0.0, 0.8, 3.0) for q0 in (0.5, 1.2)
+         for c in (0.0, 0.5, 2.0) if p0 or c],  # p0 = C = 0 is a rest point with E = 0
+    )
+    def test_matches_oracle(self, p0, q0, c):
+        times = np.linspace(-3.0, 3.0, 601)
+        if c == 0:  # p = 1/(t + 1/p0) is undefined at the collapse
+            times = times[np.abs(times + 1 / p0) > 0.1]
+        _, path = model_one_flow(p0, q0, c, times)
+        reference = model_one_reference(p0, q0, c)
+        want_p, want_q = np.array([reference(t) for t in times]).T
+        assert _close(path.p, want_p, 1e-13).all()
+        assert _close(path.q, want_q, 1e-13).all()
+
+    @pytest.mark.parametrize(
+        "p0, q0, c, t_final",
+        [(1.0, 1.0, 0.5, 10.0), (1.0, 1.0, 0.5, -10.0), (-1.0, 1.3, 0.5, 10.0),
+         (0.8, 1.2, 2.0, -5.0), (1.0, 1.0, 0.0, 1.0), (-0.4, 0.5, 0.0, -3.0)],
+    )
+    def test_matches_rk4(self, p0, q0, c, t_final):
+        run = integrate(model_one_symbol(c), PhasePoint(p0, q0, domain=AFFINE_DOMAIN),
+                        t_final, 1e-3)
+        assert not run.singular
+        _, path = model_one_flow(p0, q0, c, run.times)
+        assert np.max(np.abs(path.p - run.p)) <= 1e-9
+        assert np.max(np.abs(path.q - run.q)) <= 1e-9
+
+    def test_classical_collapse_at_minus_one_over_p0(self):
+        # with C = 0, q = q0 (1 + p0 t)^2 closes in on 0 on both sides of t = -1.25
+        _, path = model_one_flow(0.8, 1.2, 0.0, np.array([-1.25 - 1e-4, -1.25 + 1e-4, 0.0]))
+        want = 1.2 * (0.8 * 1e-4) ** 2
+        assert path.q == pytest.approx([want, want, 1.2], rel=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p0=st.floats(-1e6, 1e6),
+        q0=st.floats(1e-3, 1e3),
+        ratio=st.floats(1.0, 100.0),
+    )
+    def test_floor_and_energy_hold_to_roundoff(self, p0, q0, ratio):
+        c = ratio / 2  # hbar beta / 2 at hbar = 1
+        times = np.linspace(-10.0, 10.0, 201)
+        energy, path = model_one_flow(p0, q0, c, times)
+        assert (path.q >= c / energy).all()
+        h = path.q * path.p**2 + c / path.q
+        assert np.max(np.abs(h / energy - 1)) <= 1e-12
+        assert np.max(np.abs(path.energy / energy - 1)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "p0, q0, c, message",
+        [(1e200, 1.0, 0.5, "E = inf"), (0.0, 1.0, 0.0, "E = 0.0"),
+         (1e150, 1.0, 0.5, "q = inf")],
+    )
+    def test_non_finite_values_are_named(self, p0, q0, c, message):
+        with pytest.raises(NumericError, match=message):
+            model_one_flow(p0, q0, c, np.array([0.0, 1e10]))
 
 
 class TestRestrictedAction:
