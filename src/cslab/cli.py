@@ -18,6 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,15 +37,7 @@ from .modeltwo import (
     measure_superposition,
     scenario_record,
 )
-from .schrodinger import (
-    MAX_PHASE_PER_NODE,
-    MAX_SPACING_PER_WIDTH,
-    EvolutionSetup,
-    evolve,
-    half_line_window,
-    oscillation_window,
-    snapshot_csv,
-)
+from .schrodinger import EvolutionSetup, evolution_window, evolve
 from .states import (
     AFFINE_DOMAIN,
     CANONICAL_DOMAIN,
@@ -69,104 +62,12 @@ class Param:
     choices: tuple | None = None
 
 
-_FAMILY = Param("str", CANONICAL_DOMAIN, help="coherent family", choices=SHEETS)
-
-SCHEMAS: dict[str, dict[str, Param]] = {
-    "centering": {
-        "family": _FAMILY,
-        "omega": Param("float", 1.0, help="Gaussian fiducial frequency"),
-        "beta": Param("float", 1.0, help="affine fiducial rate"),
-        "hbar": Param("float", 1.0),
-        "n_points": Param("int", 20, help="random phase points to check"),
-        "p_scale": Param("float", 2.0),
-        "q_scale": Param("float", 2.0),
-        "tolerance": Param("float", 1e-7),
-    },
-    "symbol": {
-        "operator": Param("str", required=True, help="e.g. '1.0 * D X D'"),
-        "family": _FAMILY,
-        "omega": Param("float", 1.0),
-        "beta": Param("float", 1.0),
-        "hbar": Param("float", 1.0),
-        "p_list": Param("floats", (0.0, 1.0)),
-        "q_list": Param("floats", (0.5, 1.0, 2.0)),
-    },
-    "metric": {
-        "family": _FAMILY,
-        "omega": Param("float", 1.0),
-        "beta": Param("float", 1.0),
-        "hbar": Param("float", 1.0),
-        "p_list": Param("floats", (0.0,)),
-        "q_list": Param("floats", (1.0,)),
-    },
-    "curvature": {
-        "family": _FAMILY,
-        "omega": Param("float", 1.0),
-        "beta": Param("float", 1.0),
-        "hbar": Param("float", 1.0),
-        "p": Param("float", 0.0),
-        "q_list": Param("floats", (0.5, 1.0, 4.0)),
-    },
-    "evolve-classical": {
-        "operator": Param("str", required=True),
-        "family": _FAMILY,
-        "omega": Param("float", 1.0),
-        "beta": Param("float", 1.0),
-        "hbar": Param("float", 1.0),
-        "p0": Param("float", required=True),
-        "q0": Param("float", required=True),
-        "t_final": Param("float", 1.0),
-        "dt": Param("float", 1e-3),
-    },
-    "evolve-quantum": {
-        "operator": Param("str", required=True),
-        "family": _FAMILY,
-        "omega": Param("float", 1.0),
-        "beta": Param("float", 1.0),
-        "hbar": Param("float", 1.0),
-        "p0": Param("float", required=True),
-        "q0": Param("float", required=True),
-        "dt": Param("float", 1e-4),
-        "steps": Param("int", 1000),
-        "n_nodes": Param("int", 2048),
-        "snapshot_every": Param("int", 0, help="0 = automatic stride"),
-    },
-    "model-one": {
-        "beta": Param("float", 1.0),
-        "hbar": Param("float", 1.0),
-        "p0": Param("float", 1.0),
-        "q0": Param("float", 1.0),
-        "t_min": Param("float", -10.0),
-        "t_max": Param("float", 10.0),
-        "dt": Param("float", 1e-3, help="spacing of the records"),
-    },
-    "model-two": {
-        "N": Param("int", required=True),
-        "m": Param("float", 1.0),
-        "zeta": Param("float", required=True),
-        "nu": Param("float", 0.0),
-        "p": Param("floats", required=True),
-        "q": Param("floats", required=True),
-    },
-    "charfn": {
-        "m_prime": Param("float", 1.0),
-        "hbar": Param("float", 1.0),
-        "p_r_list": Param("floats", (0.5, 1.0, 2.0)),
-        "n_list": Param("ints", (4, 8, 16, 32, 64)),
-        "atoms": Param("str", "", help="measure atoms 'b:mu,b:mu' (optional)"),
-    },
-}
-
-_DESCRIPTIONS = {
-    "centering": "verify that coherent states read back their (p, q) labels",
-    "symbol": "evaluate an operator's classical symbol H(p, q) and gradient",
-    "metric": "Fubini-Study metric of a coherent-state sheet",
-    "curvature": "scalar curvature of a coherent-state sheet",
-    "evolve-classical": "integrate Hamilton's equations for a symbol",
-    "evolve-quantum": "Crank-Nicolson evolution with expectation tracking",
-    "model-one": "singular vs. regularized flow of H = q p^2 + C/q",
-    "model-two": "reducible-representation quartic-oscillator expectations",
-    "charfn": "rotationally symmetric characteristic functions",
+# the coherent sheet of a run: its family and the fiducial's parameters
+SHEET: dict[str, Param] = {
+    "family": Param("str", CANONICAL_DOMAIN, help="coherent family", choices=SHEETS),
+    "omega": Param("float", 1.0, help="Gaussian fiducial frequency"),
+    "beta": Param("float", 1.0, help="affine fiducial rate"),
+    "hbar": Param("float", 1.0),
 }
 
 
@@ -208,7 +109,7 @@ def load_scenario(path: Path, schema: dict[str, Param]) -> dict:
 
 
 def resolve_params(subcommand: str, args: argparse.Namespace) -> dict:
-    schema = SCHEMAS[subcommand]
+    schema = SUBCOMMANDS[subcommand].params
     values: dict = {}
     if args.scenario:
         values.update(load_scenario(Path(args.scenario), schema))
@@ -273,22 +174,25 @@ class Outputs:
         self._announce(path)
         return path
 
-    def _csv(self, suffix: str, write_body) -> Path | None:
-        """CSV file with the two-line provenance header; ``write_body(fh)`` adds the rest."""
+    def _csv(self, suffix: str, header: str, columns: tuple[np.ndarray, ...]) -> Path | None:
+        """The two provenance lines, ``header``, then one row of ``columns`` per index,
+        each value at 17 significant digits (a float reads back exactly)."""
         if self.fmt == "json":
             return None
+        row = ",".join(["%.17g"] * len(columns)) + "\n"
         path = self._path(suffix, "csv")
         with path.open("w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"# tool: cslab {__version__}\n# scenario: {self.tag}\n")
-            write_body(fh)
+            fh.write(f"# tool: cslab {__version__}\n# scenario: {self.tag}\n{header}\n")
+            fh.writelines(row % values for values in zip(*(c.tolist() for c in columns)))
         self._announce(path)
         return path
 
     def csv_trajectory(self, traj: Trajectory) -> Path | None:
-        return self._csv("", traj.write_csv)
+        return self._csv("", "t,p,q,H", (traj.times, traj.p, traj.q, traj.energy))
 
     def csv_snapshot(self, state: WaveFunction, suffix: str) -> Path | None:
-        return self._csv(suffix, lambda fh: snapshot_csv(state, fh))
+        psi = state.values
+        return self._csv(suffix, "x,Re(psi),Im(psi)", (state.grid.nodes, psi.real, psi.imag))
 
     def svg(self, x, series, title, x_label, y_label) -> Path | None:
         if self.fmt != "svg":
@@ -319,8 +223,12 @@ MAX_RECORDS = 10**6
 
 
 def _step_counts(dt: float, **spans: float) -> list[int]:
-    """Steps of dt over each span; over MAX_RECORDS rows in all is refused before allocating."""
+    """Steps of dt over each span; a non-zero span that rounds to no step, or over
+    MAX_RECORDS rows in all, is refused before allocating."""
     steps = [step_count(span, dt, name) for name, span in spans.items()]
+    for (name, span), count in zip(spans.items(), steps):
+        if span and not count:
+            raise ConfigError(f"{name} = {span!r} rounds to no step of dt = {dt!r}")
     if (n := sum(steps) + 1) > MAX_RECORDS:
         raise ConfigError(f"dt = {dt!r} gives {n:.12g} records, over the cap of {MAX_RECORDS}")
     return steps
@@ -340,7 +248,9 @@ def _start(params: dict, domain: str) -> PhasePoint:
 # subcommand runners
 
 
-def run_centering(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
+def run_centering(params: dict, rng: np.random.Generator, out: Outputs) -> None:
+    if params["n_points"] < 0:
+        raise ConfigError(f"n_points = {params['n_points']} is negative")
     f = _fiducial(params)
     tol = params["tolerance"]
     p_range = (-params["p_scale"], params["p_scale"])
@@ -366,7 +276,7 @@ def run_centering(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
             {"p": p, "q": q, "p_read": p_read, "q_read": q_read, "error": err}
         )
     report = verify_centering(f, tol)
-    payload = {
+    out.json({
         "family": params["family"],
         "fiducial_centering": {
             "x_moment": report.x_moment,
@@ -377,12 +287,10 @@ def run_centering(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
         "max_error": max_err,
         "tolerance": tol,
         "passed": bool(max_err <= tol and report.passed),
-    }
-    out.json(payload)
-    return payload
+    })
 
 
-def run_symbol(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
+def run_symbol(params: dict, rng: np.random.Generator, out: Outputs) -> None:
     op = parse_operator(params["operator"])
     f = _fiducial(params)
     symbol = weak_symbol(op, f)
@@ -393,13 +301,12 @@ def run_symbol(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
             samples.append(
                 {"p": p, "q": q, "value": symbol(p, q), "d_dp": dp, "d_dq": dq}
             )
-    payload = {
+    out.json({
         "operator": params["operator"],
         "hermitian": op.is_hermitian(),
         "closed_form": symbol.closed_form,
         "samples": samples,
-    }
-    out.json(payload)
+    })
     qs = sorted(set(params["q_list"]))
     if len(qs) >= 2:
         p0 = params["p_list"][0]
@@ -410,22 +317,19 @@ def run_symbol(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
             x_label="q",
             y_label="H",
         )
-    return payload
 
 
-def run_metric(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
+def run_metric(params: dict, rng: np.random.Generator, out: Outputs) -> None:
     rows = []
     family = CoherentFamily(_fiducial(params))  # no grid: closed-form moments
     for q in params["q_list"]:
         for p in params["p_list"]:
             g = fs_metric(family, PhasePoint(p, q, domain=family.domain))
             rows.append({"p": p, "q": q, "g_pp": g.g_pp, "g_pq": g.g_pq, "g_qq": g.g_qq})
-    payload = {"family": params["family"], "points": rows}
-    out.json(payload)
-    return payload
+    out.json({"family": params["family"], "points": rows})
 
 
-def run_curvature(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
+def run_curvature(params: dict, rng: np.random.Generator, out: Outputs) -> None:
     rows = []
     family = CoherentFamily(_fiducial(params))
     for q in params["q_list"]:
@@ -435,25 +339,23 @@ def run_curvature(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
     if family.domain == AFFINE_DOMAIN:
         payload["constant_negative_curvature"] = -2.0 / params["beta"]
     out.json(payload)
-    return payload
 
 
-def run_evolve_classical(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
+def run_evolve_classical(params: dict, rng: np.random.Generator, out: Outputs) -> None:
     start = _start(params, params["family"])
     _step_counts(params["dt"], t_final=params["t_final"])
     op = parse_operator(params["operator"])
     f = _fiducial(params)
     symbol = weak_symbol(op, f)
     traj = integrate(symbol, start, params["t_final"], params["dt"])
-    payload = {
+    out.json({
         "operator": params["operator"],
         "energy_initial": float(traj.energy[0]),
         "energy_drift": traj.energy_drift(),
         "singular": traj.singular,
         "singular_reason": traj.singular_reason,
         "final": {"t": float(traj.times[-1]), "p": float(traj.p[-1]), "q": float(traj.q[-1])},
-    }
-    out.json(payload)
+    })
     out.csv_trajectory(traj)
     out.svg(
         traj.times.tolist(),
@@ -462,39 +364,20 @@ def run_evolve_classical(params: dict, rng: np.random.Generator, out: Outputs) -
         x_label="t",
         y_label="p, q",
     )
-    return payload
 
 
-def run_evolve_quantum(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
+def run_evolve_quantum(params: dict, rng: np.random.Generator, out: Outputs) -> None:
     if params["snapshot_every"] < 0:
         raise ConfigError(f"snapshot_every = {params['snapshot_every']} is negative")
     start = _start(params, params["family"])
     op = parse_operator(params["operator"])
     f = _fiducial(params)
-    n = params["n_nodes"]
-    if f.kind == AFFINE_DOMAIN:
-        grid = half_line_window(f, params["q0"], n)
-    else:
-        grid = oscillation_window(f, params["p0"], params["q0"], n)
-        spacing_per_width = grid.spacing / f.sigma
-        if not spacing_per_width <= MAX_SPACING_PER_WIDTH:  # a NaN spacing fails too
-            raise NumericError(
-                f"the {grid.n}-node grid does not resolve the fiducial width "
-                f"sigma = {f.sigma:.3g}: its spacing is {spacing_per_width:.4g} sigma, over "
-                f"the resolution limit {MAX_SPACING_PER_WIDTH:g}; add nodes or lower |q0|"
-            )
-    phase_per_node = abs(params["p0"]) * grid.spacing / f.hbar
-    if not phase_per_node <= MAX_PHASE_PER_NODE:  # a NaN phase fails too
-        raise NumericError(
-            f"the {grid.n}-node grid does not resolve p0 = {params['p0']:g}: its phase turns "
-            f"{phase_per_node:.3g} rad per node, over the resolution limit "
-            f"{MAX_PHASE_PER_NODE:g}; add nodes or lower |p0|"
-        )
+    grid = evolution_window(f, params["p0"], params["q0"], params["n_nodes"])
     psi0 = CoherentFamily(f, grid)(start.p, start.q).normalized()
     setup = EvolutionSetup(op, grid, params["dt"], params["steps"], f.hbar)
     result = evolve(psi0, setup, snapshot_every=params["snapshot_every"] or None)
     traj = result.trajectory
-    payload = {
+    out.json({
         "operator": params["operator"],
         "nodes": grid.n,
         "snapshots": len(traj.times),
@@ -502,8 +385,7 @@ def run_evolve_quantum(params: dict, rng: np.random.Generator, out: Outputs) -> 
         "energy_drift": traj.energy_drift(),
         "x_final": float(traj.q[-1]),
         "p_final": float(traj.p[-1]),
-    }
-    out.json(payload)
+    })
     out.csv_trajectory(traj)
     out.csv_snapshot(result.final, "_final_state")
     out.svg(
@@ -513,10 +395,9 @@ def run_evolve_quantum(params: dict, rng: np.random.Generator, out: Outputs) -> 
         x_label="t",
         y_label="<x>, <p>",
     )
-    return payload
 
 
-def run_model_one(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
+def run_model_one(params: dict, rng: np.random.Generator, out: Outputs) -> None:
     t_min, t_max, dt = params["t_min"], params["t_max"], params["dt"]
     if not t_min <= 0 <= t_max:  # a NaN fails too
         raise ConfigError(f"t_min = {t_min!r} and t_max = {t_max!r} must bracket t = 0")
@@ -533,7 +414,7 @@ def run_model_one(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
     # the C = 0 flow q0 (1 + p0 t)^2 collapses at t = -1/p0 if the window reaches it
     collapses = bool(p0 and times[0] <= -1 / p0 <= times[-1])
     end = float(times[0] if p0 > 0 else times[-1])
-    payload = {
+    out.json({
         "C": c,
         "energy": energy,
         "q_floor_predicted": floor,
@@ -543,8 +424,7 @@ def run_model_one(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
         "classical_singular": collapses,
         "classical_q_min": 0.0 if collapses else q0 * (1 + p0 * end) ** 2,
         "classical_stop_time": -1 / p0 if collapses else end,
-    }
-    out.json(payload)
+    })
     out.csv_trajectory(traj)
     out.svg(
         traj.times.tolist(),
@@ -553,10 +433,9 @@ def run_model_one(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
         x_label="t",
         y_label="q",
     )
-    return payload
 
 
-def run_model_two(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
+def run_model_two(params: dict, rng: np.random.Generator, out: Outputs) -> None:
     rep = ReducibleRep(params["N"], params["m"], params["zeta"])
     p = np.asarray(params["p"], dtype=float)
     q = np.asarray(params["q"], dtype=float)
@@ -567,10 +446,9 @@ def run_model_two(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
     record["closed_form"] = closed
     record["agreement"] = abs(record["H1"] - closed)
     out.json(record)
-    return record
 
 
-def run_charfn(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
+def run_charfn(params: dict, rng: np.random.Generator, out: Outputs) -> None:
     hbar, m_prime = params["hbar"], params["m_prime"]
     _require_scale(m_prime, "m_prime")  # checked here: an empty n_list builds no density
     _require_scale(hbar, "hbar")
@@ -609,23 +487,104 @@ def run_charfn(params: dict, rng: np.random.Generator, out: Outputs) -> dict:
             for p_r in params["p_r_list"]
         ]
     out.json(payload)
-    return payload
 
 
-_RUNNERS = {
-    "centering": run_centering,
-    "symbol": run_symbol,
-    "metric": run_metric,
-    "curvature": run_curvature,
-    "evolve-classical": run_evolve_classical,
-    "evolve-quantum": run_evolve_quantum,
-    "model-one": run_model_one,
-    "model-two": run_model_two,
-    "charfn": run_charfn,
+class Subcommand(NamedTuple):
+    run: Callable[[dict, np.random.Generator, Outputs], None]
+    description: str
+    params: dict[str, Param]
+
+
+# every subcommand in the order the usage line lists them
+SUBCOMMANDS: dict[str, Subcommand] = {
+    "centering": Subcommand(
+        run_centering, "verify that coherent states read back their (p, q) labels",
+        {
+            **SHEET,
+            "n_points": Param("int", 20, help="random phase points to check"),
+            "p_scale": Param("float", 2.0),
+            "q_scale": Param("float", 2.0),
+            "tolerance": Param("float", 1e-7),
+        },
+    ),
+    "symbol": Subcommand(
+        run_symbol, "evaluate an operator's classical symbol H(p, q) and gradient",
+        {
+            "operator": Param("str", required=True, help="e.g. '1.0 * D X D'"),
+            **SHEET,
+            "p_list": Param("floats", (0.0, 1.0)),
+            "q_list": Param("floats", (0.5, 1.0, 2.0)),
+        },
+    ),
+    "metric": Subcommand(
+        run_metric, "Fubini-Study metric of a coherent-state sheet",
+        {**SHEET, "p_list": Param("floats", (0.0,)), "q_list": Param("floats", (1.0,))},
+    ),
+    "curvature": Subcommand(
+        run_curvature, "scalar curvature of a coherent-state sheet",
+        {**SHEET, "p": Param("float", 0.0), "q_list": Param("floats", (0.5, 1.0, 4.0))},
+    ),
+    "evolve-classical": Subcommand(
+        run_evolve_classical, "integrate Hamilton's equations for a symbol",
+        {
+            "operator": Param("str", required=True),
+            **SHEET,
+            "p0": Param("float", required=True),
+            "q0": Param("float", required=True),
+            "t_final": Param("float", 1.0),
+            "dt": Param("float", 1e-3),
+        },
+    ),
+    "evolve-quantum": Subcommand(
+        run_evolve_quantum, "Crank-Nicolson evolution with expectation tracking",
+        {
+            "operator": Param("str", required=True),
+            **SHEET,
+            "p0": Param("float", required=True),
+            "q0": Param("float", required=True),
+            "dt": Param("float", 1e-4),
+            "steps": Param("int", 1000),
+            "n_nodes": Param("int", 2048),
+            "snapshot_every": Param("int", 0, help="0 = automatic stride"),
+        },
+    ),
+    "model-one": Subcommand(
+        run_model_one, "singular vs. regularized flow of H = q p^2 + C/q",
+        {
+            "beta": Param("float", 1.0),
+            "hbar": Param("float", 1.0),
+            "p0": Param("float", 1.0),
+            "q0": Param("float", 1.0),
+            "t_min": Param("float", -10.0),
+            "t_max": Param("float", 10.0),
+            "dt": Param("float", 1e-3, help="spacing of the records"),
+        },
+    ),
+    "model-two": Subcommand(
+        run_model_two, "reducible-representation quartic-oscillator expectations",
+        {
+            "N": Param("int", required=True),
+            "m": Param("float", 1.0),
+            "zeta": Param("float", required=True),
+            "nu": Param("float", 0.0),
+            "p": Param("floats", required=True),
+            "q": Param("floats", required=True),
+        },
+    ),
+    "charfn": Subcommand(
+        run_charfn, "rotationally symmetric characteristic functions",
+        {
+            "m_prime": Param("float", 1.0),
+            "hbar": Param("float", 1.0),
+            "p_r_list": Param("floats", (0.5, 1.0, 2.0)),
+            "n_list": Param("ints", (4, 8, 16, 32, 64)),
+            "atoms": Param("str", "", help="measure atoms 'b:mu,b:mu' (optional)"),
+        },
+    ),
 }
 
 
-def build_parser(names: tuple[str, ...] = tuple(SCHEMAS)) -> argparse.ArgumentParser:
+def build_parser(names: tuple[str, ...] = tuple(SUBCOMMANDS)) -> argparse.ArgumentParser:
     """The ``cslab`` parser with a subparser for each of ``names`` (all by default).
 
     A subparser's ``prog`` is ``cslab <name>`` whichever names are built, and
@@ -638,11 +597,11 @@ def build_parser(names: tuple[str, ...] = tuple(SCHEMAS)) -> argparse.ArgumentPa
     )
     # the full tree keeps argparse's own metavar: it names the positional
     # "subcommand" in the message for a missing one
-    metavar = None if set(names) == set(SCHEMAS) else "{" + ",".join(SCHEMAS) + "}"
+    metavar = None if set(names) == set(SUBCOMMANDS) else "{" + ",".join(SUBCOMMANDS) + "}"
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
     for name in names:
-        schema = SCHEMAS[name]
-        p = sub.add_parser(name, help=_DESCRIPTIONS[name], description=_DESCRIPTIONS[name])
+        command = SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=command.description, description=command.description)
         p.add_argument("--scenario", help="flat key/value scenario file")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=0, help="RNG seed")
@@ -653,7 +612,7 @@ def build_parser(names: tuple[str, ...] = tuple(SCHEMAS)) -> argparse.ArgumentPa
             help="csv: data + JSON report; json: report only; svg: also plots",
         )
         p.add_argument("--quiet", action="store_true")
-        for key, param in schema.items():
+        for key, param in command.params.items():
             p.add_argument(f"--{key}", help=param.help or key)
     return parser
 
@@ -662,7 +621,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # build only the named subcommand; anything else (no argument, -h, a
     # typo) gets the full tree, whose usage lists every choice
-    names = (argv[0],) if argv and argv[0] in SCHEMAS else tuple(SCHEMAS)
+    names = (argv[0],) if argv and argv[0] in SUBCOMMANDS else tuple(SUBCOMMANDS)
     args = build_parser(names).parse_args(argv)
     try:
         params = resolve_params(args.subcommand, args)
@@ -673,7 +632,7 @@ def main(argv: list[str] | None = None) -> int:
     rng = np.random.default_rng(args.seed)
     out = Outputs(Path(args.out), args.subcommand, args.format, tag, args.quiet)
     try:
-        _RUNNERS[args.subcommand](params, rng, out)
+        SUBCOMMANDS[args.subcommand].run(params, rng, out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO
 
 import numpy as np
 
@@ -50,11 +49,6 @@ class Trajectory:
 
     def min_q(self) -> float:
         return float(np.min(self.q))
-
-    def write_csv(self, stream: IO[str]) -> None:
-        stream.write("t,p,q,H\n")
-        columns = (self.times.tolist(), self.p.tolist(), self.q.tolist(), self.energy.tolist())
-        stream.writelines(f"{t:.17g},{p:.17g},{q:.17g},{e:.17g}\n" for t, p, q, e in zip(*columns))
 
 
 def step_count(span: float, dt: float, name: str = "t_final") -> int:

@@ -4,10 +4,11 @@ This is the benchmark side: the unrestricted Schrodinger flow
 i hbar dpsi/dt = Hop psi against which the restricted (coherent-sheet)
 dynamics is compared.  Supported Hamiltonians are tridiagonal on the grid:
 
-  * kinetic terms  c * D D          -> 3-point stencil of -hbar^2 d2/dx2,
   * potentials     c * X^k          -> diagonal,
   * ordered forms  c * D X^k D      -> symmetric -hbar^2 d(x^k d.) with the
-                                       coefficient evaluated at half nodes.
+                                       coefficient evaluated at half nodes;
+                                       the kinetic term c * D D is k = 0, the
+                                       3-point stencil of -hbar^2 d2/dx2.
 
 Boundaries are homogeneous Dirichlet and follow the grid: a full-line
 window is pinned at both ends, a half-line grid only at its far end (x = 0
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import IO
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .errors import (
     PreconditionError,
 )
 from .grids import FULL_LINE, HALF_LINE, Grid, WaveFunction, half_line_grid, uniform_grid
-from .states import Fiducial
+from .states import AFFINE_DOMAIN, Fiducial
 from .symbols import D_FACTOR, X_FACTOR, OperatorExpr
 
 # largest share of the norm of psi0 that evolve may drop on the pinned
@@ -97,10 +97,8 @@ def _term_shape(factors) -> tuple[str, int]:
     kinds = [f.kind for f in factors]
     if all(k == X_FACTOR for k in kinds):
         return "potential", sum(f.power for f in factors)
-    if kinds == [D_FACTOR, D_FACTOR]:
-        return "kinetic", 0
     if (
-        len(kinds) >= 3
+        len(kinds) >= 2
         and kinds[0] == D_FACTOR
         and kinds[-1] == D_FACTOR
         and all(k == X_FACTOR for k in kinds[1:-1])
@@ -132,9 +130,6 @@ def hamiltonian_tridiagonal(setup: EvolutionSetup) -> tuple[np.ndarray, np.ndarr
             shape, power = _term_shape(factors)
             if shape == "potential":
                 diag += coeff * x**power
-            elif shape == "kinetic":
-                diag += coeff * 2 * hb2 / h2
-                off += -coeff * hb2 / h2
             else:
                 left = (x - h / 2) ** power
                 right = (x + h / 2) ** power
@@ -311,14 +306,6 @@ def track_expectations(
     return setup.hbar * float(drift), float(q), float(energy)
 
 
-def snapshot_csv(state: WaveFunction, stream: IO[str]) -> None:
-    stream.write("x,Re(psi),Im(psi)\n")
-    stream.writelines(
-        f"{x:.17g},{v.real:.17g},{v.imag:.17g}\n"
-        for x, v in zip(state.grid.nodes.tolist(), state.values.tolist())
-    )
-
-
 # ---------------------------------------------------------------------------
 # window helpers for the benchmarks
 
@@ -338,3 +325,27 @@ def half_line_window(f: Fiducial, q0: float, n: int) -> Grid:
     if not math.isfinite(upper):
         raise DomainError(f"q0 = {q0!r} needs a window of non-finite width; lower q0")
     return half_line_grid(upper, n)
+
+
+def evolution_window(f: Fiducial, p0: float, q0: float, n: int) -> Grid:
+    """The n-node window of the sheet of ``f`` for a run from (p0, q0), refused
+    if it breaks ``MAX_SPACING_PER_WIDTH`` (full line only) or ``MAX_PHASE_PER_NODE``."""
+    if f.kind == AFFINE_DOMAIN:
+        grid = half_line_window(f, q0, n)
+    else:
+        grid = oscillation_window(f, p0, q0, n)
+        spacing_per_width = grid.spacing / f.sigma
+        if not spacing_per_width <= MAX_SPACING_PER_WIDTH:  # a NaN spacing fails too
+            raise NumericError(
+                f"the {grid.n}-node grid does not resolve the fiducial width "
+                f"sigma = {f.sigma:.3g}: its spacing is {spacing_per_width:.4g} sigma, over "
+                f"the resolution limit {MAX_SPACING_PER_WIDTH:g}; add nodes or lower |q0|"
+            )
+    phase_per_node = abs(p0) * grid.spacing / f.hbar
+    if not phase_per_node <= MAX_PHASE_PER_NODE:  # a NaN phase fails too
+        raise NumericError(
+            f"the {grid.n}-node grid does not resolve p0 = {p0:g}: its phase turns "
+            f"{phase_per_node:.3g} rad per node, over the resolution limit "
+            f"{MAX_PHASE_PER_NODE:g}; add nodes or lower |p0|"
+        )
+    return grid

@@ -123,6 +123,11 @@ FAILURES: dict[str, list[str]] = {
     "charfn-m-prime-negative": ["charfn", "--n_list=", "--m_prime", "-1"],
     "evolve-quantum-affine-q0-1e308": ["evolve-quantum", "--family", "affine", "--operator",
                                        DXD, "--p0", "0", "--q0", "1e308"],
+    "evolve-classical-span-under-half-step": ["evolve-classical", "--operator", HARMONIC,
+                                              "--p0", "0.1", "--q0", "0.2", "--t_final", "1",
+                                              "--dt", "2"],
+    "model-one-t-min-under-half-step": ["model-one", "--t_min", "-0.4", "--dt", "1"],
+    "centering-n-points-negative": ["centering", "--n_points", "-1"],
 }
 
 

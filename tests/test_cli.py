@@ -9,12 +9,16 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import cslab
 import cslab.cli
 import cslab.grids
 import cslab.symbols
-from cslab.cli import _RUNNERS, MAX_RECORDS, SCHEMAS, build_parser, main
+from cslab.cli import MAX_RECORDS, SUBCOMMANDS, Outputs, build_parser, main
+from cslab.dynamics import Trajectory
+from cslab.grids import WaveFunction, uniform_grid
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -281,6 +285,15 @@ class TestExitCodes:
         assert run(QUANTUM + ["--snapshot_every=0", "--out", str(tmp_path), "--quiet"]) == 0
         assert read_json(tmp_path / "evolve_quantum.json")["snapshots"] == 4
 
+    def test_negative_point_count_exits_2(self, tmp_path, capsys):
+        # it used to exit 0 with an empty points list and passed: true
+        out = tmp_path / "never-written"
+        assert run(["centering", "--n_points", "-1", "--out", str(out), "--quiet"]) == 2
+        assert "n_points = -1 is negative" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(["centering", "--n_points", "0", "--out", str(out), "--quiet"]) == 0
+        assert read_json(out / "centering.json")["points"] == []
+
     @pytest.mark.parametrize("p_scale", ["1e6", "1e300"])
     def test_large_momentum_reads_back_on_envelope_window(self, tmp_path, p_scale):
         code = run(
@@ -301,7 +314,7 @@ class TestInternalErrors:
         def broken(params, rng, out):
             raise exc
 
-        monkeypatch.setitem(_RUNNERS, "metric", broken)
+        monkeypatch.setitem(SUBCOMMANDS, "metric", SUBCOMMANDS["metric"]._replace(run=broken))
         assert run(["metric", "--out", str(tmp_path), "--quiet"]) == 3
         err = capsys.readouterr().err
         assert f"internal error in metric: {type(exc).__name__}: {exc}" in err
@@ -341,7 +354,7 @@ COLD_ARGVS = [
 
 class TestColdStart:
     def test_only_evolve_quantum_loads_scipy(self, tmp_path):
-        assert {argv[0] for argv in COLD_ARGVS} == set(SCHEMAS) - {"evolve-quantum"}
+        assert {argv[0] for argv in COLD_ARGVS} == set(SUBCOMMANDS) - {"evolve-quantum"}
         quantum = QUANTUM + ["--steps", "10"]
         child = subprocess.run(
             [sys.executable, "-c", COLD_START, str(tmp_path), json.dumps(COLD_ARGVS),
@@ -371,9 +384,9 @@ class TestParserBuild:
     """main builds only the subparser its argv names; help and errors do not change."""
 
     def test_default_builds_every_subcommand(self):
-        assert list(subparsers(build_parser())) == list(SCHEMAS)
+        assert list(subparsers(build_parser())) == list(SUBCOMMANDS)
 
-    @pytest.mark.parametrize("name", list(SCHEMAS))
+    @pytest.mark.parametrize("name", list(SUBCOMMANDS))
     def test_one_subparser_has_the_full_tree_help(self, name):
         alone = subparsers(build_parser((name,)))
         assert list(alone) == [name]
@@ -406,7 +419,7 @@ class TestParserBuild:
         assert stop.value.code == code
         captured = capsys.readouterr()
         text = captured.out + captured.err
-        assert "{" + ",".join(SCHEMAS) + "}" in text
+        assert "{" + ",".join(SUBCOMMANDS) + "}" in text
         assert message in text
 
     def test_unrecognized_argument_error_matches_the_full_tree(self, capsys):
@@ -577,6 +590,63 @@ class TestRecordCap:
         err = capsys.readouterr().err
         assert f"gives {records} records, over the cap of {MAX_RECORDS}" in err
         assert not out.exists()
+
+
+class TestStepCount:
+    CLASSICAL = ["evolve-classical", "--operator", "0.5 * D D + 0.5 * X X", "--p0", "0.1",
+                 "--q0", "0.2"]
+
+    @pytest.mark.parametrize("argv, message", [
+        # one CSV row at t = 0 and final.t = 0 for a run asked to reach t = 1
+        ([*CLASSICAL, "--t_final", "1", "--dt", "2"],
+         "t_final = 1.0 rounds to no step of dt = 2.0"),
+        # the whole backward window dropped
+        (["model-one", "--t_min", "-0.4", "--dt", "1"],
+         "t_min = -0.4 rounds to no step of dt = 1.0"),
+    ])
+    def test_span_under_half_a_step_exits_2(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "never-written"
+        assert run(argv + ["--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, rows", [
+        ([*CLASSICAL, "--t_final", "0", "--dt", "2"], 1),
+        (["model-one", "--t_min", "0", "--t_max", "3", "--dt", "1"], 4),
+    ])
+    def test_zero_span_still_runs(self, tmp_path, argv, rows):
+        assert run(argv + ["--out", str(tmp_path), "--quiet"]) == 0
+        (csv,) = tmp_path.glob("*.csv")
+        assert len(csv.read_text().splitlines()) == 3 + rows
+
+
+class TestCsvWriter:
+    """Outputs writes every CSV: provenance, header, then each value at 17 digits."""
+
+    VALUES = [-0.0, 5e-324, 0.1, 1 / 3, 1e308]
+
+    @staticmethod
+    def _expected(header, columns):
+        rows = [",".join(f"{v:.17g}" for v in row) for row in zip(*columns)]
+        return [f"# tool: cslab {cslab.__version__}", "# scenario: tag", header, *rows]
+
+    def test_trajectory_rows(self, tmp_path):
+        v = np.array(self.VALUES)
+        traj = Trajectory(v, v[::-1], np.roll(v, 1), np.roll(v, 2))
+        path = Outputs(tmp_path, "run", "csv", "tag", quiet=True).csv_trajectory(traj)
+        columns = [v, v[::-1], np.roll(v, 1), np.roll(v, 2)]
+        assert path.read_text().splitlines() == self._expected("t,p,q,H", columns)
+
+    def test_snapshot_rows_split_re_and_im(self, tmp_path):
+        v = np.array(self.VALUES)
+        grid = uniform_grid(-2.0, 2.0, 5)
+        psi = v.astype(complex)  # v + 1j * v[::-1] would turn Re -0.0 into 0.0
+        psi.imag = v[::-1]
+        state = WaveFunction(grid, psi)
+        path = Outputs(tmp_path, "run", "csv", "tag", quiet=True).csv_snapshot(state, "_final")
+        assert path.name == "run_final.csv"
+        expected = self._expected("x,Re(psi),Im(psi)", [grid.nodes, v, v[::-1]])
+        assert path.read_text().splitlines() == expected
 
 
 class TestGeometryCommands:

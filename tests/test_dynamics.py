@@ -1,7 +1,5 @@
 """RK4 flow, the closed-form Model One flow and the restricted action."""
 
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -222,15 +220,3 @@ class TestRestrictedAction:
         assert restricted_action(rev, symbol) == pytest.approx(
             action - 2 * p_dq, rel=1e-10
         )
-
-
-class TestTrajectoryCsv:
-    def test_header_and_precision(self):
-        times = np.linspace(0, 1, 3)
-        traj = Trajectory(times, times * 0.1, times + 0.1, np.full(3, 1 / 3))
-        buf = io.StringIO()
-        traj.write_csv(buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "t,p,q,H"
-        assert "0.33333333333333331" in lines[1]
-        assert len(lines) == 4

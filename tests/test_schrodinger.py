@@ -16,6 +16,7 @@ from cslab.errors import DomainError, GridMismatchError, NumericError, Precondit
 from cslab.grids import WaveFunction, momentum_expectation, position_moment, uniform_grid
 from cslab.schrodinger import (
     EvolutionSetup,
+    evolution_window,
     evolve,
     half_line_window,
     hamiltonian_tridiagonal,
@@ -105,6 +106,27 @@ class TestEvolutionSetup:
         f = affine_fiducial(2.0, 1.0)
         with pytest.raises(DomainError, match=re.escape(f"q0 = {q0!r} needs a window")):
             half_line_window(f, q0, 64)
+
+    @pytest.mark.parametrize("family, p0, q0", [("canonical", 0.5, -0.3), ("affine", 0.2, 1.0)])
+    def test_evolution_window_is_the_sheets_window(self, family, p0, q0):
+        if family == AFFINE_DOMAIN:
+            f = affine_fiducial(2.0, 1.0)
+            want = half_line_window(f, q0, 512)
+        else:
+            f = gaussian_fiducial(1.0, 1.0)
+            want = oscillation_window(f, p0, q0, 512)
+        assert evolution_window(f, p0, q0, 512) == want
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.7, 3.0])
+    def test_kinetic_term_is_dxd_at_power_zero(self, hbar):
+        # c D D goes through the D X^k D stencil at k = 0: the same floats as
+        # the 3-point stencil 2c hbar^2/h^2 on the diagonal, -c hbar^2/h^2 off it
+        grid = uniform_grid(-5, 5, 101)
+        setup = EvolutionSetup(parse_operator("0.3 * D D"), grid, 1e-3, 1, hbar)
+        diag, off = hamiltonian_tridiagonal(setup)
+        hb2, h2 = hbar * hbar, grid.spacing * grid.spacing
+        assert np.array_equal(diag, np.full(99, 0.3 * 2 * hb2 / h2))
+        assert np.array_equal(off, np.full(98, -0.3 * hb2 / h2))
 
     def test_dxd_discretization_is_symmetric(self):
         f = affine_fiducial(2.0, 1.0)

@@ -13,7 +13,7 @@ from oracles import (
     tangent_multipliers,
 )
 
-from cslab.cli import SCHEMAS
+from cslab.cli import SUBCOMMANDS
 from cslab.errors import CoverageError, DomainError
 from cslab.grids import (
     dilation_expectation,
@@ -226,9 +226,9 @@ class TestOneNamePerSheet:
         for f in (gaussian_fiducial(1.0, 1.0), affine_fiducial(2.0, 1.0)):
             assert CoherentFamily(f).domain == f.kind == weak_symbol(op, f).provenance
             assert f.kind in sheets
-        for schema in SCHEMAS.values():
-            if "family" in schema:
-                assert set(schema["family"].choices) == sheets
+        for command in SUBCOMMANDS.values():
+            if "family" in command.params:
+                assert set(command.params["family"].choices) == sheets
 
 
 class TestCentering:
