@@ -37,7 +37,7 @@ from .modeltwo import (
     measure_superposition,
     scenario_record,
 )
-from .schrodinger import EvolutionSetup, evolution_window, evolve
+from .schrodinger import EvolutionSetup, evolution_window, evolve, evolve_hermite
 from .states import (
     AFFINE_DOMAIN,
     CANONICAL_DOMAIN,
@@ -373,9 +373,14 @@ def run_evolve_quantum(params: dict, rng: np.random.Generator, out: Outputs) -> 
     op = parse_operator(params["operator"])
     f = _fiducial(params)
     grid = evolution_window(f, params["p0"], params["q0"], params["n_nodes"])
-    psi0 = CoherentFamily(f, grid)(start.p, start.q).normalized()
-    setup = EvolutionSetup(op, grid, params["dt"], params["steps"], f.hbar)
-    result = evolve(psi0, setup, snapshot_every=params["snapshot_every"] or None)
+    dt, steps, stride = params["dt"], params["steps"], params["snapshot_every"] or None
+    if f.kind == AFFINE_DOMAIN:
+        psi0 = CoherentFamily(f, grid)(start.p, start.q).normalized()
+        result = evolve(psi0, EvolutionSetup(op, grid, dt, steps, f.hbar), snapshot_every=stride)
+        basis = {}
+    else:
+        result = evolve_hermite(op, f, start, grid, dt, steps, snapshot_every=stride)
+        basis = {"basis_size": result.basis_size, "tail_weight": result.tail_weight}
     traj = result.trajectory
     out.json({
         "operator": params["operator"],
@@ -385,6 +390,7 @@ def run_evolve_quantum(params: dict, rng: np.random.Generator, out: Outputs) -> 
         "energy_drift": traj.energy_drift(),
         "x_final": float(traj.q[-1]),
         "p_final": float(traj.p[-1]),
+        **basis,
     })
     out.csv_trajectory(traj)
     out.csv_snapshot(result.final, "_final_state")
@@ -536,7 +542,7 @@ SUBCOMMANDS: dict[str, Subcommand] = {
         },
     ),
     "evolve-quantum": Subcommand(
-        run_evolve_quantum, "Crank-Nicolson evolution with expectation tracking",
+        run_evolve_quantum, "full quantum flow with expectation tracking",
         {
             "operator": Param("str", required=True),
             **SHEET,

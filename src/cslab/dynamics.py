@@ -2,7 +2,8 @@
 
 Stationary variation of the restricted action  A = integral [p qdot - H] dt
 gives Hamilton's equations for the symbol H, integrated here with fixed-step
-RK4, with a singularity flag for an affine flow that leaves the half line.
+RK4, with a singularity flag for an affine flow that leaves the half line
+and a numerical failure for a step too coarse to follow it.
 The Model-One symbol  H = q p^2 + C / q  is not integrated: its flow is
 known in closed form, collapsing to q = 0 at t = -1/p0 for C = 0 and
 turning back at the energy floor C / E for any C > 0.
@@ -19,7 +20,16 @@ from .errors import DomainError, IntegrationError, NumericError, PreconditionErr
 from .states import AFFINE_DOMAIN, PhasePoint
 from .symbols import AFFINE_DOMAIN_MESSAGE, SymbolFn
 
+# an affine run stops as singular once q falls below Q_FLOOR times its start
 Q_FLOOR = 1e-6
+# a step that leaves the half line or lands below the floor is retried in
+# halves, each halved again where it fails, down to dt / 2^MAX_HALVINGS: if
+# the finer steps cross the step keeping the symbol's value to ENERGY_RTOL,
+# dt does not resolve the flow there; if the finest still fails, q reaches
+# the edge.  Past MAX_SUBSTEPS finer steps the flow counts as unresolved.
+MAX_HALVINGS = 40
+MAX_SUBSTEPS = 2**16
+ENERGY_RTOL = 1e-6
 
 
 @dataclass
@@ -70,8 +80,10 @@ def integrate(
 
     ``t_final`` may be negative (backward run; the step is negated).  For
     affine symbols the run halts with the singularity flag once q crosses
-    ``Q_FLOOR`` or a step leaves the domain.  A non-finite gradient or state
-    is an error carrying the last point.
+    ``Q_FLOOR`` q0 or a step leaves the domain, and finer steps do so too;
+    if finer steps stay on the half line, dt does not resolve the flow
+    there, which is a NumericError naming dt and q.  A non-finite gradient
+    or state is an error carrying the last point.
     """
     n_steps = step_count(t_final, dt)
     affine = symbol.provenance == AFFINE_DOMAIN
@@ -94,31 +106,71 @@ def integrate(
             raise IntegrationError("non-finite gradient", last_state=(times[-1], ps[-1], qs[-1]))
         return -dq, dp
 
+    floor = Q_FLOOR * start.q
+
+    def refuse_unresolved_step():
+        if _finer_steps_cross(rhs, symbol, p, q, h, floor):
+            raise NumericError(
+                f"dt = {dt!r} does not resolve the flow at t = {times[-1]!r}, q = {q!r}: "
+                "a step leaves the half line that finer steps keep to; lower dt"
+            )
+
     for i in range(n_steps):
         try:
-            k1p, k1q = rhs(p, q)
-            k2p, k2q = rhs(p + 0.5 * h * k1p, q + 0.5 * h * k1q)
-            k3p, k3q = rhs(p + 0.5 * h * k2p, q + 0.5 * h * k2q)
-            k4p, k4q = rhs(p + h * k3p, q + h * k3q)
+            p_new, q_new = _rk4_step(rhs, p, q, h)
         except DomainError:
+            refuse_unresolved_step()
             singular, reason = True, "step left the affine domain"
             break
-        p_new = p + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
-        q_new = q + h / 6 * (k1q + 2 * k2q + 2 * k3q + k4q)
         if not (math.isfinite(p_new) and math.isfinite(q_new)):
             raise IntegrationError("non-finite state", last_state=(times[-1], ps[-1], qs[-1]))
-        floor_crossed = affine and q_new < Q_FLOOR
+        floor_crossed = affine and q_new < floor
+        if floor_crossed:
+            refuse_unresolved_step()
         p, q = p_new, max(q_new, 0.0) if floor_crossed else q_new
         times.append((i + 1) * h)
         ps.append(p)
         qs.append(q)
         if floor_crossed:
             energies.append(energies[-1])  # symbol undefined at/below the floor
-            singular, reason = True, f"q crossed the floor {Q_FLOOR:g}"
+            singular, reason = True, f"q crossed the floor {floor:g}"
             break
         energies.append(symbol(p, q))
 
     return Trajectory(times, ps, qs, energies, singular=singular, singular_reason=reason)
+
+
+def _rk4_step(rhs, p: float, q: float, h: float) -> tuple[float, float]:
+    k1p, k1q = rhs(p, q)
+    k2p, k2q = rhs(p + 0.5 * h * k1p, q + 0.5 * h * k1q)
+    k3p, k3q = rhs(p + 0.5 * h * k2p, q + 0.5 * h * k2q)
+    k4p, k4q = rhs(p + h * k3p, q + h * k3q)
+    return p + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p), q + h / 6 * (k1q + 2 * k2q + 2 * k3q + k4q)
+
+
+def _finer_steps_cross(rhs, symbol: SymbolFn, p: float, q: float, h: float, floor: float) -> bool:
+    """Whether RK4 steps finer than h carry (p, q) across h above ``floor``,
+    each keeping the symbol's value to ENERGY_RTOL: h is covered by two halves,
+    and each half that fails by two halves of its own, down to h / 2^MAX_HALVINGS."""
+    energy = symbol(p, q)
+    finest = abs(h) / 2**MAX_HALVINGS
+    pending = [h / 2, h / 2]  # the steps still to take, the next one last
+    for _ in range(MAX_SUBSTEPS):
+        if not pending:
+            return True
+        sub = pending.pop()
+        try:
+            p_new, q_new = _rk4_step(rhs, p, q, sub)
+            value = symbol(p_new, q_new) if q_new >= floor else math.nan
+        except (DomainError, NumericError):
+            value = math.nan
+        if abs(value - energy) <= ENERGY_RTOL * (1 + abs(energy)):  # a NaN value fails
+            p, q, energy = p_new, q_new, value
+        elif abs(sub) <= finest:
+            return False
+        else:
+            pending += [sub / 2, sub / 2]
+    return True
 
 
 def restricted_action(path: Trajectory, symbol: SymbolFn) -> float:

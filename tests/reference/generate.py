@@ -128,6 +128,11 @@ FAILURES: dict[str, list[str]] = {
                                               "--dt", "2"],
     "model-one-t-min-under-half-step": ["model-one", "--t_min", "-0.4", "--dt", "1"],
     "centering-n-points-negative": ["centering", "--n_points", "-1"],
+    "evolve-classical-unresolved-step": ["evolve-classical", "--family", "affine",
+                                         "--operator", DXD, "--p0", "0", "--q0", "1e-7"],
+    "evolve-quantum-not-hermitian": [*QUANTUM, "--operator", "1.0 * X D + 0.5 * D D"],
+    "evolve-quantum-unbounded-below": [*QUANTUM, "--operator", "0.5 * D D + -0.25 * X^4",
+                                       "--dt", "0.01", "--steps", "300"],
 }
 
 

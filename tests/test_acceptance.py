@@ -34,17 +34,12 @@ from cslab.modeltwo import (
     measure_superposition,
     overlap_reducible,
 )
-from cslab.schrodinger import (
-    EvolutionSetup,
-    evolve,
-    oscillation_window,
-)
+from cslab.schrodinger import evolve_hermite, oscillation_window
 from cslab.states import (
     AFFINE_DOMAIN,
     CoherentFamily,
     PhasePoint,
     affine_fiducial,
-    canonical_coherent,
     default_affine_grid,
     default_canonical_grid,
     gaussian_fiducial,
@@ -240,11 +235,11 @@ def test_07_restricted_vs_full_harmonic():
     op = parse_operator("0.5 * D D + 0.5 * X X")
     f = gaussian_fiducial(omega, hbar)
     grid = oscillation_window(f, p0, q0, 4096)
-    psi0 = canonical_coherent(f, PhasePoint(p0, q0), grid=grid).normalized()
     period = 2 * math.pi / omega
     dt = 1e-4
-    setup = EvolutionSetup(op, grid, dt, int(round(period / dt)), hbar)
-    traj = evolve(psi0, setup, snapshot_every=100).trajectory
+    # the route evolve-quantum takes on the canonical sheet
+    flow = evolve_hermite(op, f, PhasePoint(p0, q0), grid, dt, int(round(period / dt)), 100)
+    traj = flow.trajectory
 
     symbol = weak_symbol(op, f)
     # run the restricted flow past the quantum endpoint so the time

@@ -3,6 +3,7 @@
 import argparse
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -120,7 +121,10 @@ class TestExitCodes:
             QUANTUM + ["--omega", "1e-300"],
             QUANTUM + ["--family", "affine", "--operator", "1.0 * D X D", "--q0", "1e300"],
             QUANTUM + ["--operator", "1.0 * X^400 + -1.0 * X^400 + 0.5 * D D"],
-            QUANTUM + ["--hbar", "1e200"],
+            # hbar^2 overflows the grid's stencil; the canonical sheet's Hermite
+            # route has no stencil and computes this flow (test_large_hbar_is_exact)
+            QUANTUM + ["--family", "affine", "--operator", "1.0 * D X D", "--q0", "1",
+                       "--beta", "1e200", "--hbar", "1e200"],
             ["metric", "--family", "affine", "--q_list", "1e200"],
             ["curvature", "--family", "affine", "--q_list", "1e200"],
             ["symbol", "--operator", "1.0 * X^1100"],
@@ -262,9 +266,10 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
 
     def test_overflowing_potential_stops_without_a_warning(self, tmp_path, capsys):
-        # X^400 overflows on the grid; the spectral-radius guard stops the run
-        # and numpy prints nothing of it
-        argv = QUANTUM + ["--operator", "1.0 * X^400 + -1.0 * X^400 + 0.5 * D D",
+        # X^400 overflows on the half line's grid; the spectral-radius guard
+        # stops the run and numpy prints nothing of it
+        argv = QUANTUM + ["--family", "affine", "--q0", "1",
+                          "--operator", "1.0 * X^400 + -1.0 * X^400 + 0.5 * D D",
                           "--out", str(tmp_path)]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -275,6 +280,36 @@ class TestExitCodes:
         assert len(err) == 1
         assert err[0].startswith("numerical failure in evolve-quantum: dt * spectral radius")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", [
+        # degree 400 asks for more Hermite states than the cap before any is built
+        (["--operator", "1.0 * X^400 + -1.0 * X^400 + 0.5 * D D"], "over MAX_BASIS = 1024"),
+        # at s = sqrt(hbar / 2 omega) = 7071, X^60 overflows in its 489-state basis
+        (["--operator", "1.0 * X^60 + 0.5 * D D", "--omega", "1e-8", "--p0", "0"],
+         "operator term X^60 has non-finite elements in the 489-state Hermite basis"),
+    ])
+    def test_overflowing_operator_stops_in_the_hermite_basis(self, tmp_path, capsys,
+                                                              argv, message):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(QUANTUM + [*argv, "--out", str(tmp_path)])
+        assert code == 3
+        assert caught == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_large_hbar_is_exact(self, tmp_path):
+        # hbar = 1e200 overflowed the grid's hbar^2 / h^2 and exited 3; in the
+        # Hermite basis it is the oscillator's exact flow, E = hbar (|z|^2 + 1/2)
+        assert run(QUANTUM + ["--hbar", "1e200", "--out", str(tmp_path), "--quiet"]) == 0
+        payload = read_json(tmp_path / "evolve_quantum.json")
+        t = 3e-4
+        assert payload["x_final"] == pytest.approx(0.2 * math.cos(t) + 0.1 * math.sin(t),
+                                                   abs=1e-12)
+        assert payload["p_final"] == pytest.approx(0.1 * math.cos(t) - 0.2 * math.sin(t),
+                                                   abs=1e-12)
+        assert payload["energy_initial"] == pytest.approx(5e199, rel=1e-12)
 
     def test_negative_snapshot_stride_exits_2(self, tmp_path, capsys):
         code = run(QUANTUM + ["--snapshot_every=-1", "--out", str(tmp_path), "--quiet"])
@@ -323,7 +358,8 @@ class TestInternalErrors:
 
 
 # one fresh interpreter: the scipy modules loaded after import, after the
-# eight subcommands that need none, and after one evolve-quantum run
+# runs that need none (every subcommand, evolve-quantum on the canonical
+# sheet), and after one half-line evolve-quantum run
 COLD_START = """
 import json, sys
 from cslab.cli import main
@@ -331,10 +367,10 @@ from cslab.cli import main
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
-out, eight, quantum = sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3])
+out, free, quantum = sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3])
 loaded = {"import": scipy_modules()}
-codes = [main(argv + ["--out", out, "--quiet"]) for argv in eight]
-loaded["eight"] = scipy_modules()
+codes = [main(argv + ["--out", out, "--quiet"]) for argv in free]
+loaded["free"] = scipy_modules()
 codes.append(main(quantum + ["--out", out, "--quiet"]))
 loaded["quantum"] = scipy_modules()
 print(json.dumps({"codes": codes, "loaded": loaded}))
@@ -355,9 +391,12 @@ COLD_ARGVS = [
 class TestColdStart:
     def test_only_evolve_quantum_loads_scipy(self, tmp_path):
         assert {argv[0] for argv in COLD_ARGVS} == set(SUBCOMMANDS) - {"evolve-quantum"}
-        quantum = QUANTUM + ["--steps", "10"]
+        # the canonical sheet's Hermite route uses numpy only
+        free = COLD_ARGVS + [QUANTUM + ["--steps", "10"]]
+        quantum = QUANTUM + ["--steps", "10", "--family", "affine", "--operator", "1.0 * D X D",
+                             "--q0", "1"]
         child = subprocess.run(
-            [sys.executable, "-c", COLD_START, str(tmp_path), json.dumps(COLD_ARGVS),
+            [sys.executable, "-c", COLD_START, str(tmp_path), json.dumps(free),
              json.dumps(quantum)],
             env={**os.environ, "PYTHONPATH": str(SRC)},
             capture_output=True,
@@ -366,9 +405,9 @@ class TestColdStart:
             check=True,
         )
         result = json.loads(child.stdout)
-        assert result["codes"] == [0] * 9
+        assert result["codes"] == [0] * 10
         assert result["loaded"]["import"] == []
-        assert result["loaded"]["eight"] == []
+        assert result["loaded"]["free"] == []
         quantum_loaded = result["loaded"]["quantum"]
         assert "scipy.linalg" in quantum_loaded
         for name in ("special", "optimize", "integrate", "interpolate", "sparse"):
@@ -950,9 +989,12 @@ class TestTracerContract:
         before = self._callables()
         point = ["--operator", "0.5 * D D + 0.5 * X X", "--p0", "0.3", "--q0", "0.2",
                  "--out", str(tmp_path), "--quiet"]
+        # Crank-Nicolson steps are the half line's; the canonical sheet takes none
+        half_line = ["--family", "affine", "--operator", "1.0 * D X D", "--p0", "0.3",
+                     "--q0", "1", "--out", str(tmp_path), "--quiet"]
         tracer.install()
         try:
-            quantum = run(["evolve-quantum", *point, "--n_nodes", "256", "--steps", "50"])
+            quantum = run(["evolve-quantum", *half_line, "--n_nodes", "256", "--steps", "50"])
             classical = run(["evolve-classical", *point, "--t_final", "0.05", "--dt", "1e-3"])
         finally:
             tracer.uninstall()

@@ -9,7 +9,7 @@ from oracles import model_one_reference
 
 from cslab.dynamics import Trajectory, integrate, model_one_flow, restricted_action
 from cslab.errors import DomainError, NumericError, PreconditionError
-from cslab.states import AFFINE_DOMAIN, PhasePoint, gaussian_fiducial
+from cslab.states import AFFINE_DOMAIN, PhasePoint, affine_fiducial, gaussian_fiducial
 from cslab.symbols import parse_operator, polynomial_symbol, weak_symbol
 
 
@@ -99,6 +99,30 @@ class TestIntegrate:
         assert not traj.singular
         assert traj.p[-1] == pytest.approx(1e13 * np.cos(1.0), rel=1e-9)
         assert traj.q[-1] == pytest.approx(1e13 * np.sin(1.0), rel=1e-9)
+
+    def test_unresolved_step_is_a_numerical_error(self):
+        # the enhanced flow turns at q = C/E = 1e-7 and never leaves the half
+        # line, on a time scale sqrt(C) / E = 1.4e-7; at dt = 1e-3 a stage
+        # left the domain, and the run was flagged singular at t = 0
+        symbol = weak_symbol(parse_operator("1.0 * D X D"), affine_fiducial(1.0, 1.0))
+        start = PhasePoint(0.0, 1e-7, domain=AFFINE_DOMAIN)
+        with pytest.raises(NumericError, match=r"dt = 0\.001 does not resolve .* q = 1e-07"):
+            integrate(symbol, start, 1.0, 1e-3)
+        # a dt that resolves it follows the exact flow q = C/E + E t^2
+        traj = integrate(symbol, start, 2e-6, 1e-9)
+        assert not traj.singular
+        _, exact = model_one_flow(0.0, 1e-7, 0.5, traj.times)
+        assert np.max(np.abs(traj.q - exact.q) / exact.q) <= 1e-9
+
+    @pytest.mark.parametrize("q0", [1e-7, 1.0, 1e7])
+    def test_collapse_is_flagged_at_every_scale(self, q0):
+        # q -> lam q, p -> p / lam maps the C = 0 flow onto itself, and the
+        # floor is Q_FLOOR q0, so the collapse at t = -1/p0 reads the same
+        traj = integrate(
+            model_one_symbol(0.0), PhasePoint(1.0, q0, domain=AFFINE_DOMAIN), -1.2, 1e-3
+        )
+        assert traj.singular
+        assert traj.times[-1] == pytest.approx(-1.0, abs=0.05)
 
     def test_bad_dt_rejected(self):
         with pytest.raises(DomainError):

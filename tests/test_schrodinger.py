@@ -1,5 +1,7 @@
-"""Crank-Nicolson benchmarks against the restricted dynamics."""
+"""The full quantum flow: the canonical Hermite route and the half line's
+Crank-Nicolson, against exact flows, each other and the restricted dynamics."""
 
+import json
 import math
 import re
 import tracemalloc
@@ -11,15 +13,26 @@ from scipy.linalg.lapack import zgttrf
 
 import cslab.grids
 import cslab.schrodinger
+from cslab.cli import main
 from cslab.dynamics import integrate
-from cslab.errors import DomainError, GridMismatchError, NumericError, PreconditionError
+from cslab.errors import (
+    ConfigError,
+    DomainError,
+    GridMismatchError,
+    NumericError,
+    PreconditionError,
+)
 from cslab.grids import WaveFunction, momentum_expectation, position_moment, uniform_grid
 from cslab.schrodinger import (
+    MAX_BASIS,
+    TAIL_WEIGHT,
     EvolutionSetup,
     evolution_window,
     evolve,
+    evolve_hermite,
     half_line_window,
     hamiltonian_tridiagonal,
+    hermite_hamiltonian,
     ldlt_tridiagonal,
     oscillation_window,
     tridiagonal_product,
@@ -441,3 +454,133 @@ class TestRefinement:
         fine = discrepancy(2048, 4e-4)
         assert coarse <= 1e-3
         assert coarse / fine >= 4.0
+
+
+def run_cli(argv, out):
+    return main(["evolve-quantum", *argv, "--out", str(out), "--quiet"])
+
+
+def dense_ladder_matrix(op, size, s, hbar):
+    """The operator's matrix from dense ladder matrices of ``size`` states."""
+    lower = np.diag(np.sqrt(np.arange(1.0, size)), 1)  # a
+    x = s * (lower + lower.T)
+    d = 1j * hbar / (2 * s) * (lower.T - lower)
+    total = np.zeros((size, size), dtype=complex)
+    for coeff, factors in op.terms:
+        term = np.eye(size, dtype=complex)
+        for f in factors:
+            factor = d if f.kind == "D" else np.linalg.matrix_power(x, f.power)
+            term = term @ factor
+        total += coeff * term
+    return total
+
+
+class TestHermiteRoute:
+    """evolve-quantum on the canonical sheet: the fiducial's number basis."""
+
+    @pytest.mark.parametrize("text", [
+        "0.5 * D D + 0.5 * X X", "1.0 * D X D + 0.25 * X^4 + -0.3 * X", "0.5 * X D + 0.5 * D X",
+    ])
+    def test_crop_after_the_product_is_exact(self, text):
+        # cropping each factor first would lose the paths through states >= K
+        op, k, s, hbar = parse_operator(text), 12, 0.8, 0.7
+        want = dense_ladder_matrix(op, k + 10, s, hbar)[:k, :k]
+        got = hermite_hamiltonian(op, k, s, hbar)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("text", ["0.5 * D D + 0.5 * X X", "0.5 * D D + 0.25 * X^4",
+                                      "0.5 * D D"])
+    def test_agrees_with_crank_nicolson_within_its_error(self, text):
+        # the full-line grid at (2048 nodes, dt 2e-3) and (4096, 1e-3): both
+        # errors are second order, so the finer run is off by about a third of
+        # the two runs' difference, and their Richardson value is far closer
+        op, f, start = parse_operator(text), gaussian_fiducial(1.0, 1.0), PhasePoint(0.5, 0.3)
+        runs = []
+        for n, dt, steps, stride in [(2048, 2e-3, 500, 50), (4096, 1e-3, 1000, 100)]:
+            grid = oscillation_window(f, start.p, start.q, n)
+            psi0 = canonical_coherent(f, start, grid=grid).normalized()
+            setup = EvolutionSetup(op, grid, dt, steps)
+            traj = evolve(psi0, setup, snapshot_every=stride).trajectory
+            runs.append(np.column_stack([traj.q, traj.p, traj.energy]))
+        grid = oscillation_window(f, start.p, start.q, 4096)
+        flow = evolve_hermite(op, f, start, grid, 1e-3, 1000, 100)
+        assert flow.tail_weight <= TAIL_WEIGHT
+        traj = flow.trajectory
+        exact = np.column_stack([traj.q, traj.p, traj.energy])
+        coarse, fine = runs
+        own_error = np.max(np.abs(coarse - fine), axis=0)
+        assert np.all(np.max(np.abs(exact - fine), axis=0) <= own_error / 2)
+        richardson = (4 * fine - coarse) / 3
+        assert np.all(np.max(np.abs(exact - richardson), axis=0) <= own_error / 100)
+
+    @pytest.mark.parametrize("p0, q0", [(0.5, 0.3), (-3.0, 4.0), (0.5, 35.0)])
+    def test_first_sample_is_the_coherent_state(self, p0, q0):
+        # at q0 = 35 the window reaches x / s = 59, where the Gaussian factor
+        # exp(-(x/s)^2 / 4) alone underflows
+        f = gaussian_fiducial(1.0, 1.0)
+        grid = oscillation_window(f, p0, q0, 4096)
+        flow = evolve_hermite(parse_operator("0.5 * D D + 0.5 * X X"), f, PhasePoint(p0, q0),
+                              grid, 1e-300, 1)  # t = 1e-300 moves nothing
+        want = canonical_coherent(f, PhasePoint(p0, q0), grid=grid).values
+        assert np.max(np.abs(flow.final.values - want)) <= 1e-12
+
+    def test_harmonic_final_state_is_exact(self):
+        # U(t) eta_{p0,q0} = exp(-i t/2 - i (p0 q0 - p q) / 2) eta_{p,q} for the
+        # matched oscillator (omega = hbar = 1), (p, q) on the classical orbit
+        f = gaussian_fiducial(1.0, 1.0)
+        p0, q0, t = 0.5, -0.3, 0.2
+        grid = oscillation_window(f, p0, q0, 1024)
+        flow = evolve_hermite(parse_operator("0.5 * D D + 0.5 * X X"), f, PhasePoint(p0, q0),
+                              grid, 1e-3, 200)
+        q, p = q0 * math.cos(t) + p0 * math.sin(t), p0 * math.cos(t) - q0 * math.sin(t)
+        phase = np.exp(-0.5j * t - 0.5j * (p0 * q0 - p * q))
+        want = phase * canonical_coherent(f, PhasePoint(p, q), grid=grid).values
+        assert np.max(np.abs(flow.final.values - want)) <= 1e-13
+
+    def test_energy_is_the_weak_symbol(self):
+        f = gaussian_fiducial(1.3, 0.6)
+        op = parse_operator("0.5 * D D + 0.25 * X^4 + 0.1 * D X D")
+        grid = oscillation_window(f, 0.4, -0.7, 2048)
+        flow = evolve_hermite(op, f, PhasePoint(0.4, -0.7), grid, 1e-3, 200)
+        energy = flow.trajectory.energy
+        assert energy[0] == pytest.approx(weak_symbol(op, f)(0.4, -0.7), rel=1e-13)
+        assert flow.trajectory.energy_drift() <= 1e-12
+
+    @pytest.mark.parametrize("dt, steps", [(0.5, 12), (1.0, 6)])
+    def test_dt_only_places_the_records(self, tmp_path, dt, steps):
+        # the grid route gave x_final -0.4328 at dt = 1.0 against 0.1483
+        argv = ["--operator", "0.5 * D D + 0.5 * X X", "--p0", "0.5", "--q0", "0.3",
+                "--dt", str(dt), "--steps", str(steps)]
+        assert run_cli(argv, tmp_path) == 0
+        with open(tmp_path / "evolve_quantum.json") as fh:
+            payload = json.load(fh)
+        assert payload["x_final"] == pytest.approx(0.3 * math.cos(6) + 0.5 * math.sin(6),
+                                                   abs=1e-10)
+        assert payload["p_final"] == pytest.approx(0.5 * math.cos(6) - 0.3 * math.sin(6),
+                                                   abs=1e-10)
+
+    def test_non_hermitian_ordering_exits_2(self, tmp_path, capsys):
+        f = gaussian_fiducial(1.0, 1.0)
+        with pytest.raises(ConfigError, match="not Hermitian"):
+            hermite_hamiltonian(parse_operator("1.0 * X D"), 16, f.sigma, f.hbar)
+        out = tmp_path / "out"
+        argv = ["--operator", "1.0 * X D + 0.5 * D D", "--p0", "0.1", "--q0", "0.2"]
+        assert run_cli(argv, out) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: the operator 1 * X D + 0.5 * D D is not Hermitian" in err
+        assert not out.exists()
+        # the symmetrized ordering is Hermitian and runs
+        argv[1] = "0.5 * X D + 0.5 * D X + 0.5 * D D"
+        assert run_cli(argv, out) == 0
+
+    def test_unbounded_below_exits_3_at_max_basis(self, tmp_path, capsys):
+        # the inverted quartic: the packet leaves every basis of K states, so
+        # the run stops instead of following a truncated, boxed flow
+        out = tmp_path / "out"
+        argv = ["--operator", "0.5 * D D + -0.25 * X^4", "--p0", "0.1", "--q0", "0.2",
+                "--dt", "0.01", "--steps", "300"]
+        assert run_cli(argv, out) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert f"at K = {MAX_BASIS} (MAX_BASIS)" in err[0] and "TAIL_WEIGHT" in err[0]
+        assert not out.exists()
