@@ -20,13 +20,15 @@ from .errors import DomainError, IntegrationError, NumericError, PreconditionErr
 from .states import AFFINE_DOMAIN, PhasePoint
 from .symbols import AFFINE_DOMAIN_MESSAGE, SymbolFn
 
-# an affine run stops as singular once q falls below Q_FLOOR times its start
+# an affine step that leaves the half line, or lands below Q_FLOOR without
+# keeping the symbol's value to ENERGY_RTOL, is followed by finer steps: each
+# half that fails is halved again, down to dt / 2^MAX_HALVINGS, and a finer
+# step must stay on the half line and keep the value.  If the finest still
+# fails, q reaches the edge and the run stops as singular.  If q turns back
+# up under them, or they take more than MAX_SUBSTEPS steps, dt does not
+# resolve the flow.  Otherwise the flow falls faster than dt follows, and the
+# finer steps' end replaces the step.
 Q_FLOOR = 1e-6
-# a step that leaves the half line or lands below the floor is retried in
-# halves, each halved again where it fails, down to dt / 2^MAX_HALVINGS: if
-# the finer steps cross the step keeping the symbol's value to ENERGY_RTOL,
-# dt does not resolve the flow there; if the finest still fails, q reaches
-# the edge.  Past MAX_SUBSTEPS finer steps the flow counts as unresolved.
 MAX_HALVINGS = 40
 MAX_SUBSTEPS = 2**16
 ENERGY_RTOL = 1e-6
@@ -79,11 +81,12 @@ def integrate(
     """Classic RK4 for pdot = -dH/dq, qdot = dH/dp.
 
     ``t_final`` may be negative (backward run; the step is negated).  For
-    affine symbols the run halts with the singularity flag once q crosses
-    ``Q_FLOOR`` q0 or a step leaves the domain, and finer steps do so too;
-    if finer steps stay on the half line, dt does not resolve the flow
-    there, which is a NumericError naming dt and q.  A non-finite gradient
-    or state is an error carrying the last point.
+    affine symbols a step that leaves the domain, or crosses ``Q_FLOOR``
+    without keeping the symbol's value, is followed by finer steps: the run
+    halts with the singularity flag if they reach the edge too, a step under
+    which q turns back up is a NumericError naming dt and q, and otherwise
+    their end replaces the step.  A non-finite gradient or state is an error
+    carrying the last point.
     """
     n_steps = step_count(t_final, dt)
     affine = symbol.provenance == AFFINE_DOMAIN
@@ -106,34 +109,36 @@ def integrate(
             raise IntegrationError("non-finite gradient", last_state=(times[-1], ps[-1], qs[-1]))
         return -dq, dp
 
-    floor = Q_FLOOR * start.q
-
-    def refuse_unresolved_step():
-        if _finer_steps_cross(rhs, symbol, p, q, h, floor):
-            raise NumericError(
-                f"dt = {dt!r} does not resolve the flow at t = {times[-1]!r}, q = {q!r}: "
-                "a step leaves the half line that finer steps keep to; lower dt"
-            )
-
     for i in range(n_steps):
         try:
             p_new, q_new = _rk4_step(rhs, p, q, h)
         except DomainError:
-            refuse_unresolved_step()
-            singular, reason = True, "step left the affine domain"
-            break
-        if not (math.isfinite(p_new) and math.isfinite(q_new)):
-            raise IntegrationError("non-finite state", last_state=(times[-1], ps[-1], qs[-1]))
-        floor_crossed = affine and q_new < floor
-        if floor_crossed:
-            refuse_unresolved_step()
-        p, q = p_new, max(q_new, 0.0) if floor_crossed else q_new
+            p_new = q_new = math.nan
+        else:
+            if not (math.isfinite(p_new) and math.isfinite(q_new)):
+                raise IntegrationError("non-finite state", last_state=(times[-1], ps[-1], qs[-1]))
+        below = affine and not q_new >= Q_FLOOR  # a NaN q is below too
+        if below and not _keeps_value(_value(symbol, p_new, q_new), energies[-1]):
+            finer = _finer_steps(rhs, symbol, p, q, h)
+            if finer is None:
+                singular = True
+                if math.isnan(q_new):
+                    reason = "step left the affine domain"
+                    break
+                reason = f"q crossed the floor {Q_FLOOR:g}"
+            elif finer[2]:
+                raise NumericError(
+                    f"dt = {dt!r} does not resolve the flow at t = {times[-1]!r}, q = {q!r}: "
+                    "finer steps turn it back from the edge; lower dt"
+                )
+            else:
+                p_new, q_new = finer[:2]
+        p, q = p_new, max(q_new, 0.0) if singular else q_new
         times.append((i + 1) * h)
         ps.append(p)
         qs.append(q)
-        if floor_crossed:
+        if singular:
             energies.append(energies[-1])  # symbol undefined at/below the floor
-            singular, reason = True, f"q crossed the floor {floor:g}"
             break
         energies.append(symbol(p, q))
 
@@ -148,29 +153,42 @@ def _rk4_step(rhs, p: float, q: float, h: float) -> tuple[float, float]:
     return p + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p), q + h / 6 * (k1q + 2 * k2q + 2 * k3q + k4q)
 
 
-def _finer_steps_cross(rhs, symbol: SymbolFn, p: float, q: float, h: float, floor: float) -> bool:
-    """Whether RK4 steps finer than h carry (p, q) across h above ``floor``,
-    each keeping the symbol's value to ENERGY_RTOL: h is covered by two halves,
-    and each half that fails by two halves of its own, down to h / 2^MAX_HALVINGS."""
-    energy = symbol(p, q)
+def _value(symbol: SymbolFn, p: float, q: float) -> float:
+    """The symbol at (p, q), NaN off the half line or where it fails."""
+    try:
+        return symbol(p, q) if q > 0 else math.nan
+    except NumericError:
+        return math.nan
+
+
+def _keeps_value(value: float, energy: float) -> bool:
+    return abs(value - energy) <= ENERGY_RTOL * (1 + abs(energy))  # a NaN value fails
+
+
+def _finer_steps(rhs, symbol: SymbolFn, p: float, q: float, h: float):
+    """(p, q, unresolved): where RK4 steps finer than h, each on the half line
+    and keeping the symbol's value, end the step h, and whether q turned back
+    up under them or they ran out; None if the finest fails.  h is covered by
+    two halves, and each half that fails by two halves of its own."""
+    energy, q_min = symbol(p, q), q
     finest = abs(h) / 2**MAX_HALVINGS
     pending = [h / 2, h / 2]  # the steps still to take, the next one last
     for _ in range(MAX_SUBSTEPS):
         if not pending:
-            return True
+            return p, q, q > q_min  # q turned back up inside the step
         sub = pending.pop()
         try:
             p_new, q_new = _rk4_step(rhs, p, q, sub)
-            value = symbol(p_new, q_new) if q_new >= floor else math.nan
-        except (DomainError, NumericError):
-            value = math.nan
-        if abs(value - energy) <= ENERGY_RTOL * (1 + abs(energy)):  # a NaN value fails
-            p, q, energy = p_new, q_new, value
+        except DomainError:
+            p_new = q_new = math.nan
+        value = _value(symbol, p_new, q_new)
+        if _keeps_value(value, energy):
+            p, q, energy, q_min = p_new, q_new, value, min(q_min, q_new)
         elif abs(sub) <= finest:
-            return False
+            return None
         else:
             pending += [sub / 2, sub / 2]
-    return True
+    return p, q, True
 
 
 def restricted_action(path: Trajectory, symbol: SymbolFn) -> float:

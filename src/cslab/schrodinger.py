@@ -65,15 +65,19 @@ from .symbols import D_FACTOR, X_FACTOR, OperatorExpr
 # nodes; it matches the normalization tolerance evolve requires of psi0
 PINNED_NORM_TOL = 1e-6
 # largest phase |p0| h / hbar that psi0's plane wave may turn per grid
-# spacing: the 3-point stencil then misses its kinetic energy by at most
-# (p0 h / hbar)^2 / 12 < 1e-3 relative
+# spacing.  On the half line it bounds the 3-point stencil's error in the
+# kinetic energy, (p0 h / hbar)^2 / 12 < 1e-3 relative; on the canonical
+# sheet the flow takes no stencil, and it keeps the plane wave resolved in
+# the sampled final state.
 MAX_PHASE_PER_NODE = 0.1
 # largest grid spacing h / sigma of a full-line window, sigma the Gaussian
-# fiducial's position spread: the 3-point stencil misses the fiducial's
-# kinetic energy by about (h / sigma)^2 / 16 relative, so at the bound
-# hbar omega / 2 comes out about 0.8% low (measured at 2048 nodes,
-# h / sigma = 0.50: -3.9e-3 hbar omega).  The half-line window scales with
-# q0, so the bound is not applied there.
+# fiducial's position spread.  The canonical flow takes no stencil (see
+# evolve_hermite); the bound keeps the fiducial resolved in the sampled
+# final state.  On a full-line grid the 3-point stencil of evolve misses
+# the fiducial's kinetic energy by about (h / sigma)^2 / 16 relative, so
+# at the bound hbar omega / 2 comes out about 0.8% low (measured at 2048
+# nodes, h / sigma = 0.50: -3.9e-3 hbar omega).  The half-line window
+# scales with q0, so the bound is not applied there.
 MAX_SPACING_PER_WIDTH = 0.5
 
 
@@ -88,10 +92,7 @@ class EvolutionSetup:
     tridiagonal: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise DomainError("dt must be finite and positive")
-        if self.steps < 1:
-            raise DomainError("steps must be >= 1")
+        require_time_steps(self.dt, self.steps)
         if self.grid.nodes[self.unknown_slice()].size < 3:
             raise DomainError("the tridiagonal solver needs three unpinned grid nodes")
         diag, off = hamiltonian_tridiagonal(self)  # validates the operator form
@@ -201,14 +202,22 @@ def ldlt_tridiagonal(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.
     return np.array(multipliers, dtype=complex), d
 
 
-def record_stride(steps: int, snapshot_every: int | None) -> int:
-    """Steps between records: ``snapshot_every``, or about 512 records per run
-    when it is None.  A run records t = 0, every stride and its last step."""
+def require_time_steps(dt: float, steps: int) -> None:
+    if not (math.isfinite(dt) and dt > 0):
+        raise DomainError("dt must be finite and positive")
+    if steps < 1:
+        raise DomainError("steps must be >= 1")
+
+
+def record_steps(steps: int, snapshot_every: int | None) -> np.ndarray:
+    """The steps a run records: 0, every ``snapshot_every``-th and the last.
+    ``snapshot_every`` defaults to about 512 records per run."""
     if snapshot_every is None:
         snapshot_every = max(1, steps // 512)
     if snapshot_every < 1:
         raise DomainError(f"snapshot_every must be >= 1, got {snapshot_every}")
-    return snapshot_every
+    recorded = np.arange(0, steps + 1, snapshot_every)
+    return recorded if recorded[-1] == steps else np.append(recorded, steps)
 
 
 @dataclass
@@ -241,7 +250,7 @@ def evolve(
     if psi0.grid != setup.grid:
         raise GridMismatchError("initial state must live on the setup grid")
     psi0.require_normalized(1e-6)
-    snapshot_every = record_stride(setup.steps, snapshot_every)
+    recorded = set(record_steps(setup.steps, snapshot_every).tolist())
 
     grid = setup.grid
     sl = setup.unknown_slice()
@@ -293,7 +302,7 @@ def evolve(
             )
         w -= u
         u = w
-        if step % snapshot_every == 0 or step == setup.steps:
+        if step in recorded:
             hu = tridiagonal_product(diag, off, u)
             records.append((sign * step * setup.dt, *track_expectations(u, hu, x_weights, setup)))
 
@@ -474,15 +483,8 @@ def evolve_hermite(
     exp(-i p0 q0 / 2 hbar), which makes the t = 0 sample the grid's
     ``canonical_coherent`` state.
     """
-    if not (math.isfinite(dt) and dt > 0):
-        raise DomainError("dt must be finite and positive")
-    if steps < 1:
-        raise DomainError("steps must be >= 1")
-    stride = record_stride(steps, snapshot_every)
-    recorded = np.arange(0, steps + 1, stride)
-    if recorded[-1] != steps:
-        recorded = np.append(recorded, steps)
-    times = recorded * dt
+    require_time_steps(dt, steps)
+    times = record_steps(steps, snapshot_every) * dt
     hbar, s = f.hbar, f.sigma
     z = start.q / (2 * s) + 1j * start.p * s / hbar
     degree = max((_degree(fs) for _, fs in op.terms), default=0)

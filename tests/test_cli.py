@@ -762,6 +762,19 @@ class TestEvolveCommands:
         payload = read_json(tmp_path / "evolve_classical.json")
         assert payload["energy_drift"] <= 1e-7
 
+    def test_classical_turn_far_below_a_large_start(self, tmp_path):
+        # the enhanced flow turns at q = 5e-3 near t = -10, resolved by dt;
+        # a floor scaled to q0 = 1e4 stopped it there as singular
+        code = run(
+            ["evolve-classical", "--family", "affine", "--operator", "1.0 * D X D",
+             "--p0", "0.1", "--q0", "1e4", "--t_final", "-12",
+             "--format", "json", "--out", str(tmp_path), "--quiet"]
+        )
+        assert code == 0
+        payload = read_json(tmp_path / "evolve_classical.json")
+        assert payload["singular"] is False
+        assert payload["final"]["t"] == -12.0
+
     def test_quantum_small_run(self, tmp_path):
         code = run(
             ["evolve-quantum", "--operator", "0.5 * D D + 0.5 * X X",
@@ -994,11 +1007,12 @@ class TestTracerContract:
                      "--q0", "1", "--out", str(tmp_path), "--quiet"]
         tracer.install()
         try:
-            quantum = run(["evolve-quantum", *half_line, "--n_nodes", "256", "--steps", "50"])
+            quantum = run(["evolve-quantum", *point, "--n_nodes", "256", "--steps", "50"])
+            half = run(["evolve-quantum", *half_line, "--n_nodes", "256", "--steps", "50"])
             classical = run(["evolve-classical", *point, "--t_final", "0.05", "--dt", "1e-3"])
         finally:
             tracer.uninstall()
-        assert (quantum, classical) == (0, 0)
+        assert (quantum, half, classical) == (0, 0, 0)
         summary = tracer.summary()
         assert summary["schrodinger.cn_steps"] == 50
         assert summary["schrodinger.track_s"] > 0  # track_expectations is still wrapped

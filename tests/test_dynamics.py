@@ -1,5 +1,7 @@
 """RK4 flow, the closed-form Model One flow and the restricted action."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,15 +116,47 @@ class TestIntegrate:
         _, exact = model_one_flow(0.0, 1e-7, 0.5, traj.times)
         assert np.max(np.abs(traj.q - exact.q) / exact.q) <= 1e-9
 
+    def test_step_that_misses_a_deep_turn_is_a_numerical_error(self):
+        # p0 = 1e4: the flow turns at C/E = 5e-9 on a time scale of 7e-9, well
+        # inside the first backward step; it was flagged singular at t = 0
+        symbol = weak_symbol(parse_operator("1.0 * D X D"), affine_fiducial(1.0, 1.0))
+        start = PhasePoint(1e4, 1.0, domain=AFFINE_DOMAIN)
+        with pytest.raises(NumericError, match=r"dt = 0\.001 does not resolve .* q = 1\.0"):
+            integrate(symbol, start, -3.0, 1e-3)
+
+    def test_unresolved_approach_to_a_turn_below_the_floor_is_not_singular(self):
+        # from q0 = 5e-7 the flow falls to its turn at C/E = 1e-9 over about
+        # 1.5 dt; the first step ends below the floor still falling, and was
+        # flagged singular; the finer steps carry it into the turning step
+        symbol = weak_symbol(parse_operator("1.0 * D X D"), affine_fiducial(1.0, 1.0))
+        energy, q0 = 5e8, 5e-7
+        p0 = -energy * math.sqrt((q0 - 0.5 / energy) / energy) / q0  # on the way in
+        start = PhasePoint(p0, q0, domain=AFFINE_DOMAIN)
+        with pytest.raises(NumericError, match=r"dt = 2e-08 does not resolve .* t = 2e-08"):
+            integrate(symbol, start, 1e-7, 2e-8)
+
+    def test_resolved_turn_far_below_the_start_is_not_singular(self):
+        # q0 = 1e4: the flow turns at C/E = 5e-3 near t = -10 on a time scale
+        # of 7 dt; a floor scaled to q0 (1e-2) read this turn as singular
+        symbol = weak_symbol(parse_operator("1.0 * D X D"), affine_fiducial(1.0, 1.0))
+        traj = integrate(symbol, PhasePoint(0.1, 1e4, domain=AFFINE_DOMAIN), -12.0, 1e-3)
+        assert not traj.singular
+        assert traj.times[-1] == pytest.approx(-12.0)
+        _, exact = model_one_flow(0.1, 1e4, 0.5, traj.times)
+        assert traj.min_q() == pytest.approx(exact.min_q(), rel=1e-3)
+        assert traj.energy_drift() <= 1e-4
+
     @pytest.mark.parametrize("q0", [1e-7, 1.0, 1e7])
     def test_collapse_is_flagged_at_every_scale(self, q0):
-        # q -> lam q, p -> p / lam maps the C = 0 flow onto itself, and the
-        # floor is Q_FLOOR q0, so the collapse at t = -1/p0 reads the same
+        # q -> lam q, p -> p / lam maps the C = 0 flow onto itself; below the
+        # floor a step that keeps the symbol's value stands, and where dt
+        # stops following the fall finer steps do, so the collapse at
+        # t = -1/p0 reads the same at every scale
         traj = integrate(
             model_one_symbol(0.0), PhasePoint(1.0, q0, domain=AFFINE_DOMAIN), -1.2, 1e-3
         )
         assert traj.singular
-        assert traj.times[-1] == pytest.approx(-1.0, abs=0.05)
+        assert traj.times[-1] == pytest.approx(-1.0, abs=0.002)
 
     def test_bad_dt_rejected(self):
         with pytest.raises(DomainError):
