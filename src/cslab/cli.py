@@ -220,6 +220,9 @@ def _fiducial(params: dict):
 
 # rows of one trajectory run; model-one's default window writes 20001
 MAX_RECORDS = 10**6
+# Crank-Nicolson steps times unknowns of one half-line evolve-quantum run,
+# about 4.5 min at 27 ns per node-step (2-core host); the flow benchmark runs 1.2e7
+MAX_NODE_STEPS = 10**10
 
 
 def _step_counts(dt: float, **spans: float) -> list[int]:
@@ -372,8 +375,20 @@ def run_evolve_quantum(params: dict, rng: np.random.Generator, out: Outputs) -> 
     start = _start(params, params["family"])
     op = parse_operator(params["operator"])
     f = _fiducial(params)
-    grid = evolution_window(f, params["p0"], params["q0"], params["n_nodes"])
     dt, steps, stride = params["dt"], params["steps"], params["snapshot_every"] or None
+    # the work the argv asks for, bounded before any grid is built: the rows of
+    # the final-state CSV, the records (a given stride records step 0, every
+    # stride-th step and the last) and the half line's node-steps
+    n_nodes = params["n_nodes"]
+    if n_nodes > MAX_RECORDS:
+        raise ConfigError(f"n_nodes = {n_nodes} is over the cap of {MAX_RECORDS} rows")
+    if stride and (records := steps // stride + 1 + (steps % stride != 0)) > MAX_RECORDS:
+        raise ConfigError(f"steps = {steps} at snapshot_every = {stride} gives {records} "
+                          f"records, over the cap of {MAX_RECORDS}")
+    if f.kind == AFFINE_DOMAIN and (work := steps * max(n_nodes - 1, 0)) > MAX_NODE_STEPS:
+        raise ConfigError(f"steps = {steps} over {n_nodes - 1} unknowns gives {work} "
+                          f"node-steps, over the cap of {MAX_NODE_STEPS}")
+    grid = evolution_window(f, params["p0"], params["q0"], n_nodes)
     if f.kind == AFFINE_DOMAIN:
         psi0 = CoherentFamily(f, grid)(start.p, start.q).normalized()
         result = evolve(psi0, EvolutionSetup(op, grid, dt, steps, f.hbar), snapshot_every=stride)

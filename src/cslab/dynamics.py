@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError, NumericError, PreconditionError
+from .errors import DomainError, IntegrationError, NumericError
 from .states import AFFINE_DOMAIN, PhasePoint
 from .symbols import AFFINE_DOMAIN_MESSAGE, SymbolFn
 
@@ -189,21 +189,6 @@ def _finer_steps(rhs, symbol: SymbolFn, p: float, q: float, h: float):
         else:
             pending += [sub / 2, sub / 2]
     return p, q, True
-
-
-def restricted_action(path: Trajectory, symbol: SymbolFn) -> float:
-    """Trapezoid value of  integral [p dq - H dt]  along the sampled path.
-
-    Along a solution of Hamilton's equations this is stationary under
-    fixed-endpoint variations.
-    """
-    if path.n < 100:
-        raise PreconditionError("restricted_action needs >= 100 samples")
-    p, q, t = path.p, path.q, path.times
-    pdq = float(np.sum(0.5 * (p[1:] + p[:-1]) * np.diff(q)))
-    h_vals = np.array([symbol(pi, qi) for pi, qi in zip(p, q)])
-    h_int = float(np.trapezoid(h_vals, t))
-    return pdq - h_int
 
 
 def model_one_flow(p0: float, q0: float, c: float, times: np.ndarray) -> tuple[float, Trajectory]:

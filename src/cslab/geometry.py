@@ -1,4 +1,4 @@
-"""Ray distance, Fubini-Study metric and curvature of coherent-state sheets.
+"""Fubini-Study metric and curvature of coherent-state sheets.
 
 The squared distance between two state rays (phases quotiented out) is
 
@@ -14,16 +14,15 @@ is the constant diag(1/omega, omega), which is flat; on the affine sheet it
 is the Poincare half-plane metric diag(q^2/beta, beta/q^2) with scalar
 curvature -2/beta at every hbar.  Both come in closed form from the
 fiducial's moments; the finite-difference metric and the Brioschi curvature
-stencil that check them live in ``tests/oracles.py``.
+stencil that check them live in ``tests/oracles.py``, as does the ray
+distance itself.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 from .errors import AccuracyError
-from .grids import WaveFunction, inner_product
 from .states import AFFINE_DOMAIN, CANONICAL_DOMAIN, CoherentFamily, PhasePoint, coherent_moments
 
 
@@ -42,31 +41,6 @@ class MetricTensor:
     def require_positive_definite(self) -> None:
         if not (self.g_pp > 0 and self.det > 0):
             raise AccuracyError(f"metric not positive definite: {self}")
-
-
-@dataclass(frozen=True)
-class RayDistance:
-    """Squared ray distance and the aligning phase."""
-
-    d_squared: float
-    alpha: float
-    overlap_abs: float
-
-    def __float__(self):
-        return self.d_squared
-
-
-def ray_distance(psi1: WaveFunction, psi2: WaveFunction) -> RayDistance:
-    """2 hbar min_alpha ||psi1 - e^{i alpha} psi2||^2 via the closed form, in psi1's hbar.
-
-    ``alpha`` is the minimizing phase: e^{i alpha} psi2 aligned with psi1.
-    """
-    psi1.require_normalized(1e-8)
-    psi2.require_normalized(1e-8)
-    overlap = inner_product(psi1, psi2)
-    d2 = 4.0 * psi1.hbar * (1.0 - abs(overlap))
-    alpha = -cmath.phase(overlap) if overlap != 0 else 0.0
-    return RayDistance(max(d2, 0.0), alpha, abs(overlap))
 
 
 def fs_metric(family: CoherentFamily, pt: PhasePoint) -> MetricTensor:

@@ -125,28 +125,21 @@ def inner_product(phi: WaveFunction, psi: WaveFunction) -> complex:
     return complex(np.sum(phi.grid.weights * np.conj(phi.values) * psi.values))
 
 
-def derivative(psi: WaveFunction, order: int = 1) -> WaveFunction:
-    """First or second derivative by central differences.
+def derivative(psi: WaveFunction) -> WaveFunction:
+    """First derivative by central differences.
 
-    Interior nodes use the 3-point central stencils, edges the matching
+    Interior nodes use the 3-point central stencil, edges the matching
     one-sided second-order stencils, so degree-2 polynomials differentiate
     exactly.
     """
-    if order not in (1, 2):
-        raise ValueError("derivative order must be 1 or 2")
     if psi.grid.n < 5:
         raise PreconditionError("derivative needs at least 5 nodes")
     h = psi.grid.spacing
     v = psi.values
     out = np.empty_like(v)
-    if order == 1:
-        out[1:-1] = (v[2:] - v[:-2]) / (2 * h)
-        out[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h)
-        out[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)
-    else:
-        out[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / h**2
-        out[0] = (2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / h**2
-        out[-1] = (2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]) / h**2
+    out[1:-1] = (v[2:] - v[:-2]) / (2 * h)
+    out[0] = (-3 * v[0] + 4 * v[1] - v[2]) / (2 * h)
+    out[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)
     return WaveFunction(psi.grid, out, psi.hbar)
 
 
@@ -158,13 +151,13 @@ def position_moment(psi: WaveFunction, power: int = 1) -> float:
 
 def momentum_expectation(psi: WaveFunction) -> float:
     """Expectation of -i hbar d/dx, with d/dx by central differences."""
-    val = inner_product(psi, derivative(psi, 1))
+    val = inner_product(psi, derivative(psi))
     return float((-1j * psi.hbar * val).real)
 
 
 def dilation_expectation(psi: WaveFunction) -> float:
     """Expectation of the dilation generator -(i hbar / 2)(x d/dx + d/dx x)."""
-    dpsi = derivative(psi, 1)
+    dpsi = derivative(psi)
     x = psi.grid.nodes
     w = psi.grid.weights
     # x d/dx + d/dx x = 2 x d/dx + 1

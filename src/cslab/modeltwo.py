@@ -170,23 +170,13 @@ def h1_expectation(rep: ReducibleRep, nu: float, p, q) -> float:
     return value.real
 
 
-def match_target(m0_sq: float, lambda0: float, zeta: float) -> tuple[float, float]:
-    """Solve (m, nu) so that the quartic model reproduces (m0^2, lambda0)."""
-    if not 0 < zeta < 1:
-        raise DomainError("target matching needs zeta in (0, 1)")
-    if not (m0_sq > 0 and lambda0 > 0):
-        raise DomainError("target parameters must be positive")
-    m_sq = m0_sq / (1 + zeta**2)
-    nu = lambda0 / (zeta**4 * _power(m_sq, 2))
-    return math.sqrt(m_sq), nu
-
-
 # ---------------------------------------------------------------------------
-# overlaps and matrix elements
+# overlaps
 
 
 def overlap_reducible(rep: ReducibleRep, p_left, q_left, p_right, q_right) -> complex:
-    """<p',q';zeta|p,q;zeta> in closed form; K = (1-zeta^2)^-1 widens momentum."""
+    """<p',q';zeta|p,q;zeta> in closed form; K = (1-zeta^2)^-1 widens momentum.
+    No CLI route reaches it: it is the closed form acceptance criterion 9 checks."""
     pl, ql = _vectors(rep, p_left, q_left)
     pr, qr = _vectors(rep, p_right, q_right)
     hbar, m = rep.hbar, rep.m
@@ -195,15 +185,6 @@ def overlap_reducible(rep: ReducibleRep, p_left, q_left, p_right, q_right) -> co
         ql - qr, ql - qr
     ) / (4 * hbar)
     return complex(np.exp(1j * phase - decay))
-
-
-def h1_matrix_element(
-    rep: ReducibleRep, nu: float, p_left, q_left, p_right, q_right
-) -> complex:
-    """<p',q'| H1 |p,q> from the two pair sums, as in ``h1_expectation``."""
-    points = (p_left, q_left, p_right, q_right)
-    value = _h1_value(rep, nu, *points) * overlap_reducible(rep, *points)
-    return _require_finite(value, "H1 matrix element")
 
 
 # ---------------------------------------------------------------------------

@@ -234,16 +234,15 @@ def evolve(
     psi0: WaveFunction,
     setup: EvolutionSetup,
     snapshot_every: int | None = None,
-    backward: bool = False,
 ) -> EvolutionResult:
     """Run Crank-Nicolson and measure the state at strided steps.
 
     ``snapshot_every`` defaults to about 512 recorded steps per run; pass 1
-    to record every step.  ``backward`` negates the time step.  The pinned
-    Dirichlet values of ``psi0`` are dropped, so they may carry at most
-    ``PINNED_NORM_TOL`` of its norm.  Each record is measured on the
-    unknowns with the grid's quadrature (see :func:`track_expectations`);
-    the full-grid state is built once, for ``EvolutionResult.final``.
+    to record every step.  The pinned Dirichlet values of ``psi0`` are
+    dropped, so they may carry at most ``PINNED_NORM_TOL`` of its norm.
+    Each record is measured on the unknowns with the grid's quadrature (see
+    :func:`track_expectations`); the full-grid state is built once, for
+    ``EvolutionResult.final``.
     """
     from scipy.linalg.blas import ztbsv
 
@@ -262,8 +261,7 @@ def evolve(
             f"(limit {PINNED_NORM_TOL:g}); widen the window or add nodes"
         )
     diag, off = setup.tridiagonal
-    sign = -1.0 if backward else 1.0
-    lam = sign * setup.dt / (2 * setup.hbar)
+    lam = setup.dt / (2 * setup.hbar)
     # A = 1 + i lam H = L D L^T; the unit bidiagonal L and L^T in BLAS band
     # storage (Fortran order, so that no call copies them)
     a_diag, a_off = 1 + 1j * lam * diag, 1j * lam * off
@@ -304,7 +302,7 @@ def evolve(
         u = w
         if step in recorded:
             hu = tridiagonal_product(diag, off, u)
-            records.append((sign * step * setup.dt, *track_expectations(u, hu, x_weights, setup)))
+            records.append((step * setup.dt, *track_expectations(u, hu, x_weights, setup)))
 
     norm1 = math.sqrt(np.vdot(u, u).real * h)
     budget = 1e-8 * (setup.steps / 1000 + 1)
@@ -535,7 +533,7 @@ def evolve_hermite(
 
 
 # ---------------------------------------------------------------------------
-# window helpers for the benchmarks
+# the windows evolve-quantum samples and evolves on
 
 
 def oscillation_window(f: Fiducial, p0: float, q0: float, n: int) -> Grid:

@@ -331,7 +331,7 @@ def _apply_on_grid(op_factors, values, grid: Grid, p: float, q: float, hbar: flo
         if factor.kind == X_FACTOR:
             s = (q + x) ** factor.power * s
         else:
-            ds = derivative(WaveFunction(grid, s, hbar), 1).values
+            ds = derivative(WaveFunction(grid, s, hbar)).values
             s = p * s - 1j * hbar * ds
     return s
 

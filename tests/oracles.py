@@ -7,10 +7,16 @@ sums over the coherent densities on a grid or by central differences of
 the states, curvature by the Brioschi formula on a stencil of metrics, the
 constant C by adaptive quadrature, the Model One flow from energy
 conservation, and characteristic functions by a 2-D radial-angular rule.
+The four paper quantities no CLI route computes (the ray distance, the
+restricted action, off-diagonal H1 elements and target matching) are kept
+here as the library wrote them: they use its algebra, and each is the
+reference of another check.
 """
 
+import cmath
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -18,9 +24,17 @@ from scipy.integrate import quad
 from scipy.sparse import csc_matrix, diags
 from scipy.sparse.linalg import splu
 
-from cslab.errors import AccuracyError, DomainError
+from cslab.dynamics import Trajectory
+from cslab.errors import AccuracyError, DomainError, PreconditionError
 from cslab.geometry import MetricTensor
 from cslab.grids import WaveFunction, inner_product
+from cslab.modeltwo import (
+    ReducibleRep,
+    _h1_value,
+    _power,
+    _require_finite,
+    overlap_reducible,
+)
 from cslab.states import (
     AFFINE_DOMAIN,
     CANONICAL_DOMAIN,
@@ -32,6 +46,7 @@ from cslab.states import (
     default_canonical_grid,
     gaussian_values,
 )
+from cslab.symbols import SymbolFn
 
 
 def gl_grid(n=400, half_width=14.0):
@@ -148,6 +163,34 @@ def h1_terms(n, nu):
 
 
 # ---------------------------------------------------------------------------
+# off-diagonal H1 elements and target matching
+#
+# cslab.modeltwo evaluates H1 only on the diagonal.  These are its pair sums
+# off the diagonal, checked against the term lists above, and the (m, nu)
+# that reproduce a quartic target, checked through h1_expectation.
+
+
+def h1_matrix_element(
+    rep: ReducibleRep, nu: float, p_left, q_left, p_right, q_right
+) -> complex:
+    """<p',q'| H1 |p,q> from the two pair sums, as in ``h1_expectation``."""
+    points = (p_left, q_left, p_right, q_right)
+    value = _h1_value(rep, nu, *points) * overlap_reducible(rep, *points)
+    return _require_finite(value, "H1 matrix element")
+
+
+def match_target(m0_sq: float, lambda0: float, zeta: float) -> tuple[float, float]:
+    """Solve (m, nu) so that the quartic model reproduces (m0^2, lambda0)."""
+    if not 0 < zeta < 1:
+        raise DomainError("target matching needs zeta in (0, 1)")
+    if not (m0_sq > 0 and lambda0 > 0):
+        raise DomainError("target parameters must be positive")
+    m_sq = m0_sq / (1 + zeta**2)
+    nu = lambda0 / (zeta**4 * _power(m_sq, 2))
+    return math.sqrt(m_sq), nu
+
+
+# ---------------------------------------------------------------------------
 # Crank-Nicolson by general sparse matrices
 #
 # A = 1 + i lam H and B = 1 - i lam H are assembled as sparse matrices, A is
@@ -168,6 +211,38 @@ def crank_nicolson_sparse(diag, off, lam, u, steps):
     for _ in range(steps):
         u = solver.solve(b_mat @ u)
     return u
+
+
+# ---------------------------------------------------------------------------
+# the ray distance in closed form
+#
+# The finite distance whose small-step limit is the quadratic form of
+# cslab.geometry.fs_metric.
+
+
+@dataclass(frozen=True)
+class RayDistance:
+    """Squared ray distance and the aligning phase."""
+
+    d_squared: float
+    alpha: float
+    overlap_abs: float
+
+    def __float__(self):
+        return self.d_squared
+
+
+def ray_distance(psi1: WaveFunction, psi2: WaveFunction) -> RayDistance:
+    """2 hbar min_alpha ||psi1 - e^{i alpha} psi2||^2 via the closed form, in psi1's hbar.
+
+    ``alpha`` is the minimizing phase: e^{i alpha} psi2 aligned with psi1.
+    """
+    psi1.require_normalized(1e-8)
+    psi2.require_normalized(1e-8)
+    overlap = inner_product(psi1, psi2)
+    d2 = 4.0 * psi1.hbar * (1.0 - abs(overlap))
+    alpha = -cmath.phase(overlap) if overlap != 0 else 0.0
+    return RayDistance(max(d2, 0.0), alpha, abs(overlap))
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +540,28 @@ def model_one_reference(p0, q0, c):
         return s * w / q, q
 
     return at
+
+
+# ---------------------------------------------------------------------------
+# the restricted action along a sampled path
+#
+# Stationary under fixed-endpoint variations of a path that solves Hamilton's
+# equations: the check on the paths cslab.dynamics.integrate returns.
+
+
+def restricted_action(path: Trajectory, symbol: SymbolFn) -> float:
+    """Trapezoid value of  integral [p dq - H dt]  along the sampled path.
+
+    Along a solution of Hamilton's equations this is stationary under
+    fixed-endpoint variations.
+    """
+    if path.n < 100:
+        raise PreconditionError("restricted_action needs >= 100 samples")
+    p, q, t = path.p, path.q, path.times
+    pdq = float(np.sum(0.5 * (p[1:] + p[:-1]) * np.diff(q)))
+    h_vals = np.array([symbol(pi, qi) for pi, qi in zip(p, q)])
+    h_int = float(np.trapezoid(h_vals, t))
+    return pdq - h_int
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,11 @@ FAILURES: dict[str, list[str]] = {
     "evolve-quantum-not-hermitian": [*QUANTUM, "--operator", "1.0 * X D + 0.5 * D D"],
     "evolve-quantum-unbounded-below": [*QUANTUM, "--operator", "0.5 * D D + -0.25 * X^4",
                                        "--dt", "0.01", "--steps", "300"],
+    "evolve-quantum-n-nodes-cap": [*QUANTUM, "--n_nodes", "1000001"],
+    "evolve-quantum-record-cap": [*QUANTUM, "--snapshot_every", "1", "--steps", "1000000000"],
+    "evolve-quantum-node-step-cap": ["evolve-quantum", "--family", "affine", "--operator", DXD,
+                                     "--p0", "0", "--q0", "1", "--n_nodes", "1002",
+                                     "--steps", "10000000"],
 }
 
 

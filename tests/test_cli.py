@@ -1,6 +1,7 @@
 """Scenario runner: schemas, exit codes, determinism, provenance."""
 
 import argparse
+import ast
 import importlib
 import json
 import math
@@ -17,7 +18,7 @@ import cslab
 import cslab.cli
 import cslab.grids
 import cslab.symbols
-from cslab.cli import MAX_RECORDS, SUBCOMMANDS, Outputs, build_parser, main
+from cslab.cli import MAX_NODE_STEPS, MAX_RECORDS, SUBCOMMANDS, Outputs, build_parser, main
 from cslab.dynamics import Trajectory
 from cslab.grids import WaveFunction, uniform_grid
 
@@ -357,18 +358,23 @@ class TestInternalErrors:
         assert list(tmp_path.iterdir()) == []
 
 
-# one fresh interpreter: the scipy modules loaded after import, after the
-# runs that need none (every subcommand, evolve-quantum on the canonical
-# sheet), and after one half-line evolve-quantum run
+# one fresh interpreter: numpy and the cslab modules loaded by a bare
+# ``import cslab``, then the scipy modules loaded after importing the CLI,
+# after the runs that need none (every subcommand, evolve-quantum on the
+# canonical sheet), and after one half-line evolve-quantum run
 COLD_START = """
 import json, sys
+import cslab
+
+bare = {"version": cslab.__version__,
+        "loaded": sorted(m for m in sys.modules if m == "numpy" or m.startswith("cslab."))}
 from cslab.cli import main
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 out, free, quantum = sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3])
-loaded = {"import": scipy_modules()}
+loaded = {"bare": bare, "import": scipy_modules()}
 codes = [main(argv + ["--out", out, "--quiet"]) for argv in free]
 loaded["free"] = scipy_modules()
 codes.append(main(quantum + ["--out", out, "--quiet"]))
@@ -406,6 +412,8 @@ class TestColdStart:
         )
         result = json.loads(child.stdout)
         assert result["codes"] == [0] * 10
+        # the package exports only its version: importing it loads no module
+        assert result["loaded"]["bare"] == {"version": cslab.__version__, "loaded": []}
         assert result["loaded"]["import"] == []
         assert result["loaded"]["free"] == []
         quantum_loaded = result["loaded"]["quantum"]
@@ -629,6 +637,57 @@ class TestRecordCap:
         err = capsys.readouterr().err
         assert f"gives {records} records, over the cap of {MAX_RECORDS}" in err
         assert not out.exists()
+
+
+class TestQuantumWorkCap:
+    """evolve-quantum refuses the work an argv asks for before any window is built."""
+
+    HALF_LINE = ["evolve-quantum", "--family", "affine", "--operator", "1.0 * D X D",
+                 "--p0", "0", "--q0", "1"]
+
+    @staticmethod
+    def _run_unbuilt(monkeypatch, tmp_path, argv):
+        """Exit code of argv with evolution_window replaced by a failure, so that a
+        missing guard fails at once instead of allocating."""
+        def unreachable(*args):
+            raise AssertionError("evolution_window reached")
+
+        monkeypatch.setattr(cslab.cli, "evolution_window", unreachable)
+        out = tmp_path / "never-written"
+        code = run(argv + ["--out", str(out), "--quiet"])
+        assert not out.exists()
+        return code
+
+    @pytest.mark.parametrize("argv, message", [
+        ([*QUANTUM, "--n_nodes", str(MAX_RECORDS + 1)],
+         f"n_nodes = {MAX_RECORDS + 1} is over the cap of {MAX_RECORDS} rows"),
+        ([*QUANTUM, "--snapshot_every", "1", "--steps", "1000000000"],
+         f"steps = 1000000000 at snapshot_every = 1 gives 1000000001 records, "
+         f"over the cap of {MAX_RECORDS}"),
+        # the last step is off-stride, so it is one record more
+        ([*QUANTUM, "--snapshot_every", "3", "--steps", "2999998"],
+         f"gives {MAX_RECORDS + 1} records, over the cap of {MAX_RECORDS}"),
+        ([*HALF_LINE, "--n_nodes", "1002", "--steps", "10000000"],
+         f"steps = 10000000 over 1001 unknowns gives 10010000000 node-steps, "
+         f"over the cap of {MAX_NODE_STEPS}"),
+    ], ids=["n-nodes", "records", "records-off-stride", "node-steps"])
+    def test_over_a_cap_exits_2_before_any_window(self, tmp_path, capsys, monkeypatch,
+                                                   argv, message):
+        assert self._run_unbuilt(monkeypatch, tmp_path, argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err
+
+    @pytest.mark.parametrize("argv", [
+        [*QUANTUM, "--n_nodes", str(MAX_RECORDS)],
+        [*QUANTUM, "--snapshot_every", "1", "--steps", str(MAX_RECORDS - 1)],
+        [*QUANTUM, "--snapshot_every", "3", "--steps", "2999997"],
+        [*HALF_LINE, "--n_nodes", "1001", "--steps", "10000000"],
+        # the node-step cap is the half line's: the canonical route takes no step
+        [*QUANTUM, "--n_nodes", "1002", "--steps", "10000000"],
+    ], ids=["n-nodes", "records", "records-on-stride", "node-steps", "canonical"])
+    def test_at_a_cap_reaches_the_window(self, tmp_path, capsys, monkeypatch, argv):
+        assert self._run_unbuilt(monkeypatch, tmp_path, argv) == 3
+        assert "evolution_window reached" in capsys.readouterr().err
 
 
 class TestStepCount:
@@ -1037,3 +1096,57 @@ class TestTracerContract:
         summary = tracer.summary()
         assert summary["modeltwo.h1_calls"] == 1
         assert summary["modeltwo.charfn_calls"] == 1
+
+
+def _defined(stmt) -> set[str]:
+    """Names a top-level statement binds: a def, a class or a plain assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, ast.Assign):
+        return {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return {stmt.target.id}
+    return set()
+
+
+def _used(stmt) -> set[str]:
+    """Every name, attribute and imported name a statement mentions."""
+    used = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
+class TestReachability:
+    """src/cslab holds what a CLI route reaches, what perfbench/tracer.py wraps
+    by name and what the acceptance criteria import; nothing else."""
+
+    def test_every_public_name_is_used_in_src(self, monkeypatch):
+        root = Path(__file__).resolve().parent.parent
+        monkeypatch.syspath_prepend(str(root / "perfbench"))
+        tracer = importlib.import_module("tracer")
+        exempt = {name for _, _, name, _ in tracer._targets(cslab)}
+        acceptance = ast.parse((root / "tests" / "test_acceptance.py").read_text())
+        exempt |= {f"{node.module.removeprefix('cslab.')}.{alias.name}"
+                   for node in ast.walk(acceptance)
+                   if isinstance(node, ast.ImportFrom) and node.module.startswith("cslab.")
+                   for alias in node.names}
+        public, statements = {}, []
+        for path in sorted((root / "src" / "cslab").glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            for stmt in ast.parse(path.read_text()).body:
+                defined = _defined(stmt)
+                public.update({f"{path.stem}.{name}": name for name in defined
+                               if not name.startswith("_")})
+                statements.append((defined, _used(stmt)))
+        orphans = sorted(qualified for qualified, name in public.items()
+                         if qualified not in exempt
+                         and not any(name in used and name not in defined
+                                     for defined, used in statements))
+        assert orphans == []

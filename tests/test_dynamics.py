@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import model_one_reference
+from oracles import model_one_reference, restricted_action
 
-from cslab.dynamics import Trajectory, integrate, model_one_flow, restricted_action
+from cslab.dynamics import Trajectory, integrate, model_one_flow
 from cslab.errors import DomainError, NumericError, PreconditionError
 from cslab.states import AFFINE_DOMAIN, PhasePoint, affine_fiducial, gaussian_fiducial
 from cslab.symbols import parse_operator, polynomial_symbol, weak_symbol

@@ -11,10 +11,11 @@ from oracles import (
     difference_metric,
     exact_metric,
     exact_metric_field,
+    ray_distance,
 )
 
 from cslab.errors import AccuracyError, DomainError, PreconditionError
-from cslab.geometry import MetricTensor, fs_metric, ray_distance, scalar_curvature
+from cslab.geometry import MetricTensor, fs_metric, scalar_curvature
 from cslab.grids import WaveFunction, uniform_grid
 from cslab.states import (
     AFFINE_DOMAIN,

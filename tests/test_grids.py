@@ -109,48 +109,25 @@ class TestDerivative:
     def test_first_derivative_exact_on_squares(self):
         grid = uniform_grid(-2, 2, 41)
         psi = WaveFunction(grid, grid.nodes**2 + 0j)
-        d = derivative(psi, 1)
+        d = derivative(psi)
         assert np.max(np.abs(d.values - 2 * grid.nodes)) < 1e-10
-
-    def test_second_derivative_exact_on_squares(self):
-        grid = uniform_grid(-2, 2, 41)
-        psi = WaveFunction(grid, grid.nodes**2 + 0j)
-        d = derivative(psi, 2)
-        assert np.max(np.abs(d.values - 2.0)) < 1e-9
 
     def test_constant_derivative_vanishes(self):
         grid = uniform_grid(-1, 1, 100)
-        d = derivative(WaveFunction(grid, np.ones(100) + 0j), 1)
+        d = derivative(WaveFunction(grid, np.ones(100) + 0j))
         assert np.max(np.abs(d.values)) == 0.0
 
-    def test_sine_second_derivative(self):
-        grid = uniform_grid(-np.pi, np.pi, 401)
-        psi = WaveFunction(grid, np.sin(grid.nodes) + 0j)
-        d = derivative(psi, 2)
-        h = grid.spacing
-        assert np.max(np.abs(d.values + np.sin(grid.nodes))) < 2 * h**2
-
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_second_order_convergence(self, order):
+    def test_second_order_convergence(self):
         def error(n):
             grid = uniform_grid(-3, 3, n)
             psi = WaveFunction(grid, np.exp(np.sin(grid.nodes)) + 0j)
-            d = derivative(psi, order)
-            f = np.exp(np.sin(grid.nodes))
-            if order == 1:
-                exact = np.cos(grid.nodes) * f
-            else:
-                exact = (np.cos(grid.nodes) ** 2 - np.sin(grid.nodes)) * f
+            d = derivative(psi)
+            exact = np.cos(grid.nodes) * np.exp(np.sin(grid.nodes))
             return np.max(np.abs(d.values - exact))
 
         assert error(201) / error(401) >= 3.0
 
-    def test_bad_order_rejected(self):
-        grid = uniform_grid(-1, 1, 16)
-        with pytest.raises(ValueError):
-            derivative(WaveFunction(grid, np.zeros(16) + 0j), 3)
-
     def test_too_few_nodes_rejected(self):
         grid = uniform_grid(-1, 1, 4)
         with pytest.raises(PreconditionError):
-            derivative(WaveFunction(grid, np.zeros(4) + 0j), 1)
+            derivative(WaveFunction(grid, np.zeros(4) + 0j))

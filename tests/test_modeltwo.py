@@ -16,9 +16,7 @@ from cslab.modeltwo import (
     gaussian_radial_density,
     h1_closed_form,
     h1_expectation,
-    h1_matrix_element,
     h1_operator,
-    match_target,
     measure_superposition,
     overlap_reducible,
     scenario_record,
@@ -28,9 +26,11 @@ from cslab.modeltwo import (
 from oracles import (
     characteristic_kernel,
     gaussian_radial_rule,
+    h1_matrix_element,
     h1_terms,
     ladder_evaluate,
     ladder_hermitian,
+    match_target,
     quadrature_expectations,
     quadrature_overlap,
 )

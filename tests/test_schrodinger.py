@@ -14,7 +14,7 @@ from scipy.linalg.lapack import zgttrf
 import cslab.grids
 import cslab.schrodinger
 from cslab.cli import main
-from cslab.dynamics import integrate
+from cslab.dynamics import Trajectory, integrate
 from cslab.errors import (
     ConfigError,
     DomainError,
@@ -242,6 +242,20 @@ class TestEvolve:
         assert np.max(np.abs(traj.q - x_exact)) <= 1e-4
 
 
+def evolve_in_time(psi0, setup, snapshot_every, backward):
+    """(trajectory, final values) of evolve from psi0, or of psi0's run backward
+    in time: H is real, so the run from conj(psi0), conjugated, is that run, at
+    times -t and with -<p>."""
+    if not backward:
+        result = evolve(psi0, setup, snapshot_every=snapshot_every)
+        return result.trajectory, result.final.values
+    reverse = WaveFunction(psi0.grid, np.conj(psi0.values), psi0.hbar)
+    result = evolve(reverse, setup, snapshot_every=snapshot_every)
+    traj = result.trajectory
+    return (Trajectory(-traj.times, -traj.p, traj.q, traj.energy),
+            np.conj(result.final.values))
+
+
 class TestTridiagonalSolver:
     """The pivot-free L D L^T route against the sparse LU in tests/oracles.py.
 
@@ -283,12 +297,12 @@ class TestTridiagonalSolver:
     @pytest.mark.parametrize("case", SOLVER_CASES + [PIVOTING_CASE])
     def test_evolve_matches_sparse_lu(self, case, backward):
         psi0, setup = self._setup(case)
-        result = evolve(psi0, setup, snapshot_every=setup.steps, backward=backward)
+        _, final = evolve_in_time(psi0, setup, setup.steps, backward)
         diag, off = hamiltonian_tridiagonal(setup)
         lam = setup.dt / (2 * setup.hbar) * (-1 if backward else 1)
         sl = setup.unknown_slice()
         want = crank_nicolson_sparse(diag, off, lam, psi0.values[sl], setup.steps)
-        assert np.max(np.abs(result.final.values[sl] - want)) <= 1e-12
+        assert np.max(np.abs(final[sl] - want)) <= 1e-12
 
     @pytest.mark.parametrize("case, backward, stride", [
         pytest.param(case, backward, stride, id=f"{case}-{backward}{suffix}")
@@ -298,7 +312,7 @@ class TestTridiagonalSolver:
     ])
     def test_trajectory_matches_sparse_lu(self, case, backward, stride):
         psi0, setup = self._setup(case)
-        traj = evolve(psi0, setup, snapshot_every=stride, backward=backward).trajectory
+        traj, _ = evolve_in_time(psi0, setup, stride, backward)
         diag, off = hamiltonian_tridiagonal(setup)
         dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         sign = -1 if backward else 1
@@ -424,7 +438,7 @@ class TestHalfLineModelOne:
             setup = EvolutionSetup(DXD, grid, 1e-4, 5000, hbar)
             errs = []
             for backward in (False, True):
-                traj = evolve(psi0, setup, snapshot_every=250, backward=backward).trajectory
+                traj, _ = evolve_in_time(psi0, setup, 250, backward)
                 ref = integrate(symbol, start, -0.5 if backward else 0.5, 1e-4)
                 order = np.argsort(ref.times)
                 classical_q = np.interp(traj.times, ref.times[order], ref.q[order])
