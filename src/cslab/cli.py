@@ -553,7 +553,7 @@ SUBCOMMANDS: dict[str, Subcommand] = {
             "p0": Param("float", required=True),
             "q0": Param("float", required=True),
             "t_final": Param("float", 1.0),
-            "dt": Param("float", 1e-3),
+            "dt": Param("float", 1e-3, help="spacing of the records"),
         },
     ),
     "evolve-quantum": Subcommand(

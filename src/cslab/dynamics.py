@@ -1,18 +1,20 @@
 """Hamiltonian flow of enhanced classical symbols.
 
 Stationary variation of the restricted action  A = integral [p qdot - H] dt
-gives Hamilton's equations for the symbol H, integrated here with fixed-step
-RK4, with a singularity flag for an affine flow that leaves the half line
-and a numerical failure for a step too coarse to follow it.
-The Model-One symbol  H = q p^2 + C / q  is not integrated: its flow is
-known in closed form, collapsing to q = 0 at t = -1/p0 for C = 0 and
-turning back at the energy floor C / E for any C > 0.
+gives Hamilton's equations for the symbol H, integrated here by the
+Dormand-Prince 5(4) pair under error control and recorded through its
+continuous extension.  The Model-One symbol  H = q p^2 + C / q  is not
+integrated: its flow is known in closed form, collapsing to q = 0 at
+t = -1/p0 for C = 0 and turning back at the energy floor C / E for any C > 0.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
 from dataclasses import dataclass
+from itertools import takewhile
 
 import numpy as np
 
@@ -20,18 +22,14 @@ from .errors import DomainError, IntegrationError, NumericError
 from .states import AFFINE_DOMAIN, PhasePoint
 from .symbols import AFFINE_DOMAIN_MESSAGE, SymbolFn
 
-# an affine step that leaves the half line, or lands below Q_FLOOR without
-# keeping the symbol's value to ENERGY_RTOL, is followed by finer steps: each
-# half that fails is halved again, down to dt / 2^MAX_HALVINGS, and a finer
-# step must stay on the half line and keep the value.  If the finest still
-# fails, q reaches the edge and the run stops as singular.  If q turns back
-# up under them, or they take more than MAX_SUBSTEPS steps, dt does not
-# resolve the flow.  Otherwise the flow falls faster than dt follows, and the
-# finer steps' end replaces the step.
-Q_FLOOR = 1e-6
-MAX_HALVINGS = 40
-MAX_SUBSTEPS = 2**16
-ENERGY_RTOL = 1e-6
+# a step keeps the pair's error estimate in p and in q within ATOL + RTOL |value|;
+# the next is SAFETY / (error over tolerance)^(1/5) times it, within [MIN_FACTOR,
+# MAX_FACTOR] and no longer after a rejection; a run takes at most MAX_STEPS steps
+RTOL, ATOL, MAX_STEPS = 1e-12, 1e-14, 10**5
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
+# Shampine's continuous extension (Hairer's form): the weights of k1, k3 ... k7 in d
+DENSE = (-12715105075 / 11282082432, 87487479700 / 32700410799, -10690763975 / 1880347072,
+         701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423)
 
 
 @dataclass
@@ -72,123 +70,88 @@ def step_count(span: float, dt: float, name: str = "t_final") -> int:
     return int(round(abs(span) / dt))
 
 
-def integrate(
-    symbol: SymbolFn,
-    start: PhasePoint,
-    t_final: float,
-    dt: float,
-) -> Trajectory:
-    """Classic RK4 for pdot = -dH/dq, qdot = dH/dp.
+def integrate(symbol: SymbolFn, start: PhasePoint, t_final: float, dt: float) -> Trajectory:
+    """pdot = -dH/dq, qdot = dH/dp under error control, recorded at t = k dt.
 
-    ``t_final`` may be negative (backward run; the step is negated).  For
-    affine symbols a step that leaves the domain, or crosses ``Q_FLOOR``
-    without keeping the symbol's value, is followed by finer steps: the run
-    halts with the singularity flag if they reach the edge too, a step under
-    which q turns back up is a NumericError naming dt and q, and otherwise
-    their end replaces the step.  A non-finite gradient or state is an error
-    carrying the last point.
+    ``t_final`` may be negative (backward run); z = p + iq.  A step over its
+    tolerance, or with a stage off the half line or not finite, is retried
+    shorter.  Where the step shrinks to the roundoff of t, an affine flow
+    whose q falls to 0 ends there flagged singular, and any other flow is a
+    NumericError naming t, p and q; so is a run of over MAX_STEPS steps.
     """
-    n_steps = step_count(t_final, dt)
+    n_records = step_count(t_final, dt)
     affine = symbol.provenance == AFFINE_DOMAIN
-    if affine and start.q <= 0:
-        raise DomainError("affine dynamics requires q > 0")
+    spacing = dt if t_final >= 0 else -dt
+    t_end = n_records * spacing
 
-    h = dt if t_final >= 0 else -dt
-    p, q = float(start.p), float(start.q)
-
-    times, ps, qs, energies = [0.0], [p], [q], [symbol(p, q)]
-    singular, reason = False, None
-
-    gradient = symbol.gradient  # SymbolFn.grad without its domain check
-
-    def rhs(pp, qq):
-        if affine and qq <= 0:
+    def rhs(z: complex) -> complex:
+        if affine and not z.imag > 0:  # a NaN q fails too
             raise DomainError(AFFINE_DOMAIN_MESSAGE)
-        dp, dq = gradient(pp, qq)
-        if not (math.isfinite(dp) and math.isfinite(dq)):
-            raise IntegrationError("non-finite gradient", last_state=(times[-1], ps[-1], qs[-1]))
-        return -dq, dp
+        dp, dq = symbol.gradient(z.real, z.imag)  # SymbolFn.grad without its domain check
+        return complex(-dq, dp)
 
-    for i in range(n_steps):
-        try:
-            p_new, q_new = _rk4_step(rhs, p, q, h)
-        except DomainError:
-            p_new = q_new = math.nan
-        else:
-            if not (math.isfinite(p_new) and math.isfinite(q_new)):
-                raise IntegrationError("non-finite state", last_state=(times[-1], ps[-1], qs[-1]))
-        below = affine and not q_new >= Q_FLOOR  # a NaN q is below too
-        if below and not _keeps_value(_value(symbol, p_new, q_new), energies[-1]):
-            finer = _finer_steps(rhs, symbol, p, q, h)
-            if finer is None:
-                singular = True
-                if math.isnan(q_new):
-                    reason = "step left the affine domain"
-                    break
-                reason = f"q crossed the floor {Q_FLOOR:g}"
-            elif finer[2]:
-                raise NumericError(
-                    f"dt = {dt!r} does not resolve the flow at t = {times[-1]!r}, q = {q!r}: "
-                    "finer steps turn it back from the edge; lower dt"
-                )
-            else:
-                p_new, q_new = finer[:2]
-        p, q = p_new, max(q_new, 0.0) if singular else q_new
-        times.append((i + 1) * h)
-        ps.append(p)
-        qs.append(q)
-        if singular:
-            energies.append(energies[-1])  # symbol undefined at/below the floor
+    t, z = 0.0, complex(start.p, start.q)
+    k1 = rhs(z)
+    if not cmath.isfinite(k1):
+        raise IntegrationError("non-finite gradient", last_state=(0.0, z.real, z.imag))
+    zs, h, q_peak, rejected, taken, reason = [z], spacing, z.imag, False, 0, None
+    while len(zs) <= n_records:
+        if abs(h) <= 4 * math.ulp(t):
+            if not (affine and z.imag <= RTOL * q_peak and k1.imag * spacing < 0):
+                raise NumericError(f"the step shrinks to the roundoff of t = {t!r} at "
+                                   f"p = {z.real!r}, q = {z.imag!r}: the flow is not resolved")
+            reason = f"q falls to 0 at t = {t!r}"
             break
-        energies.append(symbol(p, q))
-
-    return Trajectory(times, ps, qs, energies, singular=singular, singular_reason=reason)
-
-
-def _rk4_step(rhs, p: float, q: float, h: float) -> tuple[float, float]:
-    k1p, k1q = rhs(p, q)
-    k2p, k2q = rhs(p + 0.5 * h * k1p, q + 0.5 * h * k1q)
-    k3p, k3q = rhs(p + 0.5 * h * k2p, q + 0.5 * h * k2q)
-    k4p, k4q = rhs(p + h * k3p, q + h * k3q)
-    return p + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p), q + h / 6 * (k1q + 2 * k2q + 2 * k3q + k4q)
-
-
-def _value(symbol: SymbolFn, p: float, q: float) -> float:
-    """The symbol at (p, q), NaN off the half line or where it fails."""
-    try:
-        return symbol(p, q) if q > 0 else math.nan
-    except NumericError:
-        return math.nan
-
-
-def _keeps_value(value: float, energy: float) -> bool:
-    return abs(value - energy) <= ENERGY_RTOL * (1 + abs(energy))  # a NaN value fails
-
-
-def _finer_steps(rhs, symbol: SymbolFn, p: float, q: float, h: float):
-    """(p, q, unresolved): where RK4 steps finer than h, each on the half line
-    and keeping the symbol's value, end the step h, and whether q turned back
-    up under them or they ran out; None if the finest fails.  h is covered by
-    two halves, and each half that fails by two halves of its own."""
-    energy, q_min = symbol(p, q), q
-    finest = abs(h) / 2**MAX_HALVINGS
-    pending = [h / 2, h / 2]  # the steps still to take, the next one last
-    for _ in range(MAX_SUBSTEPS):
-        if not pending:
-            return p, q, q > q_min  # q turned back up inside the step
-        sub = pending.pop()
+        if (taken := taken + 1) > MAX_STEPS:
+            raise NumericError(f"the flow takes over MAX_STEPS = {MAX_STEPS} steps: "
+                               f"it reaches t = {t:.6g} of t_final = {t_final!r}")
+        step = h if abs(h) < abs(t_end - t) else t_end - t
         try:
-            p_new, q_new = _rk4_step(rhs, p, q, sub)
-        except DomainError:
-            p_new = q_new = math.nan
-        value = _value(symbol, p_new, q_new)
-        if _keeps_value(value, energy):
-            p, q, energy, q_min = p_new, q_new, value, min(q_min, q_new)
-        elif abs(sub) <= finest:
-            return None
-        else:
-            pending += [sub / 2, sub / 2]
-    return p, q, True
+            z_new, stages, ratio = _dopri_step(rhs, z, k1, step)
+        except (DomainError, NumericError):  # a stage off the half line, or overflowing
+            ratio = math.inf
+        if ratio <= 1:
+            t_new = t_end if step == t_end - t else t + step
+            dz = z_new - z
+            b = step * k1 - dz
+            c = dz - step * stages[-1] - b
+            d = step * sum(map(operator.mul, DENSE, stages))
+            ks = takewhile(lambda k: abs(k * spacing) <= abs(t_new), range(len(zs), n_records + 1))
+            us = ((k * spacing - t) / step for k in ks)
+            zs += [z + u * (dz + (1 - u) * (b + u * (c + (1 - u) * d))) for u in us]
+            t, z, k1, q_peak = t_new, z_new, stages[-1], max(q_peak, z_new.imag)
+        factor = SAFETY / ratio**0.2 if ratio else MAX_FACTOR
+        h = step * min(1.0 if rejected else MAX_FACTOR, max(MIN_FACTOR, factor))
+        rejected = ratio > 1
+    times = [0.0, *(k * spacing for k in range(1, len(zs)))]
+    energies = [symbol(record.real, record.imag) for record in zs]
+    if reason:  # the last step's end; the symbol is not resolved at the edge
+        times, zs, energies = [*times, t], [*zs, z], [*energies, energies[-1]]
+    zs = np.array(zs)
+    return Trajectory(times, zs.real, zs.imag, energies, reason is not None, reason)
+
+
+def _dopri_step(rhs, z: complex, k1: complex, h: float):
+    """One Dormand-Prince 5(4) step from z, where rhs(z) = k1: the fifth-order
+    end, the stages k1, k3 ... k7 (k7 at the end) and the larger of p's and q's
+    error over ATOL + RTOL |value|, inf if the step is not finite."""
+    k2 = rhs(z + h * (1 / 5 * k1))
+    k3 = rhs(z + h * (3 / 40 * k1 + 9 / 40 * k2))
+    k4 = rhs(z + h * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3))
+    k5 = rhs(z + h * (19372 / 6561 * k1 - 25360 / 2187 * k2 + 64448 / 6561 * k3
+                      - 212 / 729 * k4))
+    k6 = rhs(z + h * (9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3 + 49 / 176 * k4
+                      - 5103 / 18656 * k5))
+    z_new = z + h * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4 - 2187 / 6784 * k5
+                     + 11 / 84 * k6)
+    k7 = rhs(z_new)
+    if not (cmath.isfinite(z_new) and cmath.isfinite(k7)):  # a stage that is not, nor is z_new
+        return z_new, (), math.inf
+    error = h * (71 / 57600 * k1 - 71 / 16695 * k3 + 71 / 1920 * k4 - 17253 / 339200 * k5
+                 + 22 / 525 * k6 - 1 / 40 * k7)
+    ratio = max(abs(error.real) / (ATOL + RTOL * max(abs(z.real), abs(z_new.real))),
+                abs(error.imag) / (ATOL + RTOL * max(abs(z.imag), abs(z_new.imag))))
+    return z_new, (k1, k3, k4, k5, k6, k7), ratio
 
 
 def model_one_flow(p0: float, q0: float, c: float, times: np.ndarray) -> tuple[float, Trajectory]:

@@ -103,12 +103,6 @@ class OperatorExpr:
         scale = max((abs(v) for v in mine.values()), default=1.0)
         return all(abs(mine[k] - theirs[k]) <= 1e-12 * scale for k in mine)
 
-    def scaled(self, a: float) -> "OperatorExpr":
-        return OperatorExpr(tuple((a * c, fs) for c, fs in self.terms))
-
-    def __add__(self, other: "OperatorExpr") -> "OperatorExpr":
-        return OperatorExpr(self.terms + other.terms)
-
     def __str__(self):
         parts = []
         for coeff, factors in self.terms:
@@ -193,7 +187,7 @@ class SymbolFn:
             return _monomial_sum(d_dp, p, q), _monomial_sum(d_dq, p, q)
 
         # (dH/dp, dH/dq) without the domain check of grad; a closure, not a
-        # method, since RK4 calls it four times a step and a bound-method
+        # method, since the flow calls it six times a step and a bound-method
         # call costs about a third more
         self.gradient = gradient
 

@@ -55,6 +55,13 @@ RUNS: dict[str, list[str]] = {
     "evolve-classical-affine": ["evolve-classical", "--family", "affine", "--operator", DXD,
                                 "--p0", "0.4", "--q0", "1.5", "--t_final", "-1",
                                 "--dt", "0.01"],
+    # the flow turns back from the floor C/E = 5.6e-4 on a time scale of 7.9e-4
+    "evolve-classical-affine-bounce": ["evolve-classical", "--family", "affine",
+                                       "--operator", DXD, "--p0", "30", "--q0", "1",
+                                       "--t_final", "-3", "--dt", "0.01"],
+    # the start is the turning point q = C/E = 1e-7, left on a time scale of 1.4e-7
+    "evolve-classical-turn-at-the-start": ["evolve-classical", "--family", "affine",
+                                           "--operator", DXD, "--p0", "0", "--q0", "1e-7"],
     "evolve-quantum-canonical": ["evolve-quantum", "--operator", HARMONIC, "--p0", "0.5",
                                  "--q0", "-0.3", "--n_nodes", "1024", "--dt", "1e-3",
                                  "--steps", "200"],
@@ -128,8 +135,9 @@ FAILURES: dict[str, list[str]] = {
                                               "--dt", "2"],
     "model-one-t-min-under-half-step": ["model-one", "--t_min", "-0.4", "--dt", "1"],
     "centering-n-points-negative": ["centering", "--n_points", "-1"],
-    "evolve-classical-unresolved-step": ["evolve-classical", "--family", "affine",
-                                         "--operator", DXD, "--p0", "0", "--q0", "1e-7"],
+    # the flow's period at q0 = 1e3 is about 3e-9: some 1e10 steps to t_final
+    "evolve-classical-step-cap": ["evolve-classical", "--operator", "0.5 * D D + 1.0 * X^8",
+                                  "--p0", "0", "--q0", "1e3", "--t_final", "1"],
     "evolve-quantum-not-hermitian": [*QUANTUM, "--operator", "1.0 * X D + 0.5 * D D"],
     "evolve-quantum-unbounded-below": [*QUANTUM, "--operator", "0.5 * D D + -0.25 * X^4",
                                        "--dt", "0.01", "--steps", "300"],

@@ -1,14 +1,15 @@
-"""RK4 flow, the closed-form Model One flow and the restricted action."""
+"""The error-controlled flow, the closed-form Model One flow and the restricted action."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import model_one_reference, restricted_action
 
+from cslab import dynamics
 from cslab.dynamics import Trajectory, integrate, model_one_flow
 from cslab.errors import DomainError, NumericError, PreconditionError
 from cslab.states import AFFINE_DOMAIN, PhasePoint, affine_fiducial, gaussian_fiducial
@@ -70,21 +71,21 @@ class TestIntegrate:
     )
     def test_energy_drift(self, symbol, start):
         traj = integrate(symbol, start, 10.0, 1e-3)
-        assert traj.energy_drift() <= 1e-7
+        assert traj.energy_drift() <= 1e-10
 
-    def test_fourth_order_convergence(self):
+    def test_error_does_not_depend_on_the_record_spacing(self):
+        # dt only spaces the records: the step follows the error estimate, so
+        # the error is the tolerance's at every spacing (RK4's fell 16x per halving)
         c = 0.5
-        symbol = model_one_symbol(c)
         reference = model_one_reference(1.0, 1.0, c)
-
-        def max_error(dt):
-            traj = integrate(symbol, PhasePoint(1.0, 1.0, domain=AFFINE_DOMAIN), 2.0, dt)
-            errs = [abs(q - reference(t)[1]) for t, q in zip(traj.times, traj.q)]
-            return max(errs)
-
-        assert max_error(2e-3) / max_error(1e-3) >= 14.0
+        for dt in (0.1, 2e-3, 1e-3):
+            start = PhasePoint(1.0, 1.0, domain=AFFINE_DOMAIN)
+            traj = integrate(model_one_symbol(c), start, 2.0, dt)
+            assert traj.n == round(2.0 / dt) + 1
+            assert max(abs(q - reference(t)[1]) for t, q in zip(traj.times, traj.q)) <= 1e-10
 
     def test_rk4_against_closed_form_tight(self):
+        # named for the RK4 flow it first checked
         reference = model_one_reference(1.0, 1.0, 0.0)
         traj = integrate(
             model_one_symbol(0.0), PhasePoint(1.0, 1.0, domain=AFFINE_DOMAIN), 1.0, 1e-3
@@ -93,7 +94,7 @@ class TestIntegrate:
             max(abs(p - reference(t)[0]), abs(q - reference(t)[1]))
             for t, p, q in zip(traj.times, traj.p, traj.q)
         )
-        assert err <= 1e-6
+        assert err <= 1e-10
 
     def test_large_gradient_is_not_a_singularity(self):
         # a gradient above 1e12 used to stop the run after 0 steps as "gradient overflow"
@@ -102,38 +103,41 @@ class TestIntegrate:
         assert traj.p[-1] == pytest.approx(1e13 * np.cos(1.0), rel=1e-9)
         assert traj.q[-1] == pytest.approx(1e13 * np.sin(1.0), rel=1e-9)
 
-    def test_unresolved_step_is_a_numerical_error(self):
+    def test_turn_at_the_start_is_resolved(self):
         # the enhanced flow turns at q = C/E = 1e-7 and never leaves the half
-        # line, on a time scale sqrt(C) / E = 1.4e-7; at dt = 1e-3 a stage
-        # left the domain, and the run was flagged singular at t = 0
+        # line, on a time scale sqrt(C) / E = 1.4e-7; RK4 at dt = 1e-3 had a
+        # stage leave the domain, and stopped as unresolved (exit 3)
         symbol = weak_symbol(parse_operator("1.0 * D X D"), affine_fiducial(1.0, 1.0))
         start = PhasePoint(0.0, 1e-7, domain=AFFINE_DOMAIN)
-        with pytest.raises(NumericError, match=r"dt = 0\.001 does not resolve .* q = 1e-07"):
-            integrate(symbol, start, 1.0, 1e-3)
-        # a dt that resolves it follows the exact flow q = C/E + E t^2
-        traj = integrate(symbol, start, 2e-6, 1e-9)
-        assert not traj.singular
-        _, exact = model_one_flow(0.0, 1e-7, 0.5, traj.times)
-        assert np.max(np.abs(traj.q - exact.q) / exact.q) <= 1e-9
+        for t_final, dt in [(1.0, 1e-3), (2e-6, 1e-9)]:
+            traj = integrate(symbol, start, t_final, dt)
+            assert not traj.singular
+            _, exact = model_one_flow(0.0, 1e-7, 0.5, traj.times)  # q = C/E + E t^2
+            assert np.max(np.abs(traj.q - exact.q) / exact.q) <= 1e-9
 
-    def test_step_that_misses_a_deep_turn_is_a_numerical_error(self):
+    @pytest.mark.parametrize("p0", [1e4, 30.0, -100.0])
+    def test_deep_turn_is_resolved(self, p0):
         # p0 = 1e4: the flow turns at C/E = 5e-9 on a time scale of 7e-9, well
-        # inside the first backward step; it was flagged singular at t = 0
+        # inside RK4's first backward step, which stopped as unresolved; at
+        # p0 = 30 RK4 ran through the turn with q 22% off
         symbol = weak_symbol(parse_operator("1.0 * D X D"), affine_fiducial(1.0, 1.0))
-        start = PhasePoint(1e4, 1.0, domain=AFFINE_DOMAIN)
-        with pytest.raises(NumericError, match=r"dt = 0\.001 does not resolve .* q = 1\.0"):
-            integrate(symbol, start, -3.0, 1e-3)
+        traj = integrate(symbol, PhasePoint(p0, 1.0, domain=AFFINE_DOMAIN), -3.0, 1e-3)
+        assert not traj.singular
+        _, exact = model_one_flow(p0, 1.0, 0.5, traj.times)
+        assert _close(traj.p, exact.p, 1e-9).all()
+        assert np.max(np.abs(traj.q - exact.q) / exact.q) <= 1e-9
 
     def test_unresolved_approach_to_a_turn_below_the_floor_is_not_singular(self):
         # from q0 = 5e-7 the flow falls to its turn at C/E = 1e-9 over about
-        # 1.5 dt; the first step ends below the floor still falling, and was
-        # flagged singular; the finer steps carry it into the turning step
+        # 1.5 records; RK4 at a step of dt = 2e-8 could not follow it (exit 3)
         symbol = weak_symbol(parse_operator("1.0 * D X D"), affine_fiducial(1.0, 1.0))
         energy, q0 = 5e8, 5e-7
         p0 = -energy * math.sqrt((q0 - 0.5 / energy) / energy) / q0  # on the way in
-        start = PhasePoint(p0, q0, domain=AFFINE_DOMAIN)
-        with pytest.raises(NumericError, match=r"dt = 2e-08 does not resolve .* t = 2e-08"):
-            integrate(symbol, start, 1e-7, 2e-8)
+        traj = integrate(symbol, PhasePoint(p0, q0, domain=AFFINE_DOMAIN), 1e-7, 2e-8)
+        assert not traj.singular
+        _, exact = model_one_flow(p0, q0, 0.5, traj.times)
+        assert _close(traj.p, exact.p, 1e-9).all()
+        assert np.max(np.abs(traj.q - exact.q) / exact.q) <= 1e-9
 
     def test_resolved_turn_far_below_the_start_is_not_singular(self):
         # q0 = 1e4: the flow turns at C/E = 5e-3 near t = -10 on a time scale
@@ -143,20 +147,35 @@ class TestIntegrate:
         assert not traj.singular
         assert traj.times[-1] == pytest.approx(-12.0)
         _, exact = model_one_flow(0.1, 1e4, 0.5, traj.times)
-        assert traj.min_q() == pytest.approx(exact.min_q(), rel=1e-3)
-        assert traj.energy_drift() <= 1e-4
+        assert traj.min_q() == pytest.approx(exact.min_q(), rel=1e-9)
+        assert traj.energy_drift() <= 1e-10
 
     @pytest.mark.parametrize("q0", [1e-7, 1.0, 1e7])
     def test_collapse_is_flagged_at_every_scale(self, q0):
-        # q -> lam q, p -> p / lam maps the C = 0 flow onto itself; below the
-        # floor a step that keeps the symbol's value stands, and where dt
-        # stops following the fall finer steps do, so the collapse at
-        # t = -1/p0 reads the same at every scale
+        # q -> lam q, p -> p / lam maps the C = 0 flow onto itself; p = p0 / (1 + p0 t)
+        # does not depend on q, and the step shrinks to the roundoff of t as
+        # it follows p to the collapse at t = -1/p0
         traj = integrate(
             model_one_symbol(0.0), PhasePoint(1.0, q0, domain=AFFINE_DOMAIN), -1.2, 1e-3
         )
         assert traj.singular
-        assert traj.times[-1] == pytest.approx(-1.0, abs=0.002)
+        assert traj.singular_reason == f"q falls to 0 at t = {float(traj.times[-1])!r}"
+        assert traj.times[-1] == pytest.approx(-1.0, abs=1e-9)
+        assert traj.times[-2] == 999 * -1e-3  # the records before it stay on the grid
+
+    def test_blow_up_is_a_numerical_error(self):
+        # q runs off to infinity in finite time: the step shrinks to the
+        # roundoff of t, and q does not fall to 0
+        symbol = polynomial_symbol({(2, 0): 0.5, (0, 4): -0.25}, "canonical")
+        with pytest.raises(NumericError, match=r"the step shrinks to the roundoff of t = 0\.92"):
+            integrate(symbol, PhasePoint(0.0, 2.0), 10.0, 1e-3)
+
+    def test_step_cap(self, monkeypatch):
+        # a period of about 3e-9 at q0 = 1e3 would take some 1e10 steps to t = 1
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 1000)
+        symbol = weak_symbol(parse_operator("0.5 * D D + 1.0 * X^8"), gaussian_fiducial())
+        with pytest.raises(NumericError, match=r"over MAX_STEPS = 1000 steps: it reaches t = "):
+            integrate(symbol, PhasePoint(0.0, 1e3), 1.0, 1e-3)
 
     def test_bad_dt_rejected(self):
         with pytest.raises(DomainError):
@@ -205,6 +224,39 @@ class TestModelOneFlow:
         _, path = model_one_flow(p0, q0, c, run.times)
         assert np.max(np.abs(path.p - run.p)) <= 1e-9
         assert np.max(np.abs(path.q - run.q)) <= 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p0=st.floats(-100.0, 100.0),
+        q0=st.floats(1e-3, 1e3),
+        c=st.sampled_from([0.0, 0.5, 2.0]),
+        span=st.floats(0.1, 5.0),
+        backward=st.booleans(),
+    )
+    def test_integrated_flow_meets_the_closed_form(self, p0, q0, c, span, backward):
+        t_final = -span if backward else span
+        run = integrate(model_one_symbol(c), PhasePoint(p0, q0, domain=AFFINE_DOMAIN),
+                        t_final, 1e-2)
+        if c:
+            assert not run.singular
+            _, path = model_one_flow(p0, q0, c, run.times)
+            assert np.max(np.abs(run.q - path.q) / path.q) <= 1e-9
+            # p = E (t - t*) / q swings through 0 at the turn at a rate E / q, up to
+            # 1e14 here, so a record time 1 ulp off moves p more than 1e-9, the
+            # closed form's as much as the flow's; p is held through pq = E (t - t*),
+            # to its largest value on the path
+            dilation = path.p * path.q
+            assert np.max(np.abs(run.p * run.q - dilation)) <= 1e-9 * np.max(np.abs(dilation))
+            return
+        # C = 0 collapses at t* = -1/p0; a run that reaches it ends singular there
+        t_star = -1 / p0 if p0 else math.inf
+        assume(abs(abs(t_star) - span) > 1e-6)  # not ending at the collapse itself
+        if 0 < t_star / t_final < 1:
+            assert run.singular
+            assert run.times[-1] == pytest.approx(t_star, rel=1e-9, abs=1e-12)
+        else:
+            assert not run.singular
+            assert run.n == round(span / 1e-2) + 1
 
     def test_classical_collapse_at_minus_one_over_p0(self):
         # with C = 0, q = q0 (1 + p0 t)^2 closes in on 0 on both sides of t = -1.25

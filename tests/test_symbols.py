@@ -76,11 +76,9 @@ class TestCanonicalSymbols:
 
     def test_linearity_closed_form(self):
         f = gaussian_fiducial(1.3, 0.9)
-        op1 = parse_operator("1.0 * D D")
-        op2 = parse_operator("1.0 * X X")
-        combined = weak_symbol(op1.scaled(0.7) + op2.scaled(-0.2), f)
-        s1 = weak_symbol(op1, f)
-        s2 = weak_symbol(op2, f)
+        combined = weak_symbol(parse_operator("0.7 * D D + -0.2 * X X"), f)
+        s1 = weak_symbol(parse_operator("1.0 * D D"), f)
+        s2 = weak_symbol(parse_operator("1.0 * X X"), f)
         rng = np.random.default_rng(0)
         for _ in range(20):
             p, q = rng.normal(0, 2, 2)
