@@ -35,16 +35,18 @@ discrete Hamiltonian, hence unitary in the discrete norm up to solver
 roundoff.  With A = 1 + i lam H and B = 1 - i lam H, A + B = 2, so a step
 u' = A^-1 B u is u' = 2 A^-1 u - u: one solve with A and no right-hand-side
 product.  A is factored once per run as L D L^T without pivoting (see
-:func:`ldlt_tridiagonal`), so each step is two unit-bidiagonal BLAS sweeps
-around one multiply by 2/D, guarded by the residual A u' - B u from one
-tridiagonal product.  The run is measured as it steps, on the vector of
-unknowns with the grid's quadrature (<H> from H u, formed on recorded
-steps only); the full-grid state is built once, at the end.
+:func:`ldlt_tridiagonal`), so each step is the two unit-bidiagonal sweeps of
+:class:`LDLTSweeps`, written as row-wise prefix sums in numpy, around one
+multiply by 2/D, guarded by the residual A u' - B u from one tridiagonal
+product.  The run is measured as it steps, on the vector of unknowns with
+the grid's quadrature (<H> from H u, formed on recorded steps only); the
+full-grid state is built once, at the end.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,14 +72,18 @@ PINNED_NORM_TOL = 1e-6
 # sheet the flow takes no stencil, and it keeps the plane wave resolved in
 # the sampled final state.
 MAX_PHASE_PER_NODE = 0.1
-# largest grid spacing h / sigma of a full-line window, sigma the Gaussian
-# fiducial's position spread.  The canonical flow takes no stencil (see
-# evolve_hermite); the bound keeps the fiducial resolved in the sampled
-# final state.  On a full-line grid the 3-point stencil of evolve misses
-# the fiducial's kinetic energy by about (h / sigma)^2 / 16 relative, so
-# at the bound hbar omega / 2 comes out about 0.8% low (measured at 2048
-# nodes, h / sigma = 0.50: -3.9e-3 hbar omega).  The half-line window
-# scales with q0, so the bound is not applied there.
+# largest grid spacing per position spread of the start: h / sigma on a
+# full-line window, sigma the Gaussian fiducial's spread, and h / (q0 sigma)
+# on the half line, sigma = sqrt(hbar / 2 beta).  The canonical flow takes no
+# stencil (see evolve_hermite); the bound keeps the fiducial resolved in the
+# sampled final state.  On a full-line grid the 3-point stencil of evolve
+# misses the fiducial's kinetic energy by about (h / sigma)^2 / 16 relative,
+# so at the bound hbar omega / 2 comes out about 0.8% low (measured at 2048
+# nodes, h / sigma = 0.50: -3.9e-3 hbar omega).  The half-line window scales
+# with q0 but not with the spread, which shrinks as beta / hbar grows: at
+# 2048 nodes the bound admits beta / hbar up to about 5.5e4, and <H> of
+# 1.0 * D X D from (0, 1) comes out under the symbol's beta / 2 by 0.3% at
+# beta / hbar = 1e4 and 1.4% at 5e4.
 MAX_SPACING_PER_WIDTH = 0.5
 
 
@@ -202,6 +208,94 @@ def ldlt_tridiagonal(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.
     return np.array(multipliers, dtype=complex), d
 
 
+# longest row of LDLTSweeps, and the largest |log2| of a running product
+# inside a row: the scaled values, y / g of the forward sweep and g x of the
+# back sweep, then stay within a factor 2^300 of the values they scale
+MAX_ROW = 512
+ROW_PRODUCT_BITS = 300
+
+
+def _chain(factors: Iterable[complex], ends: list[complex]) -> np.ndarray:
+    """The carries c_r = k_r (c_(r-1) + e_(r-1)) of a row-to-row recurrence, c_0 = 0."""
+    carry, carries = 0j, []
+    for k, e in zip(factors, ends):
+        carry = k * (carry + e)
+        carries.append(carry)
+    return np.array(carries)
+
+
+def _row_links(links: np.ndarray, width: int, identity: float) -> np.ndarray:
+    """``links`` in rows of ``width``, with ``identity`` at each row's start and
+    on the padding."""
+    rows = -(-links.size // width)
+    out = np.full(rows * width, identity, dtype=links.dtype)
+    out[: links.size] = links
+    out = out.reshape(rows, width)
+    out[:, 0] = identity
+    return out
+
+
+class LDLTSweeps:
+    """Solves L D L^T x = b for unit lower-bidiagonal L (multipliers l below
+    its diagonal) and diagonal D, in numpy alone.
+
+    With c_i = -l_(i-1), the forward sweep L y = b is y_i = b_i + c_i y_(i-1).
+    The m unknowns are laid out as rows of ``width`` (the last row padded),
+    and g is the running product of c from each row's start (1 there), so
+    within a row y = g cumsum(b / g), and each row adds one carry from the
+    row before it.  The back sweep L^T x = D^-1 y, x_i = v_i + c_(i+1) x_(i+1),
+    is the same with suffix sums: x = (1/g) suffix-sum(g v), so one multiply
+    by g^2 / D, zero on the padding, joins the two sweeps.  ``width`` is the
+    longest power of two up to ``MAX_ROW`` whose running products stay
+    within 2^+-ROW_PRODUCT_BITS; a zero link needs rows of one node, so
+    when l is 0 both sweeps are the identity.
+    """
+
+    def __init__(self, multipliers: np.ndarray, pivots: np.ndarray):
+        m = pivots.size
+        links = np.ones(m, dtype=complex)  # links[i] = c_i; links[0] is unused
+        links[1:] = -multipliers
+        with np.errstate(divide="ignore"):  # a zero link is -inf bits
+            bits = np.log2(np.abs(links))
+        width = MAX_ROW
+        while width > 1 and not (
+            np.max(np.abs(np.cumsum(_row_links(bits, width, 0.0), axis=1)))
+            <= ROW_PRODUCT_BITS
+        ):
+            width //= 2
+        g = np.cumprod(_row_links(links, width, 1.0), axis=1)
+        # the carry factors c_(r width) g_(r-1, end), the back sweep takes them
+        # in reverse; none when every carry is 0
+        carries = links[width::width] * g[:-1, -1]
+        self.size, self.width = m, width
+        self._carries = carries.tolist() if carries.any() else []
+        self._inverse = 1 / g
+        join = np.zeros(g.size, dtype=complex)
+        join[:m] = (g * g).reshape(-1)[:m] / pivots
+        self._join = join.reshape(g.shape)
+
+    def buffer(self) -> tuple[np.ndarray, np.ndarray]:
+        """A zeroed array of the sweeps' row layout, and the view of its m unknowns."""
+        rows = np.zeros(self._join.shape, dtype=complex)
+        return rows, rows.reshape(-1)[: self.size]
+
+    def solve(self, b: np.ndarray, out: np.ndarray) -> None:
+        """out = (L D L^T)^-1 b, both in the row layout of :meth:`buffer`.
+
+        ``b``'s padding never reaches the unknowns, and ``out``'s padding ends zero.
+        """
+        np.multiply(b, self._inverse, out=out)
+        np.cumsum(out, axis=1, out=out)
+        if self._carries:
+            out[1:] += _chain(self._carries, out[:-1, -1].tolist())[:, None]
+        out *= self._join
+        back = out[:, ::-1]
+        np.cumsum(back, axis=1, out=back)
+        if self._carries:
+            out[:-1] += _chain(reversed(self._carries), out[:0:-1, 0].tolist())[::-1, None]
+        out *= self._inverse
+
+
 def require_time_steps(dt: float, steps: int) -> None:
     if not (math.isfinite(dt) and dt > 0):
         raise DomainError("dt must be finite and positive")
@@ -244,8 +338,6 @@ def evolve(
     :func:`track_expectations`); the full-grid state is built once, for
     ``EvolutionResult.final``.
     """
-    from scipy.linalg.blas import ztbsv
-
     if psi0.grid != setup.grid:
         raise GridMismatchError("initial state must live on the setup grid")
     psi0.require_normalized(1e-6)
@@ -262,29 +354,24 @@ def evolve(
         )
     diag, off = setup.tridiagonal
     lam = setup.dt / (2 * setup.hbar)
-    # A = 1 + i lam H = L D L^T; the unit bidiagonal L and L^T in BLAS band
-    # storage (Fortran order, so that no call copies them)
+    # A = 1 + i lam H = L D L^T, so L (D/2) L^T w = u gives w = 2 A^-1 u; the
+    # state and the solution live in the sweeps' row layout, swapped each step
     a_diag, a_off = 1 + 1j * lam * diag, 1j * lam * off
     multipliers, pivots = ldlt_tridiagonal(a_diag, a_off)
     m = diag.size
-    lower = np.zeros((2, m), dtype=complex, order="F")
-    lower[1, :-1] = multipliers
-    upper = np.zeros((2, m), dtype=complex, order="F")
-    upper[0, 1:] = multipliers
-    two_over_pivots = 2 / pivots
+    sweeps = LDLTSweeps(multipliers, pivots / 2)
+    (u_rows, u), (w_rows, w) = sweeps.buffer(), sweeps.buffer()
     # complex copies, so that each product multiplies like with like
     diag, off = diag.astype(complex), off.astype(complex)
     x_weights = (grid.weights * grid.nodes)[sl]
 
-    u = np.array(psi0.values[sl], dtype=complex)
+    u[:] = psi0.values[sl]
     h = grid.spacing
     norm0 = math.sqrt(np.vdot(u, u).real * h)
     hu = tridiagonal_product(diag, off, u)
     records = [(0.0, *track_expectations(u, hu, x_weights, setup))]  # (t, <p>, <x>, <H>)
     for step in range(1, setup.steps + 1):
-        w = ztbsv(1, lower, u, lower=1, diag=1)
-        w *= two_over_pivots
-        w = ztbsv(1, upper, w, diag=1, overwrite_x=1)  # w = 2 A^-1 u
+        sweeps.solve(u_rows, w_rows)  # w = 2 A^-1 u
         # A u' - B u = A w - 2 u must stay under 1e-10 max(|u|, 1), which
         # |B u| >= |u| makes no looser a bound than 1e-10 max(|B u|, 1);
         # |u| is formed only when the residual exceeds 1e-10
@@ -299,7 +386,7 @@ def evolve(
                 f"(dt={setup.dt:g}, n={m})"
             )
         w -= u
-        u = w
+        (u_rows, u), (w_rows, w) = (w_rows, w), (u_rows, u)
         if step in recorded:
             hu = tridiagonal_product(diag, off, u)
             records.append((step * setup.dt, *track_expectations(u, hu, x_weights, setup)))
@@ -555,18 +642,20 @@ def half_line_window(f: Fiducial, q0: float, n: int) -> Grid:
 
 def evolution_window(f: Fiducial, p0: float, q0: float, n: int) -> Grid:
     """The n-node window of the sheet of ``f`` for a run from (p0, q0), refused
-    if it breaks ``MAX_SPACING_PER_WIDTH`` (full line only) or ``MAX_PHASE_PER_NODE``."""
+    if it breaks ``MAX_SPACING_PER_WIDTH`` or ``MAX_PHASE_PER_NODE``."""
     if f.kind == AFFINE_DOMAIN:
         grid = half_line_window(f, q0, n)
+        width, spread, unit, remedy = q0 * f.sigma, "the start's spread", "q0 sigma", "beta / hbar"
     else:
         grid = oscillation_window(f, p0, q0, n)
-        spacing_per_width = grid.spacing / f.sigma
-        if not spacing_per_width <= MAX_SPACING_PER_WIDTH:  # a NaN spacing fails too
-            raise NumericError(
-                f"the {grid.n}-node grid does not resolve the fiducial width "
-                f"sigma = {f.sigma:.3g}: its spacing is {spacing_per_width:.4g} sigma, over "
-                f"the resolution limit {MAX_SPACING_PER_WIDTH:g}; add nodes or lower |q0|"
-            )
+        width, spread, unit, remedy = f.sigma, "the fiducial width", "sigma", "|q0|"
+    spacing_per_width = grid.spacing / width
+    if not spacing_per_width <= MAX_SPACING_PER_WIDTH:  # a NaN spacing fails too
+        raise NumericError(
+            f"the {grid.n}-node grid does not resolve {spread} {unit} = {width:.3g}: its "
+            f"spacing is {spacing_per_width:.4g} {unit}, over the resolution limit "
+            f"{MAX_SPACING_PER_WIDTH:g}; add nodes or lower {remedy}"
+        )
     phase_per_node = abs(p0) * grid.spacing / f.hbar
     if not phase_per_node <= MAX_PHASE_PER_NODE:  # a NaN phase fails too
         raise NumericError(

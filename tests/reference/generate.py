@@ -146,6 +146,11 @@ FAILURES: dict[str, list[str]] = {
     "evolve-quantum-node-step-cap": ["evolve-quantum", "--family", "affine", "--operator", DXD,
                                      "--p0", "0", "--q0", "1", "--n_nodes", "1002",
                                      "--steps", "10000000"],
+    # the start's spread q0 sqrt(hbar / 2 beta) is 6.6 spacings of the 2048-node
+    # window; it used to exit 0 with energy_initial 927286 against the symbol's 5e6
+    "evolve-quantum-affine-beta-1e7": ["evolve-quantum", "--family", "affine", "--operator", DXD,
+                                       "--p0", "0", "--q0", "1", "--beta", "1e7",
+                                       "--steps", "5"],
 }
 
 

@@ -120,12 +120,15 @@ class TestExitCodes:
             QUANTUM + ["--p0", "1e300"],
             QUANTUM + ["--q0", "1e300"],
             QUANTUM + ["--omega", "1e-300"],
-            QUANTUM + ["--family", "affine", "--operator", "1.0 * D X D", "--q0", "1e300"],
+            # 128 nodes: the half line needs h <= 0.5 q0 sqrt(hbar / 2 beta),
+            # which 64 nodes miss at beta = hbar
+            QUANTUM + ["--family", "affine", "--operator", "1.0 * D X D", "--q0", "1e300",
+                       "--n_nodes", "128"],
             QUANTUM + ["--operator", "1.0 * X^400 + -1.0 * X^400 + 0.5 * D D"],
             # hbar^2 overflows the grid's stencil; the canonical sheet's Hermite
             # route has no stencil and computes this flow (test_large_hbar_is_exact)
             QUANTUM + ["--family", "affine", "--operator", "1.0 * D X D", "--q0", "1",
-                       "--beta", "1e200", "--hbar", "1e200"],
+                       "--beta", "1e200", "--hbar", "1e200", "--n_nodes", "128"],
             ["metric", "--family", "affine", "--q_list", "1e200"],
             ["curvature", "--family", "affine", "--q_list", "1e200"],
             ["symbol", "--operator", "1.0 * X^1100"],
@@ -269,7 +272,7 @@ class TestExitCodes:
     def test_overflowing_potential_stops_without_a_warning(self, tmp_path, capsys):
         # X^400 overflows on the half line's grid; the spectral-radius guard
         # stops the run and numpy prints nothing of it
-        argv = QUANTUM + ["--family", "affine", "--q0", "1",
+        argv = QUANTUM + ["--family", "affine", "--q0", "1", "--n_nodes", "128",
                           "--operator", "1.0 * X^400 + -1.0 * X^400 + 0.5 * D D",
                           "--out", str(tmp_path)]
         with warnings.catch_warnings(record=True) as caught:
@@ -360,8 +363,8 @@ class TestInternalErrors:
 
 # one fresh interpreter: numpy and the cslab modules loaded by a bare
 # ``import cslab``, then the scipy modules loaded after importing the CLI,
-# after the runs that need none (every subcommand, evolve-quantum on the
-# canonical sheet), and after one half-line evolve-quantum run
+# after a run of every subcommand (evolve-quantum on the canonical sheet),
+# and after one half-line evolve-quantum run; every list stays empty
 COLD_START = """
 import json, sys
 import cslab
@@ -395,12 +398,13 @@ COLD_ARGVS = [
 
 
 class TestColdStart:
-    def test_only_evolve_quantum_loads_scipy(self, tmp_path):
+    def test_no_route_loads_scipy(self, tmp_path):
         assert {argv[0] for argv in COLD_ARGVS} == set(SUBCOMMANDS) - {"evolve-quantum"}
-        # the canonical sheet's Hermite route uses numpy only
+        # the canonical sheet's Hermite route and the half line's
+        # Crank-Nicolson sweeps use numpy only
         free = COLD_ARGVS + [QUANTUM + ["--steps", "10"]]
         quantum = QUANTUM + ["--steps", "10", "--family", "affine", "--operator", "1.0 * D X D",
-                             "--q0", "1"]
+                             "--q0", "1", "--n_nodes", "128"]
         child = subprocess.run(
             [sys.executable, "-c", COLD_START, str(tmp_path), json.dumps(free),
              json.dumps(quantum)],
@@ -416,10 +420,7 @@ class TestColdStart:
         assert result["loaded"]["bare"] == {"version": cslab.__version__, "loaded": []}
         assert result["loaded"]["import"] == []
         assert result["loaded"]["free"] == []
-        quantum_loaded = result["loaded"]["quantum"]
-        assert "scipy.linalg" in quantum_loaded
-        for name in ("special", "optimize", "integrate", "interpolate", "sparse"):
-            assert not any(m.split(".")[:2] == ["scipy", name] for m in quantum_loaded), name
+        assert result["loaded"]["quantum"] == []
 
 
 def subparsers(parser):

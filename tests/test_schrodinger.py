@@ -8,7 +8,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg.blas
 from scipy.linalg.lapack import zgttrf
 
 import cslab.grids
@@ -25,8 +24,10 @@ from cslab.errors import (
 from cslab.grids import WaveFunction, momentum_expectation, position_moment, uniform_grid
 from cslab.schrodinger import (
     MAX_BASIS,
+    MAX_ROW,
     TAIL_WEIGHT,
     EvolutionSetup,
+    LDLTSweeps,
     evolution_window,
     evolve,
     evolve_hermite,
@@ -129,6 +130,21 @@ class TestEvolutionSetup:
             f = gaussian_fiducial(1.0, 1.0)
             want = oscillation_window(f, p0, q0, 512)
         assert evolution_window(f, p0, q0, 512) == want
+
+    @pytest.mark.parametrize("q0", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("beta, resolved", [
+        (1.0, True), (1e4, True), (6e4, False), (1e7, False), (1e10, False),
+    ])
+    def test_half_line_window_resolves_the_start(self, q0, beta, resolved):
+        # the start's spread q0 sqrt(hbar / 2 beta) shrinks as beta grows, so
+        # 2048 nodes admit beta / hbar up to about 5.5e4 at every q0; beyond
+        # that <H> came out far under the symbol, or the norm came out NaN
+        f = affine_fiducial(beta, 1.0)
+        if resolved:
+            evolution_window(f, 0.0, q0, 2048)
+        else:
+            with pytest.raises(NumericError, match="does not resolve the start's spread"):
+                evolution_window(f, 0.0, q0, 2048)
 
     @pytest.mark.parametrize("hbar", [1.0, 0.7, 3.0])
     def test_kinetic_term_is_dxd_at_power_zero(self, hbar):
@@ -370,34 +386,33 @@ class TestTridiagonalSolver:
 
     @staticmethod
     def _spoil_step(monkeypatch, step, kick):
-        """Add ``kick`` to one entry of ``step``'s solution; return the sweep log."""
-        sweeps = []
-        sweep = scipy.linalg.blas.ztbsv
+        """Add ``kick`` to one unknown of ``step``'s solution; return the solve log."""
+        solves = []
+        solve = LDLTSweeps.solve
 
-        def spoiled(*args, **kwargs):
-            w = sweep(*args, **kwargs)
-            sweeps.append(1)
-            if len(sweeps) == 2 * step:  # each step makes two sweeps
-                w[w.size // 2] += kick
-            return w
+        def spoiled(self, b, out):
+            solve(self, b, out)
+            solves.append(1)
+            if len(solves) == step:  # each step makes one solve
+                out.reshape(-1)[self.size // 2] += kick
 
-        monkeypatch.setattr(scipy.linalg.blas, "ztbsv", spoiled)
-        return sweeps
+        monkeypatch.setattr(LDLTSweeps, "solve", spoiled)
+        return solves
 
     def test_residual_guard_names_the_perturbed_step(self, monkeypatch):
         psi0, setup = self._setup("harmonic")
-        sweeps = self._spoil_step(monkeypatch, 7, 1e-6)
+        solves = self._spoil_step(monkeypatch, 7, 1e-6)
         with pytest.raises(NumericError, match=r"residual .* at step 7 "):
             evolve(psi0, setup)
-        assert len(sweeps) == 14
+        assert len(solves) == 7
 
     def test_residual_guard_scales_with_the_state(self, monkeypatch):
         # |u| is about 5.3 here, so a residual of about 2.2e-10 is inside
         # 1e-10 max(|u|, 1) though over 1e-10
         psi0, setup = self._setup("harmonic")
-        sweeps = self._spoil_step(monkeypatch, 7, 2e-10)
+        solves = self._spoil_step(monkeypatch, 7, 2e-10)
         evolve(psi0, setup)
-        assert len(sweeps) == 2 * setup.steps
+        assert len(solves) == setup.steps
 
     @pytest.mark.parametrize("case", ["harmonic", "dxd"])
     def test_product_matches_dense_matrix(self, case):
@@ -409,6 +424,47 @@ class TestTridiagonalSolver:
         want = dense @ u
         got = tridiagonal_product(diag, off, u)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def sweep_multipliers(kind, m, rng):
+    phases = np.exp(2j * np.pi * rng.random(m - 1))
+    if kind == "zero":
+        return np.zeros(m - 1, dtype=complex)
+    if kind == "tiny":
+        return 1e-9 * (1 + rng.random(m - 1)) * phases
+    if kind == "alternating":
+        return np.where(np.arange(m - 1) % 2, 1e-3, 1e3) * phases
+    return (1 - 1e-3 * rng.random(m - 1)) * phases  # modulus near 1
+
+
+class TestLDLTSweeps:
+    """The row-wise prefix-sum sweeps against dense solves with L, D and L^T."""
+
+    @pytest.mark.parametrize("kind, m, width", [
+        ("zero", 700, 1),
+        ("tiny", 700, 8),
+        ("alternating", 700, MAX_ROW),
+        ("near-unit", 1024, MAX_ROW),
+        ("near-unit", 1100, MAX_ROW),  # the last row padded
+        ("near-unit", 300, MAX_ROW),  # one padded row
+    ])
+    def test_sweeps_match_a_dense_solve(self, kind, m, width):
+        rng = np.random.default_rng(m)
+        multipliers = sweep_multipliers(kind, m, rng)
+        pivots = 1 + rng.random(m) + 1j * rng.normal(size=m)
+        b = rng.normal(size=m) + 1j * rng.normal(size=m)
+        # one dense solve per factor: the product itself has a condition
+        # number near 1e16 in the alternating case
+        lower = np.eye(m, dtype=complex) + np.diag(multipliers, -1)
+        want = np.linalg.solve(lower.T, np.linalg.solve(lower, b) / pivots)
+
+        sweeps = LDLTSweeps(multipliers, pivots)
+        (b_rows, b_view), (w_rows, w) = sweeps.buffer(), sweeps.buffer()
+        b_view[:] = b
+        sweeps.solve(b_rows, w_rows)
+        assert sweeps.width == width
+        assert np.max(np.abs(w - want)) <= 1e-13 * np.max(np.abs(want))
+        assert not w_rows.reshape(-1)[m:].any()  # the padding ends zero
 
 
 class TestHalfLineModelOne:
