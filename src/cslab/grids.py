@@ -17,20 +17,17 @@ import numpy as np
 
 from .errors import DomainError, GridMismatchError, PreconditionError
 
-FULL_LINE = "full-line"
-HALF_LINE = "half-line"
-
 
 @dataclass(frozen=True)
 class Grid:
     """Uniform 1-D grid of ``n`` nodes on [lower, upper] with trapezoid weights.
 
-    ``kind`` is ``"full-line"`` or ``"half-line"``; half-line grids never
-    include x = 0 (the first node sits at the grid spacing).  The nodes and
-    weights are derived from the four fields once, at construction.
+    Grids compare by their three fields.  A half-line grid
+    (:func:`half_line_grid`) is one whose first node sits at the spacing,
+    never at x = 0.  The nodes and weights are derived from the fields once,
+    at construction.
     """
 
-    kind: str
     lower: float
     upper: float
     n: int
@@ -38,8 +35,6 @@ class Grid:
     weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in (FULL_LINE, HALF_LINE):
-            raise DomainError(f"unknown grid kind {self.kind!r}")
         if self.upper <= self.lower:
             raise DomainError("upper must exceed lower")
         if self.n < 2:
@@ -49,8 +44,6 @@ class Grid:
             nodes = np.linspace(self.lower, self.upper, self.n)
             if not np.all(np.diff(nodes) > 0):
                 raise DomainError("grid nodes must be strictly increasing")
-        if self.kind == HALF_LINE and self.lower < 0:
-            raise DomainError("half-line grid has negative nodes")
         h = nodes[1] - nodes[0]
         weights = np.full(self.n, h)
         weights[0] = weights[-1] = h / 2
@@ -68,9 +61,9 @@ class Grid:
         return complex(np.sum(self.weights * np.asarray(values)))
 
 
-def uniform_grid(lower: float, upper: float, n: int, kind: str = FULL_LINE) -> Grid:
+def uniform_grid(lower: float, upper: float, n: int) -> Grid:
     """Uniform grid on [lower, upper] with trapezoid weights."""
-    return Grid(kind, lower, upper, n)
+    return Grid(lower, upper, n)
 
 
 def half_line_grid(upper: float, n: int) -> Grid:
@@ -84,7 +77,7 @@ def half_line_grid(upper: float, n: int) -> Grid:
     if n < 2:  # before the spacing divides by n
         raise DomainError("need at least two nodes")
     h = upper / n
-    return uniform_grid(h, upper, n, kind=HALF_LINE)
+    return uniform_grid(h, upper, n)
 
 
 @dataclass(frozen=True)

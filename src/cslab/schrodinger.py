@@ -28,9 +28,9 @@ Hamiltonians are tridiagonal on the grid:
                                        the kinetic term c * D D is k = 0, the
                                        3-point stencil of -hbar^2 d2/dx2.
 
-Boundaries are homogeneous Dirichlet and follow the grid: a full-line
-window is pinned at both ends, a half-line grid only at its far end (x = 0
-is a ghost zero, not a node).  Crank-Nicolson is the Cayley form of the
+The grid's first node is positive (see :func:`~cslab.grids.half_line_grid`):
+its far end is pinned by a homogeneous Dirichlet condition, and x = 0 is a
+ghost zero, not a node.  Crank-Nicolson is the Cayley form of the
 discrete Hamiltonian, hence unitary in the discrete norm up to solver
 roundoff.  With A = 1 + i lam H and B = 1 - i lam H, A + B = 2, so a step
 u' = A^-1 B u is u' = 2 A^-1 u - u: one solve with A and no right-hand-side
@@ -59,12 +59,12 @@ from .errors import (
     NumericError,
     PreconditionError,
 )
-from .grids import FULL_LINE, HALF_LINE, Grid, WaveFunction, half_line_grid, uniform_grid
+from .grids import Grid, WaveFunction, half_line_grid, uniform_grid
 from .states import AFFINE_DOMAIN, Fiducial, PhasePoint
 from .symbols import D_FACTOR, X_FACTOR, OperatorExpr
 
-# largest share of the norm of psi0 that evolve may drop on the pinned
-# nodes; it matches the normalization tolerance evolve requires of psi0
+# largest share of the norm of psi0 that evolve may drop on the pinned far
+# end; it matches the normalization tolerance evolve requires of psi0
 PINNED_NORM_TOL = 1e-6
 # largest phase |p0| h / hbar that psi0's plane wave may turn per grid
 # spacing.  On the half line it bounds the 3-point stencil's error in the
@@ -72,14 +72,11 @@ PINNED_NORM_TOL = 1e-6
 # sheet the flow takes no stencil, and it keeps the plane wave resolved in
 # the sampled final state.
 MAX_PHASE_PER_NODE = 0.1
-# largest grid spacing per position spread of the start: h / sigma on a
-# full-line window, sigma the Gaussian fiducial's spread, and h / (q0 sigma)
-# on the half line, sigma = sqrt(hbar / 2 beta).  The canonical flow takes no
-# stencil (see evolve_hermite); the bound keeps the fiducial resolved in the
-# sampled final state.  On a full-line grid the 3-point stencil of evolve
-# misses the fiducial's kinetic energy by about (h / sigma)^2 / 16 relative,
-# so at the bound hbar omega / 2 comes out about 0.8% low (measured at 2048
-# nodes, h / sigma = 0.50: -3.9e-3 hbar omega).  The half-line window scales
+# largest grid spacing per position spread of the start: h / sigma on the
+# canonical sheet's window, sigma the Gaussian fiducial's spread, and
+# h / (q0 sigma) on the half line, sigma = sqrt(hbar / 2 beta).  The canonical
+# flow takes no stencil (see evolve_hermite); there the bound only keeps the
+# fiducial resolved in the sampled final state.  The half-line window scales
 # with q0 but not with the spread, which shrinks as beta / hbar grows: at
 # 2048 nodes the bound admits beta / hbar up to about 5.5e4, and <H> of
 # 1.0 * D X D from (0, 1) comes out under the symbol's beta / 2 by 0.3% at
@@ -99,6 +96,9 @@ class EvolutionSetup:
 
     def __post_init__(self):
         require_time_steps(self.dt, self.steps)
+        if not self.grid.lower > 0:  # a NaN end fails too
+            raise DomainError(f"Crank-Nicolson runs on the half line, but the grid's "
+                              f"first node {self.grid.lower!r} is not positive")
         if self.grid.nodes[self.unknown_slice()].size < 3:
             raise DomainError("the tridiagonal solver needs three unpinned grid nodes")
         diag, off = hamiltonian_tridiagonal(self)  # validates the operator form
@@ -111,12 +111,9 @@ class EvolutionSetup:
             )
 
     def unknown_slice(self) -> slice:
-        # pinned Dirichlet nodes are excluded from the evolving vector; on
-        # the half line x = 0 is not a node (ghost zero), so only the far
-        # end is pinned
-        if self.grid.kind == HALF_LINE:
-            return slice(0, self.grid.n - 1)
-        return slice(1, self.grid.n - 1)
+        # the pinned far end is excluded from the evolving vector; x = 0 is
+        # not a node (ghost zero), so every other node is unknown
+        return slice(0, self.grid.n - 1)
 
 
 def _term_shape(factors) -> tuple[str, int]:
@@ -305,9 +302,9 @@ def require_time_steps(dt: float, steps: int) -> None:
 
 def record_steps(steps: int, snapshot_every: int | None) -> np.ndarray:
     """The steps a run records: 0, every ``snapshot_every``-th and the last.
-    ``snapshot_every`` defaults to about 512 records per run."""
+    ``snapshot_every`` defaults to the least stride that records at most 513."""
     if snapshot_every is None:
-        snapshot_every = max(1, steps // 512)
+        snapshot_every = -(-steps // 512)
     if snapshot_every < 1:
         raise DomainError(f"snapshot_every must be >= 1, got {snapshot_every}")
     recorded = np.arange(0, steps + 1, snapshot_every)
@@ -331,9 +328,9 @@ def evolve(
 ) -> EvolutionResult:
     """Run Crank-Nicolson and measure the state at strided steps.
 
-    ``snapshot_every`` defaults to about 512 recorded steps per run; pass 1
-    to record every step.  The pinned Dirichlet values of ``psi0`` are
-    dropped, so they may carry at most ``PINNED_NORM_TOL`` of its norm.
+    ``snapshot_every`` defaults to at most 513 recorded steps per run; pass 1
+    to record every step.  The pinned Dirichlet value of ``psi0`` at the far
+    end is dropped, so it may carry at most ``PINNED_NORM_TOL`` of its norm.
     Each record is measured on the unknowns with the grid's quadrature (see
     :func:`track_expectations`); the full-grid state is built once, for
     ``EvolutionResult.final``.
@@ -345,11 +342,10 @@ def evolve(
 
     grid = setup.grid
     sl = setup.unknown_slice()
-    rho = grid.weights * np.abs(psi0.values) ** 2
-    pinned_norm = float(rho.sum() - rho[sl].sum())
+    pinned_norm = float(grid.weights[-1] * abs(psi0.values[-1]) ** 2)
     if not pinned_norm <= PINNED_NORM_TOL:  # a NaN norm fails too
         raise NumericError(
-            f"psi0 carries {pinned_norm:.3e} of its norm on the pinned Dirichlet nodes "
+            f"psi0 carries {pinned_norm:.3e} of its norm on the pinned Dirichlet node "
             f"(limit {PINNED_NORM_TOL:g}); widen the window or add nodes"
         )
     diag, off = setup.tridiagonal
@@ -410,17 +406,16 @@ def track_expectations(
     """<-i hbar d/dx>, <x> and <H> of the state whose unpinned values are u.
 
     ``hu`` is H u and ``x_weights`` the grid's trapezoid weights times its
-    nodes, restricted to the unknowns.  The pinned values are zero, so this
-    is the full grid's quadrature with d/dx by central differences: the sum
-    h * conj(u_i) (u_{i+1} - u_{i-1}) / 2h over the nodes has the imaginary
-    part Im sum conj(u_i) u_{i+1}.
+    nodes, restricted to the unknowns.  The pinned value is zero, so this is
+    the full grid's quadrature with d/dx by central differences: the sum
+    h * conj(u_i) (u_{i+1} - u_{i-1}) / 2h over the interior nodes has the
+    imaginary part Im sum conj(u_i) u_{i+1}, less the first node's own term.
     """
     drift = np.vdot(u[:-1], u[1:]).imag
-    if setup.grid.kind == HALF_LINE:
-        # node 0 is the grid's first node: its term is the one-sided
-        # (h/2) conj(u0) (-3 u0 + 4 u1 - u2) / 2h, not h conj(u0) u1 / 2h
-        c0 = u[0].conjugate()
-        drift += (0.5 * c0 * u[1] - 0.25 * c0 * u[2]).imag
+    # node 0 is the grid's first node: its term is the one-sided
+    # (h/2) conj(u0) (-3 u0 + 4 u1 - u2) / 2h, not h conj(u0) u1 / 2h
+    c0 = u[0].conjugate()
+    drift += (0.5 * c0 * u[1] - 0.25 * c0 * u[2]).imag
     q = np.vdot(u, x_weights * u).real
     energy = np.vdot(u, hu).real * setup.grid.spacing
     return setup.hbar * float(drift), float(q), float(energy)
@@ -629,7 +624,7 @@ def oscillation_window(f: Fiducial, p0: float, q0: float, n: int) -> Grid:
     half = amp + 10 * f.sigma
     if not math.isfinite(2 * half):
         raise DomainError(f"p0 = {p0!r}, q0 = {q0!r} needs a window of non-finite width")
-    return uniform_grid(-half, half, n, kind=FULL_LINE)
+    return uniform_grid(-half, half, n)
 
 
 def half_line_window(f: Fiducial, q0: float, n: int) -> Grid:

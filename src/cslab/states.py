@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverageError, DomainError, NumericError
-from .grids import FULL_LINE, Grid, WaveFunction, half_line_grid, uniform_grid
+from .grids import Grid, WaveFunction, half_line_grid, uniform_grid
 
 # one name per sheet: a fiducial's kind, a phase point's domain, a
 # symbol's provenance and the CLI's --family all use these
@@ -203,7 +203,7 @@ def default_canonical_grid(
         if not math.isfinite(phase_nodes):
             raise DomainError(f"node count {phase_nodes} for p = {p} is not finite")
         n = max(4097, int(phase_nodes) | 1)
-    return uniform_grid(-L, L, n, kind=FULL_LINE)
+    return uniform_grid(-L, L, n)
 
 
 def affine_node_count(beta: float, hbar: float, upper: float) -> int:

@@ -136,11 +136,9 @@ def parse_operator(text: str) -> OperatorExpr:
             elif token == X_FACTOR:
                 factors.append(X(1))
             elif token.startswith("X^"):
-                try:
-                    power = int(token[2:])
-                except ValueError as exc:
-                    raise ConfigError(f"bad factor {token!r}") from exc
-                factors.append(X(power))
+                if not token[2:].isdecimal() or int(token[2:]) < 1:
+                    raise ConfigError(f"bad factor {token!r}: position powers are integers k >= 1")
+                factors.append(X(int(token[2:])))
             else:
                 raise ConfigError(f"unknown factor token {token!r}")
         if not factors:

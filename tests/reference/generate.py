@@ -92,6 +92,8 @@ FAILURES: dict[str, list[str]] = {
     "model-one-beta-nan": ["model-one", "--beta", "nan"],
     "symbol-affine-beta-below-hbar": ["symbol", "--family", "affine", "--beta", "0.5",
                                       "--operator", DXD],
+    "symbol-x-power-0": ["symbol", "--operator", "1.0 * X^0"],
+    "symbol-x-power-negative": ["symbol", "--operator", "1.0 * X^-1"],
     "evolve-classical-off-half-line": ["evolve-classical", "--family", "affine",
                                        "--operator", DXD, "--p0", "0", "--q0", "0"],
     "evolve-quantum-off-half-line": ["evolve-quantum", "--family", "affine",

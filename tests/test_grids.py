@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from cslab.errors import DomainError, GridMismatchError, PreconditionError
 from cslab.grids import (
-    HALF_LINE,
     WaveFunction,
     derivative,
     half_line_grid,
@@ -34,10 +33,10 @@ class TestGrid:
         assert total == pytest.approx(grid.upper - grid.lower, rel=1e-12)
 
     def test_half_line_offset_equals_spacing(self):
+        # the first node sits at the spacing: x = 0 is never a node
         grid = half_line_grid(10.0, 1000)
-        assert grid.lower == pytest.approx(grid.spacing)
-        assert grid.lower > 0
-        assert grid.kind == HALF_LINE
+        assert grid.nodes[0] == grid.lower > 0
+        assert grid.lower == pytest.approx(grid.spacing, rel=1e-12)
 
     def test_gaussian_quadrature_sqrt_pi(self):
         grid = uniform_grid(-7.0, 7.0, 2501)
@@ -68,10 +67,10 @@ class TestGrid:
         with pytest.raises(DomainError, match="need at least two nodes"):
             half_line_grid(2.0, n)
 
-    def test_grids_compare_by_kind_ends_and_size(self):
+    def test_grids_compare_by_ends_and_size(self):
         assert uniform_grid(-1.0, 1.0, 9) == uniform_grid(-1, 1, 9)
         assert uniform_grid(-1.0, 1.0, 9) != uniform_grid(-1.0, 1.0, 11)
-        assert half_line_grid(2.0, 8) != uniform_grid(0.25, 2.0, 8)
+        assert half_line_grid(2.0, 8) == uniform_grid(0.25, 2.0, 8)
 
 
 class TestInnerProduct:

@@ -1,5 +1,7 @@
 """Operator expressions and the canonical/affine symbol maps."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -27,8 +29,15 @@ class TestOperatorExpr:
 
     def test_parse_rejects_garbage(self):
         for bad in ("D X", "1.0 * Y", "1.0 * X^0", "* X", "one * X"):
-            with pytest.raises((ConfigError, DomainError)):
+            with pytest.raises(ConfigError):
                 parse_operator(bad)
+
+    @pytest.mark.parametrize("token", ["X^0", "X^-1", "X^1.5", "X^abc", "X^"])
+    def test_bad_position_power_is_a_configuration_error(self, token):
+        # X^0 and X^-1 used to pass the parser and fail in Factor as a
+        # DomainError, exit 3, where X^1.5 exited 2
+        with pytest.raises(ConfigError, match=re.escape(f"bad factor {token!r}: position powers")):
+            parse_operator(f"1.0 * {token}")
 
     def test_factor_order_is_preserved(self):
         dxd = parse_operator("1.0 * D X D")
