@@ -221,8 +221,8 @@ def _fiducial(params: dict):
 # rows of one trajectory run; model-one's default window writes 20001
 MAX_RECORDS = 10**6
 # Crank-Nicolson steps times unknowns of one half-line evolve-quantum run:
-# about 4 min at 24 ns per node-step (4095 unknowns, 2-core host), 10 min at
-# 60 ns once the vectors outgrow the cache (131071 unknowns); the flow
+# about 3 min at 18-22 ns per node-step (4095 unknowns, 2-core host), 8 min
+# at 47-60 ns once the vectors outgrow the cache (131071 unknowns); the flow
 # benchmark runs 1.2e7
 MAX_NODE_STEPS = 10**10
 

@@ -38,9 +38,11 @@ product.  A is factored once per run as L D L^T without pivoting (see
 :func:`ldlt_tridiagonal`), so each step is the two unit-bidiagonal sweeps of
 :class:`LDLTSweeps`, written as row-wise prefix sums in numpy, around one
 multiply by 2/D, guarded by the residual A u' - B u from one tridiagonal
-product.  The run is measured as it steps, on the vector of unknowns with
-the grid's quadrature (<H> from H u, formed on recorded steps only); the
-full-grid state is built once, at the end.
+product.  Each row is as long as the span of its running products allows
+once they are centred by a power of two, so a run takes few rows and few
+Python-level carries between them.  The run is measured as it steps, on
+the vector of unknowns with the grid's quadrature (<H> from H u, formed on
+recorded steps only); the full-grid state is built once, at the end.
 """
 
 from __future__ import annotations
@@ -205,10 +207,10 @@ def ldlt_tridiagonal(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.
     return np.array(multipliers, dtype=complex), d
 
 
-# longest row of LDLTSweeps, and the largest |log2| of a running product
-# inside a row: the scaled values, y / g of the forward sweep and g x of the
-# back sweep, then stay within a factor 2^300 of the values they scale
-MAX_ROW = 512
+# half the span, in bits, that the running products of one row may cover;
+# each row's products are centred by a power of two, so the scaled values,
+# y / g of the forward sweep and g x of the back sweep, stay within about a
+# factor 2^300 of the values they scale
 ROW_PRODUCT_BITS = 300
 
 
@@ -238,14 +240,19 @@ class LDLTSweeps:
 
     With c_i = -l_(i-1), the forward sweep L y = b is y_i = b_i + c_i y_(i-1).
     The m unknowns are laid out as rows of ``width`` (the last row padded),
-    and g is the running product of c from each row's start (1 there), so
-    within a row y = g cumsum(b / g), and each row adds one carry from the
-    row before it.  The back sweep L^T x = D^-1 y, x_i = v_i + c_(i+1) x_(i+1),
-    is the same with suffix sums: x = (1/g) suffix-sum(g v), so one multiply
-    by g^2 / D, zero on the padding, joins the two sweeps.  ``width`` is the
-    longest power of two up to ``MAX_ROW`` whose running products stay
-    within 2^+-ROW_PRODUCT_BITS; a zero link needs rows of one node, so
-    when l is 0 both sweeps are the identity.
+    and g is the running product of c from each row's start, scaled there
+    by a power of two, so within a row y = g cumsum(b / g), and each row adds
+    one carry from the row before it.  The back sweep L^T x = D^-1 y,
+    x_i = v_i + c_(i+1) x_(i+1), is the same with suffix sums:
+    x = (1/g) suffix-sum(g v), so one multiply by g^2 / D, zero on the
+    padding, joins the two sweeps.  A width is admissible when the log2 of
+    every row's running product (0 at its start) spans at most
+    2 ROW_PRODUCT_BITS; each row's scale 2^-round((max + min) / 2) centres
+    that span on 0.  ``width`` is m, one row without padding, if that is
+    admissible, and otherwise the widest admissible power of two.  Scaling
+    by a power of two is exact, so a row's scale changes no result, only
+    the range the scaled values span.  A zero link needs rows of one node,
+    so when l is 0 both sweeps are the identity.
     """
 
     def __init__(self, multipliers: np.ndarray, pivots: np.ndarray):
@@ -254,16 +261,21 @@ class LDLTSweeps:
         links[1:] = -multipliers
         with np.errstate(divide="ignore"):  # a zero link is -inf bits
             bits = np.log2(np.abs(links))
-        width = MAX_ROW
-        while width > 1 and not (
-            np.max(np.abs(np.cumsum(_row_links(bits, width, 0.0), axis=1)))
-            <= ROW_PRODUCT_BITS
-        ):
-            width //= 2
-        g = np.cumprod(_row_links(links, width, 1.0), axis=1)
-        # the carry factors c_(r width) g_(r-1, end), the back sweep takes them
-        # in reverse; none when every carry is 0
-        carries = links[width::width] * g[:-1, -1]
+        width = m
+        while True:
+            logs = np.cumsum(_row_links(bits, width, 0.0), axis=1)
+            top, bottom = logs.max(axis=1), logs.min(axis=1)
+            # a -inf or NaN span fails too
+            if width == 1 or np.all(top - bottom <= 2 * ROW_PRODUCT_BITS):
+                break
+            width = 1 << ((width - 1).bit_length() - 1)  # the widest power of two below
+        scales = np.ldexp(1.0, -np.round((top + bottom) / 2).astype(int))
+        rows = _row_links(links, width, 1.0)
+        rows[:, 0] = scales
+        g = np.cumprod(rows, axis=1)
+        # the carry factors c_(r width) g_(r-1, end) / scale_r, the back sweep
+        # takes them in reverse; none when every carry is 0
+        carries = links[width::width] * g[:-1, -1] / scales[1:]
         self.size, self.width = m, width
         self._carries = carries.tolist() if carries.any() else []
         self._inverse = 1 / g

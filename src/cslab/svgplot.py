@@ -4,17 +4,12 @@ from __future__ import annotations
 
 from typing import IO, Sequence
 
+import numpy as np
+
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 _W, _H = 720, 480
 _MARGIN = 60
-
-
-def _scale(vals, lo, hi, out_lo, out_hi):
-    span = hi - lo
-    if span == 0:
-        span = 1.0
-    return [out_lo + (v - lo) / span * (out_hi - out_lo) for v in vals]
 
 
 def write_line_plot(
@@ -74,11 +69,18 @@ def write_line_plot(
             f'font-family="sans-serif" font-size="10">{val:.6g}</text>\n'
         )
 
-    px = _scale(xs, x_lo, x_hi, _MARGIN, _W - _MARGIN)
+    # each value v maps to out_lo + (v - lo) / span * (out_hi - out_lo), in
+    # that order so the points do not move; a zero span is read as 1
+    x_span = (x_hi - x_lo) or 1.0
+    y_span = (y_hi - y_lo) or 1.0
+    pxy = np.empty((len(xs), 2))
+    pxy[:, 0] = _MARGIN + (np.asarray(xs, dtype=float) - x_lo) / x_span * (_W - 2 * _MARGIN)
+    template = " ".join(["%.2f,%.2f"] * len(xs))
     for idx, (label, ys) in enumerate(series):
         color = _COLORS[idx % len(_COLORS)]
-        py = _scale(ys, y_lo, y_hi, _H - _MARGIN, _MARGIN)
-        points = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
+        ys = np.asarray(ys, dtype=float)
+        pxy[:, 1] = (_H - _MARGIN) + (ys - y_lo) / y_span * (2 * _MARGIN - _H)
+        points = template % tuple(pxy.ravel().tolist())
         stream.write(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
             f'points="{points}"/>\n'

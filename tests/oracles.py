@@ -6,7 +6,8 @@ explicit displaced wave functions, sheet metrics and labels by weighted
 sums over the coherent densities on a grid or by central differences of
 the states, curvature by the Brioschi formula on a stencil of metrics, the
 constant C by adaptive quadrature, the Model One flow from energy
-conservation, and characteristic functions by a 2-D radial-angular rule.
+conservation, characteristic functions by a 2-D radial-angular rule, and
+SVG polylines point by point.
 The four paper quantities no CLI route computes (the ray distance, the
 restricted action, off-diagonal H1 elements and target matching) are kept
 here as the library wrote them: they use its algebra, and each is the
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
+from scipy.linalg import solve_banded
 from scipy.sparse import csc_matrix, diags
 from scipy.sparse.linalg import splu
 
@@ -211,6 +213,20 @@ def crank_nicolson_sparse(diag, off, lam, u, steps):
     for _ in range(steps):
         u = solver.solve(b_mat @ u)
     return u
+
+
+def ldlt_banded_solve(multipliers, pivots, b):
+    """(L D L^T)^-1 b by LAPACK's banded solver, one triangular factor at a
+    time, for unit lower-bidiagonal L with ``multipliers`` below its diagonal."""
+    m = pivots.size
+    lower = np.zeros((2, m), dtype=complex)
+    lower[0] = 1
+    lower[1, :-1] = multipliers
+    upper = np.zeros((2, m), dtype=complex)
+    upper[0, 1:] = multipliers
+    upper[1] = 1
+    y = solve_banded((1, 0), lower, b)
+    return solve_banded((0, 1), upper, y / pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -601,3 +617,88 @@ def characteristic_kernel(N, m_prime, p_r, hbar=1.0, n_r=800, n_theta=800):
     angular = np.sin(theta) ** (N - 2) * wt
     kernel = np.exp(1j * np.outer(p_r * r / hbar, np.cos(theta)))
     return complex(w @ kernel @ angular / np.sum(angular))
+
+
+# ---------------------------------------------------------------------------
+# SVG line plots point by point
+#
+# cslab.svgplot.write_line_plot as it was written before it scaled and
+# formatted its polylines with numpy: each point scaled and formatted on its
+# own.  The reference for that writer's bytes.
+
+_SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
+_SVG_W, _SVG_H = 720, 480
+_SVG_MARGIN = 60
+
+
+def _svg_scale(vals, lo, hi, out_lo, out_hi):
+    span = hi - lo
+    if span == 0:
+        span = 1.0
+    return [out_lo + (v - lo) / span * (out_hi - out_lo) for v in vals]
+
+
+def svg_line_plot_per_point(stream, x, series, title, x_label, y_label, comment):
+    """One SVG with a polyline per (label, values) pair, point by point."""
+    w, h, margin = _SVG_W, _SVG_H, _SVG_MARGIN
+    xs = list(x)
+    all_y = [v for _, ys in series for v in ys]
+    x_lo, x_hi = min(xs), max(xs)
+    y_lo, y_hi = min(all_y), max(all_y)
+    if y_lo == y_hi:
+        y_lo -= 0.5
+        y_hi += 0.5
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo -= pad
+    y_hi += pad
+
+    stream.write('<?xml version="1.0" encoding="UTF-8"?>\n')
+    stream.write(f"<!-- {comment} -->\n")
+    stream.write(
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
+        f'viewBox="0 0 {w} {h}">\n'
+    )
+    stream.write(f'<rect width="{w}" height="{h}" fill="white"/>\n')
+    stream.write(
+        f'<rect x="{margin}" y="{margin}" width="{w - 2 * margin}" '
+        f'height="{h - 2 * margin}" fill="none" stroke="#333"/>\n'
+    )
+    stream.write(
+        f'<text x="{w / 2:.1f}" y="30" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="16">{title}</text>\n'
+    )
+    stream.write(
+        f'<text x="{w / 2:.1f}" y="{h - 15}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12">{x_label}</text>\n'
+    )
+    stream.write(
+        f'<text x="18" y="{h / 2:.1f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12" '
+        f'transform="rotate(-90 18 {h / 2:.1f})">{y_label}</text>\n'
+    )
+    for val, xp, yp, anchor in (
+        (x_lo, margin, h - margin + 16, "middle"),
+        (x_hi, w - margin, h - margin + 16, "middle"),
+        (y_lo, margin - 6, h - margin, "end"),
+        (y_hi, margin - 6, margin + 4, "end"),
+    ):
+        stream.write(
+            f'<text x="{xp}" y="{yp}" text-anchor="{anchor}" '
+            f'font-family="sans-serif" font-size="10">{val:.6g}</text>\n'
+        )
+
+    px = _svg_scale(xs, x_lo, x_hi, margin, w - margin)
+    for idx, (label, ys) in enumerate(series):
+        color = _SVG_COLORS[idx % len(_SVG_COLORS)]
+        py = _svg_scale(ys, y_lo, y_hi, h - margin, margin)
+        points = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
+        stream.write(
+            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
+            f'points="{points}"/>\n'
+        )
+        stream.write(
+            f'<text x="{w - margin - 8}" y="{margin + 16 + 14 * idx}" '
+            f'text-anchor="end" font-family="sans-serif" font-size="11" '
+            f'fill="{color}">{label}</text>\n'
+        )
+    stream.write("</svg>\n")

@@ -30,7 +30,7 @@ from cslab.grids import (
 )
 from cslab.schrodinger import (
     MAX_BASIS,
-    MAX_ROW,
+    ROW_PRODUCT_BITS,
     TAIL_WEIGHT,
     EvolutionSetup,
     LDLTSweeps,
@@ -55,7 +55,7 @@ from cslab.states import (
 )
 from cslab.symbols import parse_operator, weak_symbol
 
-from oracles import crank_nicolson_sparse
+from oracles import crank_nicolson_sparse, ldlt_banded_solve
 
 HARMONIC = parse_operator("0.5 * D D + 0.5 * X X")
 DXD = parse_operator("1.0 * D X D")
@@ -442,16 +442,37 @@ def sweep_multipliers(kind, m, rng):
     return (1 - 1e-3 * rng.random(m - 1)) * phases  # modulus near 1
 
 
+def solve_with_sweeps(multipliers, pivots, b):
+    """The sweeps for (multipliers, pivots), and their solution of L D L^T w = b
+    in row layout."""
+    sweeps = LDLTSweeps(multipliers, pivots)
+    (b_rows, b_view), (w_rows, _) = sweeps.buffer(), sweeps.buffer()
+    b_view[:] = b
+    sweeps.solve(b_rows, w_rows)
+    return sweeps, w_rows
+
+
+def crank_nicolson_factors(q0, n, dt, beta=1.0, hbar=1.0):
+    """The multipliers and halved pivots ``evolve`` sweeps with, for 1.0 * D X D
+    on the affine window of a start at q0."""
+    grid = evolution_window(affine_fiducial(beta, hbar), 0.3, q0, n)
+    diag, off = EvolutionSetup(DXD, grid, dt, 1, hbar).tridiagonal
+    lam = dt / (2 * hbar)
+    multipliers, pivots = ldlt_tridiagonal(1 + 1j * lam * diag, 1j * lam * off)
+    return multipliers, pivots / 2
+
+
 class TestLDLTSweeps:
-    """The row-wise prefix-sum sweeps against dense solves with L, D and L^T."""
+    """The row-wise prefix-sum sweeps against dense solves with L, D and L^T,
+    and the row widths their running products admit."""
 
     @pytest.mark.parametrize("kind, m, width", [
         ("zero", 700, 1),
-        ("tiny", 700, 8),
-        ("alternating", 700, MAX_ROW),
-        ("near-unit", 1024, MAX_ROW),
-        ("near-unit", 1100, MAX_ROW),  # the last row padded
-        ("near-unit", 300, MAX_ROW),  # one padded row
+        ("tiny", 700, 16),  # the last row padded
+        ("alternating", 700, 700),
+        ("near-unit", 1024, 1024),
+        ("near-unit", 1100, 1100),  # one row, not a padded row of 2048
+        ("near-unit", 300, 300),
     ])
     def test_sweeps_match_a_dense_solve(self, kind, m, width):
         rng = np.random.default_rng(m)
@@ -463,13 +484,40 @@ class TestLDLTSweeps:
         lower = np.eye(m, dtype=complex) + np.diag(multipliers, -1)
         want = np.linalg.solve(lower.T, np.linalg.solve(lower, b) / pivots)
 
-        sweeps = LDLTSweeps(multipliers, pivots)
-        (b_rows, b_view), (w_rows, w) = sweeps.buffer(), sweeps.buffer()
-        b_view[:] = b
-        sweeps.solve(b_rows, w_rows)
+        sweeps, w_rows = solve_with_sweeps(multipliers, pivots, b)
+        w = w_rows.reshape(-1)
         assert sweeps.width == width
-        assert np.max(np.abs(w - want)) <= 1e-13 * np.max(np.abs(want))
-        assert not w_rows.reshape(-1)[m:].any()  # the padding ends zero
+        assert np.max(np.abs(w[:m] - want)) <= 1e-13 * np.max(np.abs(want))
+        assert not w[m:].any()  # the padding ends zero
+
+    @pytest.mark.parametrize("q0, n, dt, width", [
+        # the CLI default (2048 nodes, dt 1e-4): rows of 64 when the width
+        # bounded each running product from its row's start
+        pytest.param(1.0, 2048, 1e-4, 256, id="cli-default"),
+        # the flow benchmark's shape (4096 nodes, dt 1e-3), 8 rows of 512
+        # under that bound: the span grows with q0
+        pytest.param(2.0, 4096, 1e-3, 2048, id="flow-two-rows"),
+        pytest.param(1.0, 4096, 1e-3, 4095, id="flow-one-row"),
+    ])
+    def test_half_line_rows(self, q0, n, dt, width):
+        multipliers, pivots = crank_nicolson_factors(q0, n, dt)
+        rng = np.random.default_rng(n)
+        b = rng.normal(size=pivots.size) + 1j * rng.normal(size=pivots.size)
+        sweeps, w_rows = solve_with_sweeps(multipliers, pivots, b)
+        w = w_rows.reshape(-1)
+        want = ldlt_banded_solve(multipliers, pivots, b)
+        assert sweeps.width == width
+        assert np.max(np.abs(w[: pivots.size] - want)) <= 1e-13 * np.max(np.abs(want))
+        assert not w[pivots.size:].any()
+        # each row's scale centres its running products: the scaled values
+        # stay within 2^+-ROW_PRODUCT_BITS, up to the rounding of the centre
+        assert np.max(np.abs(np.log2(np.abs(sweeps._inverse)))) <= ROW_PRODUCT_BITS + 0.5
+
+    def test_nan_multiplier_ends_the_search_at_width_one(self):
+        multipliers = np.full(99, 0.5 + 0.5j)
+        multipliers[40] = np.nan
+        sweeps = LDLTSweeps(multipliers, np.ones(100, dtype=complex))
+        assert sweeps.width == 1
 
 
 class TestHalfLineModelOne:
