@@ -18,7 +18,7 @@ from itertools import takewhile
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError, NumericError
+from .errors import DomainError, NumericError
 from .states import AFFINE_DOMAIN, PhasePoint
 from .symbols import AFFINE_DOMAIN_MESSAGE, SymbolFn
 
@@ -93,7 +93,8 @@ def integrate(symbol: SymbolFn, start: PhasePoint, t_final: float, dt: float) ->
     t, z = 0.0, complex(start.p, start.q)
     k1 = rhs(z)
     if not cmath.isfinite(k1):
-        raise IntegrationError("non-finite gradient", last_state=(0.0, z.real, z.imag))
+        raise NumericError(f"non-finite gradient (dH/dp, dH/dq) = ({k1.imag!r}, {-k1.real!r}) "
+                           f"at t = 0, p = {z.real!r}, q = {z.imag!r}")
     zs, h, q_peak, rejected, taken, reason = [z], spacing, z.imag, False, 0, None
     while len(zs) <= n_records:
         if abs(h) <= 4 * math.ulp(t):

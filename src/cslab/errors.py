@@ -40,14 +40,3 @@ class NumericError(CslabError, RuntimeError):
 class AccuracyError(NumericError):
     """Two refinements (or two independent routes) disagree beyond tolerance."""
 
-
-class IntegrationError(NumericError):
-    """An ODE/PDE step failed irrecoverably.
-
-    Carries the last valid state so callers can diagnose where the
-    integration broke down.
-    """
-
-    def __init__(self, message, last_state=None):
-        super().__init__(message)
-        self.last_state = last_state

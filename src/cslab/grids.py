@@ -1,9 +1,14 @@
 """Grids, quadrature, finite differences and complex inner products.
 
 Everything downstream (coherent states, symbols, geometry, PDE evolution)
-works on the two value types defined here: a uniform :class:`Grid` with
-trapezoid quadrature weights, and a :class:`WaveFunction` holding complex
-values on such a grid together with the Planck parameter it was built with.
+works on the two value types defined here: a uniform :class:`Grid`, and a
+:class:`WaveFunction` holding complex values on such a grid together with the
+Planck parameter it was built with.
+
+Every quadrature is the spacing times a plain sum: the trapezoid rule for a
+function that is zero one spacing beyond each end, as on every grid cslab
+builds (a half-line grid's ghost zero at x = 0 and pinned far end, the
+canonical windows' 8 spreads of margin).
 
 All quantities are dimensionless; ``hbar`` is an explicit positive number
 (default 1) rather than a physical constant.
@@ -20,19 +25,17 @@ from .errors import DomainError, GridMismatchError, PreconditionError
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform 1-D grid of ``n`` nodes on [lower, upper] with trapezoid weights.
+    """Uniform 1-D grid of ``n`` nodes on [lower, upper].
 
     Grids compare by their three fields.  A half-line grid
     (:func:`half_line_grid`) is one whose first node sits at the spacing,
-    never at x = 0.  The nodes and weights are derived from the fields once,
-    at construction.
+    never at x = 0.  The nodes are derived from the fields once.
     """
 
     lower: float
     upper: float
     n: int
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.upper <= self.lower:
@@ -44,25 +47,21 @@ class Grid:
             nodes = np.linspace(self.lower, self.upper, self.n)
             if not np.all(np.diff(nodes) > 0):
                 raise DomainError("grid nodes must be strictly increasing")
-        h = nodes[1] - nodes[0]
-        weights = np.full(self.n, h)
-        weights[0] = weights[-1] = h / 2
         object.__setattr__(self, "lower", float(self.lower))
         object.__setattr__(self, "upper", float(self.upper))
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
 
     @property
     def spacing(self) -> float:
         return float(self.nodes[1] - self.nodes[0])
 
     def integrate(self, values: np.ndarray) -> complex:
-        """Quadrature of sampled values with the grid's weights."""
-        return complex(np.sum(self.weights * np.asarray(values)))
+        """Quadrature of sampled values: the spacing times their sum."""
+        return complex(self.spacing * np.sum(values))
 
 
 def uniform_grid(lower: float, upper: float, n: int) -> Grid:
-    """Uniform grid on [lower, upper] with trapezoid weights."""
+    """Uniform grid of ``n`` nodes on [lower, upper]."""
     return Grid(lower, upper, n)
 
 
@@ -97,7 +96,7 @@ class WaveFunction:
             raise DomainError("hbar must be positive")
 
     def norm_squared(self) -> float:
-        return float(np.sum(self.grid.weights * np.abs(self.values) ** 2))
+        return self.grid.spacing * float(np.vdot(self.values, self.values).real)
 
     def norm(self) -> float:
         return float(np.sqrt(self.norm_squared()))
@@ -115,7 +114,7 @@ def inner_product(phi: WaveFunction, psi: WaveFunction) -> complex:
     """Quadrature inner product  integral conj(phi) * psi dx."""
     if phi.grid != psi.grid:
         raise GridMismatchError("inner product requires identical grids")
-    return complex(np.sum(phi.grid.weights * np.conj(phi.values) * psi.values))
+    return phi.grid.spacing * complex(np.vdot(phi.values, psi.values))
 
 
 def derivative(psi: WaveFunction) -> WaveFunction:
@@ -143,16 +142,15 @@ def position_moment(psi: WaveFunction, power: int = 1) -> float:
 
 
 def momentum_expectation(psi: WaveFunction) -> float:
-    """Expectation of -i hbar d/dx, with d/dx by central differences."""
-    val = inner_product(psi, derivative(psi))
-    return float((-1j * psi.hbar * val).real)
+    """Expectation of -i hbar d/dx by central differences with zero ghosts
+    beyond both ends: hbar Im sum conj(psi_i) psi_{i+1}, real by construction."""
+    return psi.hbar * float(np.vdot(psi.values[:-1], psi.values[1:]).imag)
 
 
 def dilation_expectation(psi: WaveFunction) -> float:
     """Expectation of the dilation generator -(i hbar / 2)(x d/dx + d/dx x)."""
     dpsi = derivative(psi)
     x = psi.grid.nodes
-    w = psi.grid.weights
     # x d/dx + d/dx x = 2 x d/dx + 1
-    val = np.sum(w * np.conj(psi.values) * (2 * x * dpsi.values + psi.values))
+    val = psi.grid.integrate(np.conj(psi.values) * (2 * x * dpsi.values + psi.values))
     return float((-0.5j * psi.hbar * val).real)

@@ -354,7 +354,8 @@ def evolve(
 
     grid = setup.grid
     sl = setup.unknown_slice()
-    pinned_norm = float(grid.weights[-1] * abs(psi0.values[-1]) ** 2)
+    h = grid.spacing
+    pinned_norm = h * abs(psi0.values[-1]) ** 2
     if not pinned_norm <= PINNED_NORM_TOL:  # a NaN norm fails too
         raise NumericError(
             f"psi0 carries {pinned_norm:.3e} of its norm on the pinned Dirichlet node "
@@ -371,13 +372,11 @@ def evolve(
     (u_rows, u), (w_rows, w) = sweeps.buffer(), sweeps.buffer()
     # complex copies, so that each product multiplies like with like
     diag, off = diag.astype(complex), off.astype(complex)
-    x_weights = (grid.weights * grid.nodes)[sl]
 
     u[:] = psi0.values[sl]
-    h = grid.spacing
     norm0 = math.sqrt(np.vdot(u, u).real * h)
     hu = tridiagonal_product(diag, off, u)
-    records = [(0.0, *track_expectations(u, hu, x_weights, setup))]  # (t, <p>, <x>, <H>)
+    records = [(0.0, *track_expectations(u, hu, setup))]  # (t, <p>, <x>, <H>)
     for step in range(1, setup.steps + 1):
         sweeps.solve(u_rows, w_rows)  # w = 2 A^-1 u
         # A u' - B u = A w - 2 u must stay under 1e-10 max(|u|, 1), which
@@ -397,7 +396,7 @@ def evolve(
         (u_rows, u), (w_rows, w) = (w_rows, w), (u_rows, u)
         if step in recorded:
             hu = tridiagonal_product(diag, off, u)
-            records.append((step * setup.dt, *track_expectations(u, hu, x_weights, setup)))
+            records.append((step * setup.dt, *track_expectations(u, hu, setup)))
 
     norm1 = math.sqrt(np.vdot(u, u).real * h)
     budget = 1e-8 * (setup.steps / 1000 + 1)
@@ -413,23 +412,20 @@ def evolve(
 
 
 def track_expectations(
-    u: np.ndarray, hu: np.ndarray, x_weights: np.ndarray, setup: EvolutionSetup
+    u: np.ndarray, hu: np.ndarray, setup: EvolutionSetup
 ) -> tuple[float, float, float]:
     """<-i hbar d/dx>, <x> and <H> of the state whose unpinned values are u.
 
-    ``hu`` is H u and ``x_weights`` the grid's trapezoid weights times its
-    nodes, restricted to the unknowns.  The pinned value is zero, so this is
-    the full grid's quadrature with d/dx by central differences: the sum
-    h * conj(u_i) (u_{i+1} - u_{i-1}) / 2h over the interior nodes has the
-    imaginary part Im sum conj(u_i) u_{i+1}, less the first node's own term.
+    ``hu`` is H u.  The pinned value and the ghost at x = 0 are zero, so
+    these are the grid's quadratures (see :mod:`cslab.grids`): <p> is
+    hbar Im sum conj(u_i) u_{i+1}, the central difference with zero ghosts,
+    and <x> and <H> are h sum x |u|^2 and h sum conj(u) H u.
     """
+    h = setup.grid.spacing
     drift = np.vdot(u[:-1], u[1:]).imag
-    # node 0 is the grid's first node: its term is the one-sided
-    # (h/2) conj(u0) (-3 u0 + 4 u1 - u2) / 2h, not h conj(u0) u1 / 2h
-    c0 = u[0].conjugate()
-    drift += (0.5 * c0 * u[1] - 0.25 * c0 * u[2]).imag
-    q = np.vdot(u, x_weights * u).real
-    energy = np.vdot(u, hu).real * setup.grid.spacing
+    x = setup.grid.nodes[setup.unknown_slice()]
+    q = np.vdot(u, x * u).real * h
+    energy = np.vdot(u, hu).real * h
     return setup.hbar * float(drift), float(q), float(energy)
 
 

@@ -207,11 +207,13 @@ def default_canonical_grid(
 
 
 def affine_node_count(beta: float, hbar: float, upper: float) -> int:
-    """Node count keeping the norm the half-line trapezoid rule misses below 1e-8.
+    """Node count keeping the norm the half-line rule misses below 1e-8.
 
-    Near 0, |xi|^2 ~ M^2 x^(nu - 1), nu = 2 beta / hbar; on nodes k eps with
-    half weight at the first, the rule misses M^2 eps^nu (1/2 - zeta(1 - nu)),
-    at most 7/12 M^2 eps^nu for 2 <= nu <= 3.  Above, the node floor governs.
+    Near 0, |xi|^2 ~ M^2 x^(nu - 1), nu = 2 beta / hbar; on nodes k eps, each
+    weighing eps, the rule misses -zeta(1 - nu) M^2 eps^nu, at most
+    M^2 eps^nu / 12 for 2 <= nu <= 3.  The count is sized for 7/12 M^2 eps^nu,
+    the miss of a rule with half weight at the first node, so its eps is
+    7^(1/nu) times smaller than the bound needs.  Above, the node floor governs.
     """
     nu = 2.0 * beta / hbar
     log_m2 = 2 * affine_log_norm(beta, hbar)

@@ -323,7 +323,7 @@ def exact_metric(family, pt):
     f, grid = family.fiducial, family.grid
     hbar = f.hbar
     pt = PhasePoint(pt.p, pt.q, domain=family.domain)
-    rho = grid.weights * coherent_density(f, pt, grid)
+    rho = grid.spacing * coherent_density(f, pt, grid)
     norm = float(rho.sum())
     if not abs(norm - 1.0) <= METRIC_RTOL:
         raise AccuracyError(
@@ -517,7 +517,7 @@ def kinetic_dilation_quadrature(f):
 def density_labels(f, pt, n=None):
     """(p, q) read back as weighted sums over the density on the state's window.
 
-    With N = sum w |psi|^2 and X = sum w x |psi|^2 on the window the state
+    With N = sum h |psi|^2 and X = sum h x |psi|^2 on the window the state
     constructors pick for ``pt`` (``n`` nodes if given), the labels are
     (p N, X) on the canonical sheet and (p, X) on the affine one.
     """
@@ -525,7 +525,7 @@ def density_labels(f, pt, n=None):
         grid = default_affine_grid(f, q=pt.q, n=n)
     else:
         grid = default_canonical_grid(f, q=pt.q, n=n)
-    rho = grid.weights * coherent_density(f, pt, grid)
+    rho = grid.spacing * coherent_density(f, pt, grid)
     x_mom = float(np.dot(rho, grid.nodes))
     if pt.domain == AFFINE_DOMAIN:
         return pt.p, x_mom

@@ -22,15 +22,15 @@ def gaussian_state(grid, k0=0.0):
 
 
 class TestGrid:
-    def test_constant_quadrature_matches_width(self):
-        grid = uniform_grid(-3.0, 7.0, 1234)
-        total = grid.integrate(np.ones(grid.n)).real
-        assert total == pytest.approx(10.0, rel=1e-12)
-
-    def test_half_line_constant_quadrature(self):
-        grid = half_line_grid(5.0, 999)
-        total = grid.integrate(np.ones(grid.n)).real
-        assert total == pytest.approx(grid.upper - grid.lower, rel=1e-12)
+    @pytest.mark.parametrize("n", [1000, 2000, 4000])
+    def test_half_line_quadrature_is_the_trapezoid_rule_on_zero_to_upper(self, n):
+        # each node weighs one spacing: the trapezoid rule on [0, 40] with the
+        # ghost zero at x = 0 counted, whose error on x e^-x is -h^2/12 (the
+        # rule on [h, 40], with half weight at the first node, misses ~7x that)
+        grid = half_line_grid(40.0, n)
+        x, h = grid.nodes, grid.spacing
+        total = grid.integrate(x * np.exp(-x)).real
+        assert total == pytest.approx(1 - h**2 / 12, abs=0.01 * h**2 / 12)
 
     def test_half_line_offset_equals_spacing(self):
         # the first node sits at the spacing: x = 0 is never a node

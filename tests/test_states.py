@@ -201,9 +201,9 @@ class TestAffineTransport:
     @pytest.mark.parametrize("q", [1.0, 3.0])
     @pytest.mark.parametrize("beta_over_hbar", [1.0, 2.0, 4.0])
     def test_default_grid_keeps_the_norm_near_the_origin(self, beta_over_hbar, q):
-        # the node count is sized for a 1e-8 norm loss, the trapezoid rule's
-        # end correction next to x = 0 included (1.17e-8 at beta / hbar = 1
-        # when only the mass below the first node was counted)
+        # the node count is sized for a 1e-8 norm loss, the rule's error next
+        # to x = 0 included (1.17e-8 at beta / hbar = 1 when only the mass
+        # below the first node was counted)
         f = affine_fiducial(beta_over_hbar, 1.0)
         state = affine_coherent(f, PhasePoint(0.3, q, domain=AFFINE_DOMAIN))
         assert 1 - state.norm_squared() <= 1e-8
