@@ -92,7 +92,7 @@ def load_scenario(path: Path, schema: dict[str, Param]) -> dict:
     values: dict = {}
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -153,7 +153,10 @@ class Outputs:
     def _path(self, suffix: str, extension: str) -> Path:
         # the directory is made at the first write, so a run that stops
         # before writing leaves no trace
-        self.dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory {self.dir}: {exc}") from exc
         return self.dir / f"{self.name}{suffix}.{extension}"
 
     def _announce(self, path: Path):
@@ -190,9 +193,10 @@ class Outputs:
     def csv_trajectory(self, traj: Trajectory) -> Path | None:
         return self._csv("", "t,p,q,H", (traj.times, traj.p, traj.q, traj.energy))
 
-    def csv_snapshot(self, state: WaveFunction, suffix: str) -> Path | None:
+    def csv_snapshot(self, state: WaveFunction) -> Path | None:
         psi = state.values
-        return self._csv(suffix, "x,Re(psi),Im(psi)", (state.grid.nodes, psi.real, psi.imag))
+        return self._csv("_final_state", "x,Re(psi),Im(psi)",
+                         (state.grid.nodes, psi.real, psi.imag))
 
     def svg(self, x, series, title, x_label, y_label) -> Path | None:
         if self.fmt != "svg":
@@ -410,7 +414,7 @@ def run_evolve_quantum(params: dict, rng: np.random.Generator, out: Outputs) -> 
         **basis,
     })
     out.csv_trajectory(traj)
-    out.csv_snapshot(result.final, "_final_state")
+    out.csv_snapshot(result.final)
     out.svg(
         traj.times.tolist(),
         [("<x>", traj.q.tolist()), ("<p>", traj.p.tolist())],

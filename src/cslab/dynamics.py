@@ -40,7 +40,6 @@ class Trajectory:
     p: np.ndarray
     q: np.ndarray
     energy: np.ndarray
-    singular: bool = False
     singular_reason: str | None = None
 
     def __post_init__(self):
@@ -48,6 +47,10 @@ class Trajectory:
         self.p = np.asarray(self.p, dtype=float)
         self.q = np.asarray(self.q, dtype=float)
         self.energy = np.asarray(self.energy, dtype=float)
+
+    @property
+    def singular(self) -> bool:
+        return self.singular_reason is not None
 
     @property
     def n(self) -> int:
@@ -129,7 +132,7 @@ def integrate(symbol: SymbolFn, start: PhasePoint, t_final: float, dt: float) ->
     if reason:  # the last step's end; the symbol is not resolved at the edge
         times, zs, energies = [*times, t], [*zs, z], [*energies, energies[-1]]
     zs = np.array(zs)
-    return Trajectory(times, zs.real, zs.imag, energies, reason is not None, reason)
+    return Trajectory(times, zs.real, zs.imag, energies, reason)
 
 
 def _dopri_step(rhs, z: complex, k1: complex, h: float):

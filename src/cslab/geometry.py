@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AccuracyError
+from .errors import NumericError
 from .states import AFFINE_DOMAIN, CANONICAL_DOMAIN, CoherentFamily, PhasePoint, coherent_moments
 
 
@@ -40,7 +40,7 @@ class MetricTensor:
 
     def require_positive_definite(self) -> None:
         if not (self.g_pp > 0 and self.det > 0):
-            raise AccuracyError(f"metric not positive definite: {self}")
+            raise NumericError(f"metric not positive definite: {self}")
 
 
 def fs_metric(family: CoherentFamily, pt: PhasePoint) -> MetricTensor:

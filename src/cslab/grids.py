@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, GridMismatchError, PreconditionError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,8 @@ def half_line_grid(upper: float, n: int) -> Grid:
     The offset keeps integrands of the form x**(a - 1/2) finite at the first
     node; x = 0 itself is never a grid point.
     """
-    if upper <= 0:
-        raise DomainError("upper must be positive")
+    if not 0 < upper < np.inf:  # NaN fails too
+        raise DomainError(f"upper = {upper!r} must be finite and positive")
     if n < 2:  # before the spacing divides by n
         raise DomainError("need at least two nodes")
     h = upper / n
@@ -91,8 +91,8 @@ class WaveFunction:
         values = np.asarray(self.values, dtype=complex)
         object.__setattr__(self, "values", values)
         if values.shape != self.grid.nodes.shape:
-            raise GridMismatchError("values length must match grid node count")
-        if self.hbar <= 0:
+            raise DomainError("values length must match grid node count")
+        if not self.hbar > 0:  # NaN fails too
             raise DomainError("hbar must be positive")
 
     def norm_squared(self) -> float:
@@ -107,13 +107,13 @@ class WaveFunction:
     def require_normalized(self, tol: float = 1e-8) -> None:
         dev = abs(self.norm() - 1.0)
         if not dev <= tol:  # a NaN norm fails too
-            raise PreconditionError(f"wave function norm deviates by {dev:.3e}")
+            raise DomainError(f"wave function norm deviates by {dev:.3e}")
 
 
 def inner_product(phi: WaveFunction, psi: WaveFunction) -> complex:
     """Quadrature inner product  integral conj(phi) * psi dx."""
     if phi.grid != psi.grid:
-        raise GridMismatchError("inner product requires identical grids")
+        raise DomainError("inner product requires identical grids")
     return phi.grid.spacing * complex(np.vdot(phi.values, psi.values))
 
 
@@ -125,7 +125,7 @@ def derivative(psi: WaveFunction) -> WaveFunction:
     exactly.
     """
     if psi.grid.n < 5:
-        raise PreconditionError("derivative needs at least 5 nodes")
+        raise DomainError("derivative needs at least 5 nodes")
     h = psi.grid.spacing
     v = psi.values
     out = np.empty_like(v)

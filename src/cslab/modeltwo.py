@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, NumericError, PreconditionError
+from .errors import DomainError, NumericError
 
 
 def _power(base: float, exponent: int) -> float:
@@ -162,11 +162,11 @@ def h1_closed_form(rep: ReducibleRep, nu: float, p, q) -> float:
 
 def h1_expectation(rep: ReducibleRep, nu: float, p, q) -> float:
     """Diagonal expectation of H1.  A non-finite value is a NumericError,
-    checked first (an overflowing pair sum has a NaN imaginary part too); a
-    finite imaginary residue beyond roundoff is an AccuracyError."""
+    checked first (an overflowing pair sum has a NaN imaginary part too), as
+    is a finite imaginary residue beyond roundoff."""
     value = _require_finite(_h1_value(rep, nu, p, q, p, q), "H1 expectation")
     if not abs(value.imag) <= 1e-12 * (1 + abs(value.real)):
-        raise AccuracyError(f"H1 expectation has imaginary residue {value.imag:.2e}")
+        raise NumericError(f"H1 expectation has imaginary residue {value.imag:.2e}")
     return value.real
 
 
@@ -270,7 +270,7 @@ def measure_superposition(
     _require_scale(hbar, "hbar")
     total = sum(mu for _, mu in weights)
     if not abs(total - 1.0) <= 1e-9:
-        raise PreconditionError(f"measure weights sum to {total!r}, not 1")
+        raise DomainError(f"measure weights sum to {total!r}, not 1")
     for b, mu in weights:
         if not (b > 0 and mu >= 0 and math.isfinite(b) and math.isfinite(mu)):
             raise DomainError(f"atom (b={b!r}, mu={mu!r}) needs finite b > 0 and mu >= 0")

@@ -54,13 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import Trajectory
-from .errors import (
-    ConfigError,
-    DomainError,
-    GridMismatchError,
-    NumericError,
-    PreconditionError,
-)
+from .errors import ConfigError, DomainError, NumericError
 from .grids import Grid, WaveFunction, half_line_grid, uniform_grid
 from .states import AFFINE_DOMAIN, Fiducial, PhasePoint
 from .symbols import D_FACTOR, X_FACTOR, OperatorExpr
@@ -97,6 +91,8 @@ class EvolutionSetup:
     tridiagonal: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not (math.isfinite(self.hbar) and self.hbar > 0):
+            raise DomainError(f"hbar = {self.hbar!r} must be finite and positive")
         require_time_steps(self.dt, self.steps)
         if not self.grid.lower > 0:  # a NaN end fails too
             raise DomainError(f"Crank-Nicolson runs on the half line, but the grid's "
@@ -107,7 +103,7 @@ class EvolutionSetup:
         object.__setattr__(self, "tridiagonal", (diag, off))
         rho = spectral_radius_estimate(diag, off)
         if not self.dt * rho / (2 * self.hbar) <= 1e6:  # a NaN radius fails too
-            raise PreconditionError(
+            raise DomainError(
                 f"dt * spectral radius = {self.dt * rho:.3e} is not finite or "
                 "unreasonably large; reduce dt or coarsen the grid"
             )
@@ -348,7 +344,7 @@ def evolve(
     ``EvolutionResult.final``.
     """
     if psi0.grid != setup.grid:
-        raise GridMismatchError("initial state must live on the setup grid")
+        raise DomainError("initial state must live on the setup grid")
     psi0.require_normalized(1e-6)
     recorded = set(record_steps(setup.steps, snapshot_every).tolist())
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoverageError, DomainError, NumericError
+from .errors import DomainError, NumericError
 from .grids import Grid, WaveFunction, half_line_grid, uniform_grid
 
 # one name per sheet: a fiducial's kind, a phase point's domain, a
@@ -119,7 +119,7 @@ def affine_values(beta: float, hbar: float, u: np.ndarray) -> np.ndarray:
     b = beta / hbar
     a = b - 0.5
     u = np.asarray(u, dtype=float)
-    if np.any(u <= 0):
+    if not np.all(u > 0):  # NaN fails too
         raise DomainError("affine fiducial is defined for x > 0 only")
     return np.exp(affine_log_norm(beta, hbar) + a * np.log(u) - b * u)
 
@@ -254,8 +254,9 @@ def fiducial_wavefunction(f: Fiducial, grid: Grid | None = None) -> WaveFunction
 
 def _require_coverage(f: Fiducial, pt: PhasePoint, grid: Grid) -> None:
     sigma = f.sigma
-    if grid.lower > pt.q - 8 * sigma or grid.upper < pt.q + 8 * sigma:
-        raise CoverageError(
+    # written so that a NaN q fails
+    if not (grid.lower <= pt.q - 8 * sigma and grid.upper >= pt.q + 8 * sigma):
+        raise DomainError(
             f"grid [{grid.lower}, {grid.upper}] does not cover "
             f"[{pt.q - 8 * sigma:.3g}, {pt.q + 8 * sigma:.3g}]"
         )

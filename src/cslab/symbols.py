@@ -21,12 +21,13 @@ independent cross-check of the closed form.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, ConfigError, DomainError, NumericError, PreconditionError
+from .errors import ConfigError, DomainError, NumericError
 from .grids import Grid, WaveFunction, derivative, inner_product
 from .states import (
     AFFINE_DOMAIN,
@@ -153,7 +154,7 @@ def parse_operator(text: str) -> OperatorExpr:
 
 def _monomial_sum(terms: list[tuple[float, int, int]], p: float, q: float) -> float:
     """Sum of c p^i q^j over (c, i, j); a float power that overflows is numerical."""
-    total = 0
+    total = 0.0
     try:
         for c, i, j in terms:
             total += c * p**i * q**j
@@ -190,12 +191,12 @@ class SymbolFn:
         self.gradient = gradient
 
     def __call__(self, p: float, q: float) -> float:
-        if self.provenance == AFFINE_DOMAIN and q <= 0:
+        if self.provenance == AFFINE_DOMAIN and not q > 0:  # NaN fails too
             raise DomainError(AFFINE_DOMAIN_MESSAGE)
         return _monomial_sum(self._value, p, q)
 
     def grad(self, p: float, q: float) -> tuple[float, float]:
-        if self.provenance == AFFINE_DOMAIN and q <= 0:
+        if self.provenance == AFFINE_DOMAIN and not q > 0:
             raise DomainError(AFFINE_DOMAIN_MESSAGE)
         return self.gradient(p, q)
 
@@ -296,16 +297,19 @@ def weak_symbol(op: OperatorExpr, f: Fiducial) -> SymbolFn:
 
     The symbol's provenance is the fiducial's kind; on the affine sheet
     (q > 0) a divergent Gamma-function moment raises :class:`DomainError`.
+    A coefficient that overflows to inf or NaN raises :class:`NumericError`.
     """
     total: dict[tuple[int, int], complex] = {}
     for coeff, factors in op.terms:
         reduced = _reduce_moments(_push_factors(factors, f), f)
         for key, val in reduced.items():
             total[key] = total.get(key, 0.0 + 0.0j) + coeff * val
+    if not all(map(cmath.isfinite, total.values())):
+        raise NumericError(f"closed-form symbol of {op} has a coefficient that is not finite")
     scale = max((abs(v) for v in total.values()), default=1.0)
     max_imag = max((abs(v.imag) for v in total.values()), default=0.0)
     if op.is_hermitian() and max_imag > 1e-10 * scale:
-        raise AccuracyError(
+        raise NumericError(
             f"closed-form symbol of a Hermitian operator has imaginary part {max_imag:.2e}"
         )
     return SymbolFn({k: v.real for k, v in total.items()}, f.kind)
@@ -380,7 +384,7 @@ def symbol_quadrature_affine(op: OperatorExpr, f: Fiducial, p: float, q: float) 
     re, re_err = quad(density, 0, np.inf, args=(lambda z: z.real,), **kwargs)
     im, im_err = quad(density, 0, np.inf, args=(lambda z: z.imag,), **kwargs)
     if re_err + im_err > 1e-9 * (abs(re) + abs(im) + scale):
-        raise AccuracyError("affine symbol quadrature did not converge")
+        raise NumericError("affine symbol quadrature did not converge")
     return re + 1j * im
 
 
@@ -395,5 +399,5 @@ def compute_C(f: Fiducial) -> float:
     Gamma-function moments of |xi|^2.
     """
     if f.kind != AFFINE_DOMAIN:
-        raise PreconditionError("C is defined for affine fiducials")
+        raise DomainError("C is defined for affine fiducials")
     return f.hbar * f.beta / 2.0

@@ -27,7 +27,7 @@ from scipy.sparse import csc_matrix, diags
 from scipy.sparse.linalg import splu
 
 from cslab.dynamics import Trajectory
-from cslab.errors import AccuracyError, DomainError, PreconditionError
+from cslab.errors import DomainError, NumericError
 from cslab.geometry import MetricTensor
 from cslab.grids import WaveFunction, inner_product
 from cslab.modeltwo import (
@@ -326,7 +326,7 @@ def exact_metric(family, pt):
     rho = grid.spacing * coherent_density(f, pt, grid)
     norm = float(rho.sum())
     if not abs(norm - 1.0) <= METRIC_RTOL:
-        raise AccuracyError(
+        raise NumericError(
             f"state norm {norm!r} on the metric grid is off by more than {METRIC_RTOL:g}"
         )
     u, v = tangent_multipliers(f, pt, grid.nodes)
@@ -405,7 +405,7 @@ def difference_metric(family, pt, step=None):
         abs(r1.g_pp - r2.g_pp), abs(r1.g_pq - r2.g_pq), abs(r1.g_qq - r2.g_qq)
     )
     if not dev <= METRIC_RTOL * scale:  # a NaN deviation fails too
-        raise AccuracyError(
+        raise NumericError(
             f"metric extrapolation not converged (dev {dev:.2e} vs scale {scale:.2e})"
         )
     r2.require_positive_definite()
@@ -442,7 +442,7 @@ def brioschi_curvature(field, pt, step=1e-2):
     # metric entry, would leave the stencil differencing one metric with itself
     for x, h in ((pt.p, h_p), (pt.q, h_q)):
         if not abs((x + h) - x - h) < STENCIL_RTOL * h:
-            raise AccuracyError(f"stencil step {h:.3g} is not resolved at {x:.17g}")
+            raise NumericError(f"stencil step {h:.3g} is not resolved at {x:.17g}")
 
     offsets = (-2, -1, 0, 1, 2)
     E = np.empty((5, 5))
@@ -572,7 +572,7 @@ def restricted_action(path: Trajectory, symbol: SymbolFn) -> float:
     fixed-endpoint variations.
     """
     if path.n < 100:
-        raise PreconditionError("restricted_action needs >= 100 samples")
+        raise DomainError("restricted_action needs >= 100 samples")
     p, q, t = path.p, path.q, path.times
     pdq = float(np.sum(0.5 * (p[1:] + p[:-1]) * np.diff(q)))
     h_vals = np.array([symbol(pi, qi) for pi, qi in zip(p, q)])

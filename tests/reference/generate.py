@@ -153,6 +153,12 @@ FAILURES: dict[str, list[str]] = {
     "evolve-quantum-affine-beta-1e7": ["evolve-quantum", "--family", "affine", "--operator", DXD,
                                        "--p0", "0", "--q0", "1", "--beta", "1e7",
                                        "--steps", "5"],
+    # <D^40> = 39!! (hbar omega / 2)^20 is about 3e417: the closed form's
+    # coefficients overflow; it used to exit 0 with H(1, q) = 2.45e153
+    "symbol-moment-overflow": ["symbol", "--omega", "1e20",
+                               "--operator", "1.0 * " + " ".join(["D"] * 40)],
+    "symbol-affine-q-nan": ["symbol", "--family", "affine", "--operator", DXD,
+                            "--q_list", "nan,1"],
 }
 
 

@@ -69,6 +69,21 @@ class TestExitCodes:
         code = run(["centering", "--scenario", str(scenario), "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("case", ["non-utf8-scenario", "out-is-a-file"])
+    def test_unusable_input_path_exits_2(self, tmp_path, capsys, case):
+        # a UnicodeDecodeError traceback, and exit 3 as an internal error
+        argv = ["centering", "--n_points", "1", "--quiet"]
+        if case == "non-utf8-scenario":
+            (tmp_path / "bad.scn").write_bytes(b"omega = 1\xff\n")
+            argv += ["--scenario", str(tmp_path / "bad.scn"), "--out", str(tmp_path / "out")]
+        else:
+            (tmp_path / "taken").write_text("")
+            argv += ["--out", str(tmp_path / "taken")]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot ")
+        assert str(tmp_path) in err
+
     def test_missing_required_exits_2(self, tmp_path):
         assert run(["symbol", "--out", str(tmp_path)]) == 2
 
@@ -139,6 +154,11 @@ class TestExitCodes:
             ["symbol", "--family", "affine", "--operator", "1.0 * X^50 D X^50",
              "--q_list=1e200"],
             ["symbol", "--operator", "1.0 * " + " ".join(["D"] * 20), "--p_list=1e200"],
+            # <D^40> = 39!! (hbar omega / 2)^20 ~ 3e417: NaN coefficients were
+            # dropped, and both exited 0 with H(0, q) = 0
+            ["symbol", "--operator", "1.0 * " + " ".join(["D"] * 40), "--omega", "1e20"],
+            ["evolve-classical", "--operator", "1.0 * " + " ".join(["D"] * 70),
+             "--omega", "1e10", "--p0", "0", "--q0", "0"],
             QUANTUM + ["--snapshot_every=-1"],
             ["curvature", "--q_list", "nan"],
             ["curvature", "--p", "nan"],
@@ -742,8 +762,8 @@ class TestCsvWriter:
         psi = v.astype(complex)  # v + 1j * v[::-1] would turn Re -0.0 into 0.0
         psi.imag = v[::-1]
         state = WaveFunction(grid, psi)
-        path = Outputs(tmp_path, "run", "csv", "tag", quiet=True).csv_snapshot(state, "_final")
-        assert path.name == "run_final.csv"
+        path = Outputs(tmp_path, "run", "csv", "tag", quiet=True).csv_snapshot(state)
+        assert path.name == "run_final_state.csv"
         expected = self._expected("x,Re(psi),Im(psi)", [grid.nodes, v, v[::-1]])
         assert path.read_text().splitlines() == expected
 

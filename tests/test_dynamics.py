@@ -12,7 +12,7 @@ from oracles import model_one_reference, restricted_action
 
 from cslab import dynamics
 from cslab.dynamics import Trajectory, integrate, model_one_flow
-from cslab.errors import DomainError, NumericError, PreconditionError
+from cslab.errors import DomainError, NumericError
 from cslab.states import AFFINE_DOMAIN, PhasePoint, affine_fiducial, gaussian_fiducial
 from cslab.symbols import parse_operator, polynomial_symbol, weak_symbol
 
@@ -304,7 +304,7 @@ class TestRestrictedAction:
         symbol = harmonic_symbol(1.0)
         times = np.linspace(0, 1, 10)
         path = Trajectory(times, np.zeros(10), np.zeros(10), np.zeros(10))
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError, match="restricted_action needs >= 100 samples"):
             restricted_action(path, symbol)
 
     def test_stationary_under_q_perturbation(self):

@@ -14,7 +14,7 @@ from oracles import (
     ray_distance,
 )
 
-from cslab.errors import AccuracyError, DomainError, PreconditionError
+from cslab.errors import DomainError, NumericError
 from cslab.geometry import MetricTensor, fs_metric, scalar_curvature
 from cslab.grids import WaveFunction, uniform_grid
 from cslab.states import (
@@ -81,14 +81,14 @@ class TestRayDistance:
     def test_unnormalized_rejected(self):
         h0, _ = _hermite_pair()
         bad = WaveFunction(h0.grid, 1.1 * h0.values)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError, match="wave function norm deviates"):
             ray_distance(h0, bad)
 
     def test_nan_states_rejected(self):
         # a NaN norm must fail the normalization guard, not slip past it
         grid = uniform_grid(-1, 1, 11)
         nan_state = WaveFunction(grid, np.full(grid.n, np.nan))
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError, match="wave function norm deviates by nan"):
             ray_distance(nan_state, nan_state)
 
     def test_vanishes_iff_rays_coincide(self):
@@ -103,9 +103,9 @@ class TestRayDistance:
 
 class TestMetricTensor:
     def test_nan_entries_are_not_positive_definite(self):
-        with pytest.raises(AccuracyError):
+        with pytest.raises(NumericError, match="metric not positive definite"):
             MetricTensor(float("nan"), 0.0, 1.0).require_positive_definite()
-        with pytest.raises(AccuracyError):
+        with pytest.raises(NumericError, match="metric not positive definite"):
             MetricTensor(1.0, 0.0, float("nan")).require_positive_definite()
 
 
@@ -136,7 +136,7 @@ class TestCanonicalMetric:
         fam = CoherentFamily(f, default_canonical_grid(f, q=3.0))
         g = difference_metric(fam, PhasePoint(0.0, 0.0))
         assert g.g_pp == pytest.approx(1.0, abs=1e-6)
-        with pytest.raises(AccuracyError):
+        with pytest.raises(NumericError, match="metric extrapolation not converged"):
             difference_metric(fam, PhasePoint(0.0, 0.0), step=2.0)
 
 
@@ -190,7 +190,7 @@ class TestExactRoute:
         # 2000 nodes miss ~2.5e-4 of the probability mass next to x = 0
         f = affine_fiducial(1.0, 1.0)
         fam = CoherentFamily(f, default_affine_grid(f, q=1.0, n=2000))
-        with pytest.raises(AccuracyError):
+        with pytest.raises(NumericError, match="on the metric grid is off"):
             exact_metric(fam, PhasePoint(0.0, 1.0, domain=AFFINE_DOMAIN))
 
     def test_nan_density_fails_closed(self, monkeypatch):
@@ -199,7 +199,7 @@ class TestExactRoute:
         )
         f = affine_fiducial(1.0, 1.0)
         fam = CoherentFamily(f, default_affine_grid(f, q=1.0))
-        with pytest.raises(AccuracyError):
+        with pytest.raises(NumericError, match="state norm nan on the metric grid"):
             exact_metric(fam, PhasePoint(0.0, 1.0, domain=AFFINE_DOMAIN))
 
 
@@ -249,7 +249,7 @@ class TestClosedForm:
     def test_overflow_fails_closed(self, q):
         # q^2 overflows to inf or underflows to 0: the metric is not positive definite
         fam = CoherentFamily(affine_fiducial(1.0, 1.0))
-        with pytest.raises(AccuracyError):
+        with pytest.raises(NumericError, match="metric not positive definite"):
             fs_metric(fam, PhasePoint(0.0, q, domain=AFFINE_DOMAIN))
 
 
@@ -319,12 +319,12 @@ class TestCurvature:
     def test_unresolved_stencil_fails_closed(self, p, q):
         # a flat field would read curvature 0 from offsets that round to the point
         field = closed_form_field(CoherentFamily(gaussian_fiducial(1.0, 1.0)))
-        with pytest.raises(AccuracyError):
+        with pytest.raises(NumericError, match="stencil step .* is not resolved"):
             brioschi_curvature(field, PhasePoint(p, q))
 
     def test_infinite_metric_entry_fails_closed(self):
         # g_qq = inf passes the positive-definiteness guard but gives a zero q step
-        with pytest.raises(AccuracyError):
+        with pytest.raises(NumericError, match="stencil step 0 is not resolved"):
             brioschi_curvature(
                 lambda p, q: MetricTensor(1.0, 0.0, float("inf")), PhasePoint(0.0, 1.0)
             )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cslab.errors import DomainError, GridMismatchError, PreconditionError
+from cslab.errors import DomainError
 from cslab.grids import (
     WaveFunction,
     derivative,
@@ -56,10 +56,17 @@ class TestGrid:
         with pytest.raises(DomainError):
             uniform_grid(lower, upper, 10)
 
-    @pytest.mark.parametrize("upper", [np.nan, np.inf])
+    @pytest.mark.parametrize("upper", [np.nan, np.inf, 0.0, -1.0])
     def test_half_line_rejects_non_finite_end(self, upper):
-        with pytest.raises(DomainError):
+        # NaN used to fail as "grid nodes must be strictly increasing"
+        with pytest.raises(DomainError, match=f"upper = {upper!r} must be finite and positive"):
             half_line_grid(upper, 10)
+
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, np.nan])
+    def test_wave_function_rejects_hbar(self, hbar):
+        # NaN used to be accepted
+        with pytest.raises(DomainError, match="hbar must be positive"):
+            WaveFunction(uniform_grid(-1.0, 1.0, 5), np.zeros(5), hbar)
 
     @pytest.mark.parametrize("n", [0, 1, -5])
     def test_half_line_checks_the_node_count_before_dividing_by_it(self, n):
@@ -81,7 +88,7 @@ class TestInnerProduct:
     def test_grid_mismatch_raises(self):
         a = gaussian_state(uniform_grid(-10, 10, 3001))
         b = gaussian_state(uniform_grid(-10, 10, 3003))
-        with pytest.raises(GridMismatchError):
+        with pytest.raises(DomainError, match="inner product requires identical grids"):
             inner_product(a, b)
 
     @settings(max_examples=25, deadline=None)
@@ -128,5 +135,5 @@ class TestDerivative:
 
     def test_too_few_nodes_rejected(self):
         grid = uniform_grid(-1, 1, 4)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError, match="derivative needs at least 5 nodes"):
             derivative(WaveFunction(grid, np.zeros(4) + 0j))

@@ -14,13 +14,7 @@ import cslab.grids
 import cslab.schrodinger
 from cslab.cli import main
 from cslab.dynamics import Trajectory, integrate
-from cslab.errors import (
-    ConfigError,
-    DomainError,
-    GridMismatchError,
-    NumericError,
-    PreconditionError,
-)
+from cslab.errors import ConfigError, DomainError, NumericError
 from cslab.grids import (
     WaveFunction,
     half_line_grid,
@@ -103,19 +97,27 @@ class TestEvolutionSetup:
         grid, _ = half_line_start(512)
         _, psi0 = half_line_start(513)
         setup = EvolutionSetup(DXD, grid, 1e-3, 10)
-        with pytest.raises(GridMismatchError):
+        with pytest.raises(DomainError, match="initial state must live on the setup grid"):
             evolve(psi0, setup)
 
     def test_unnormalized_rejected(self):
         grid, psi0 = half_line_start()
         bad = WaveFunction(grid, 1.01 * psi0.values)
         setup = EvolutionSetup(DXD, grid, 1e-3, 10)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError, match="wave function norm deviates"):
             evolve(bad, setup)
+
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, math.nan, math.inf])
+    def test_hbar_checked_first(self, hbar):
+        # 0 raised ZeroDivisionError, -1 ran backward in time and NaN was
+        # blamed on the spectral radius
+        grid = half_line_grid(8.0, 256)
+        with pytest.raises(DomainError, match=f"hbar = {hbar!r} must be finite and positive"):
+            EvolutionSetup(DXD, grid, 1e-3, 10, hbar)
 
     def test_absurd_time_step_rejected(self):
         grid = half_line_grid(8.0, 8192)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError, match=r"dt \* spectral radius"):
             EvolutionSetup(HARMONIC, grid, 1e4, 10)
 
     def test_hamiltonian_built_once_per_setup(self, monkeypatch):

@@ -14,7 +14,7 @@ from oracles import (
 )
 
 from cslab.cli import SUBCOMMANDS
-from cslab.errors import CoverageError, DomainError
+from cslab.errors import DomainError
 from cslab.grids import (
     dilation_expectation,
     half_line_grid,
@@ -125,11 +125,13 @@ class TestCanonicalTransport:
             assert abs(p_read - p) < 1e-7
             assert abs(q_read - q) < 1e-7
 
-    def test_coverage_error(self):
+    @pytest.mark.parametrize("q", [1.5, np.nan])
+    def test_coverage_error(self, q):
+        # a NaN q used to return an all-NaN state
         f = gaussian_fiducial(1.0, 1.0)
         small = uniform_grid(-2, 2, 501)
-        with pytest.raises(CoverageError):
-            canonical_coherent(f, PhasePoint(0.0, 1.5), grid=small)
+        with pytest.raises(DomainError, match="does not cover"):
+            canonical_coherent(f, PhasePoint(0.0, q), grid=small)
 
 
 class TestAffineTransport:
@@ -139,6 +141,12 @@ class TestAffineTransport:
         base = fiducial_wavefunction(f, grid)
         state = affine_coherent(f, PhasePoint(0.0, 1.0, domain=AFFINE_DOMAIN), grid=grid)
         assert np.allclose(state.values, base.values, atol=0, rtol=0)
+
+    @pytest.mark.parametrize("u", [0.0, -1.0, np.nan])
+    def test_fiducial_values_off_the_half_line_rejected(self, u):
+        # a NaN abscissa used to give a NaN value
+        with pytest.raises(DomainError, match="affine fiducial is defined for x > 0 only"):
+            affine_values(1.0, 1.0, np.array([u, 1.0]))
 
     def test_position_moment_is_q(self):
         f = affine_fiducial(1.0, 1.0)

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import kinetic_dilation_quadrature
 
-from cslab.errors import ConfigError, DomainError, PreconditionError
+from cslab.errors import ConfigError, DomainError
 from cslab.grids import uniform_grid
 from cslab.states import affine_fiducial, gaussian_fiducial
 from cslab.symbols import (
@@ -65,6 +65,8 @@ class TestCanonicalSymbols:
     def test_kinetic_alone(self):
         s = weak_symbol(parse_operator("0.5 * D D"), gaussian_fiducial(2.0, 1.0))
         assert s.poly == pytest.approx({(2, 0): 0.5, (0, 0): 0.5})
+        # a q-free symbol's dH/dq used to be the int 0, written as 0 in a report
+        assert type(s.grad(1.0, 1.0)[1]) is float
 
     def test_position_is_q(self):
         s = weak_symbol(parse_operator("1.0 * X"), gaussian_fiducial(1.0, 1.0))
@@ -157,10 +159,14 @@ class TestAffineSymbols:
         s = weak_symbol(parse_operator("1.0 * X"), affine_fiducial(1.0, 1.0))
         assert s(5.0, 0.7) == pytest.approx(0.7, abs=1e-14)
 
-    def test_domain_restricted(self):
+    @pytest.mark.parametrize("q", [-1.0, 0.0, np.nan])
+    def test_domain_restricted(self, q):
+        # a NaN q used to pass both checks
         s = weak_symbol(parse_operator("1.0 * X"), affine_fiducial(1.0, 1.0))
-        with pytest.raises(DomainError):
-            s(0.0, -1.0)
+        with pytest.raises(DomainError, match="affine symbols are defined for q > 0 only"):
+            s(0.0, q)
+        with pytest.raises(DomainError, match="affine symbols are defined for q > 0 only"):
+            s.grad(0.0, q)
 
     def test_quadrature_agrees_with_closed_form(self):
         for beta, hbar in [(1.0, 1.0), (2.5, 1.0)]:
@@ -207,7 +213,7 @@ class TestComputeC:
             assert kinetic_dilation_quadrature(f) == pytest.approx(compute_C(f), rel=1e-8)
 
     def test_requires_affine(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DomainError, match="C is defined for affine fiducials"):
             compute_C(gaussian_fiducial(1.0, 1.0))
 
 
