@@ -12,13 +12,14 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, TextIO
 
 import numpy as np
 
@@ -159,6 +160,18 @@ class Outputs:
             raise ConfigError(f"cannot make output directory {self.dir}: {exc}") from exc
         return self.dir / f"{self.name}{suffix}.{extension}"
 
+    def _write(self, suffix: str, extension: str, write: Callable[[TextIO], object]) -> Path:
+        """Open the output file of ``suffix`` and ``extension`` and ``write`` it;
+        a file that cannot be opened or written is a configuration error."""
+        path = self._path(suffix, extension)
+        try:
+            with path.open("w", encoding="utf-8", newline="\n") as fh:
+                write(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
+        self._announce(path)
+        return path
+
     def _announce(self, path: Path):
         if not self.quiet:
             print(f"wrote {path}")
@@ -172,10 +185,7 @@ class Outputs:
             text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
         except ValueError as exc:
             raise NumericError(f"non-finite value in the {self.name} report") from exc
-        path = self._path("", "json")
-        path.write_text(text + "\n")
-        self._announce(path)
-        return path
+        return self._write("", "json", lambda fh: fh.write(text + "\n"))
 
     def _csv(self, suffix: str, header: str, columns: tuple[np.ndarray, ...]) -> Path | None:
         """The two provenance lines, ``header``, then one row of ``columns`` per index,
@@ -183,12 +193,12 @@ class Outputs:
         if self.fmt == "json":
             return None
         row = ",".join(["%.17g"] * len(columns)) + "\n"
-        path = self._path(suffix, "csv")
-        with path.open("w", encoding="utf-8", newline="\n") as fh:
+
+        def write(fh: TextIO) -> None:
             fh.write(f"# tool: cslab {__version__}\n# scenario: {self.tag}\n{header}\n")
             fh.writelines(row % values for values in zip(*(c.tolist() for c in columns)))
-        self._announce(path)
-        return path
+
+        return self._write(suffix, "csv", write)
 
     def csv_trajectory(self, traj: Trajectory) -> Path | None:
         return self._csv("", "t,p,q,H", (traj.times, traj.p, traj.q, traj.energy))
@@ -201,8 +211,8 @@ class Outputs:
     def svg(self, x, series, title, x_label, y_label) -> Path | None:
         if self.fmt != "svg":
             return None
-        path = self._path("", "svg")
-        with path.open("w", encoding="utf-8", newline="\n") as fh:
+
+        def write(fh: TextIO) -> None:
             write_line_plot(
                 fh,
                 x,
@@ -212,8 +222,8 @@ class Outputs:
                 y_label=y_label,
                 comment=f"tool: cslab {__version__}; scenario: {self.tag}",
             )
-        self._announce(path)
-        return path
+
+        return self._write("", "svg", write)
 
 
 def _fiducial(params: dict):
@@ -644,13 +654,26 @@ def build_parser(names: tuple[str, ...] = tuple(SUBCOMMANDS)) -> argparse.Argume
     return parser
 
 
+@functools.cache
+def _parser(names: tuple[str, ...]) -> argparse.ArgumentParser:
+    """``build_parser(names)``, built once per process for each ``names`` main passes.
+
+    Parsing leaves a parser as it was, and argparse reads the terminal width
+    when it formats help or an error, not when it builds, so a kept parser
+    prints what a fresh one would.
+    """
+    return build_parser(names)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # build only the named subcommand; anything else (no argument, -h, a
     # typo) gets the full tree, whose usage lists every choice
     names = (argv[0],) if argv and argv[0] in SUBCOMMANDS else tuple(SUBCOMMANDS)
-    args = build_parser(names).parse_args(argv)
+    args = _parser(names).parse_args(argv)
     try:
+        if args.seed < 0:  # numpy's generator takes non-negative seeds only
+            raise ConfigError(f"seed = {args.seed} is negative")
         params = resolve_params(args.subcommand, args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -159,6 +159,7 @@ FAILURES: dict[str, list[str]] = {
                                "--operator", "1.0 * " + " ".join(["D"] * 40)],
     "symbol-affine-q-nan": ["symbol", "--family", "affine", "--operator", DXD,
                             "--q_list", "nan,1"],
+    "metric-seed-negative": ["metric", "--seed", "-1"],
 }
 
 

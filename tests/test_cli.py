@@ -6,6 +6,7 @@ import importlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -83,6 +84,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: cannot ")
         assert str(tmp_path) in err
+
+    @pytest.mark.parametrize(
+        "argv,taken",
+        [
+            (["centering", "--n_points", "1"], "centering.json"),
+            (["evolve-classical", "--operator", "0.5 * D D + 0.5 * X X", "--p0", "0.5",
+              "--q0", "0.5", "--t_final", "0.01"], "evolve_classical.csv"),
+            (["symbol", "--operator", "0.5 * D D + 0.5 * X X", "--format", "svg"], "symbol.svg"),
+        ],
+        ids=["json", "csv", "svg"],
+    )
+    def test_unwritable_output_file_exits_2(self, tmp_path, capsys, argv, taken):
+        # each writer exited 3 as "internal error in ...: IsADirectoryError"
+        (tmp_path / taken).mkdir()
+        assert run(argv + ["--out", str(tmp_path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot write {tmp_path / taken}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("seed", ["-1", "-12345678901234567890"])
+    def test_negative_seed_exits_2_before_any_output(self, tmp_path, capsys, seed):
+        # numpy's default_rng raised an uncaught ValueError: exit 1 with a traceback
+        assert run(["metric", "--seed", seed, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"configuration error: seed = {seed} is negative\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
     def test_missing_required_exits_2(self, tmp_path):
         assert run(["symbol", "--out", str(tmp_path)]) == 2
@@ -449,10 +477,15 @@ def subparsers(parser):
 
 
 class TestParserBuild:
-    """main builds only the subparser its argv names; help and errors do not change."""
+    """main builds only the subparser its argv names, once per process; help and
+    errors do not change."""
 
     def test_default_builds_every_subcommand(self):
         assert list(subparsers(build_parser())) == list(SUBCOMMANDS)
+
+    def test_build_parser_returns_a_new_parser_on_each_call(self):
+        assert build_parser() is not build_parser()
+        assert build_parser(("metric",)) is not build_parser(("metric",))
 
     @pytest.mark.parametrize("name", list(SUBCOMMANDS))
     def test_one_subparser_has_the_full_tree_help(self, name):
@@ -470,8 +503,48 @@ class TestParserBuild:
             return add_parser(self, name, **kwargs)
 
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        cslab.cli._parser.cache_clear()
         assert run(argv + ["--out", str(tmp_path), "--quiet"]) == 0
         assert calls == [argv[0]]
+        assert run(argv + ["--out", str(tmp_path), "--quiet"]) == 0
+        assert calls == [argv[0]]
+
+    @pytest.mark.parametrize("argv", COLD_ARGVS + [QUANTUM], ids=lambda argv: argv[0])
+    def test_warm_run_matches_the_cold_run(self, tmp_path, capsys, argv):
+        def once():
+            shutil.rmtree(tmp_path / "out", ignore_errors=True)
+            code = run(argv + ["--out", str(tmp_path / "out")])
+            files = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+            return code, capsys.readouterr(), files
+
+        cslab.cli._parser.cache_clear()
+        cold = once()
+        assert cold[0] == 0 and cold[2]
+        assert once() == cold
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["-h"], ["metric", "-h"], ["metric", "--bogus", "1"], ["metric", "--format", "xml"],
+         ["metric", "stray"], ["bogus"]],
+        ids=["help", "metric-help", "unknown-flag", "bad-format", "stray-positional",
+             "bogus-subcommand"],
+    )
+    def test_help_and_errors_match_cold_and_warm_at_any_width(self, capsys, monkeypatch, argv):
+        def once(columns):
+            monkeypatch.setenv("COLUMNS", columns)
+            with pytest.raises(SystemExit) as stop:
+                main(argv)
+            captured = capsys.readouterr()
+            return stop.value.code, captured.out, captured.err
+
+        cold = {}
+        for columns in ("80", "200"):
+            cslab.cli._parser.cache_clear()
+            cold[columns] = once(columns)
+            assert once(columns) == cold[columns]
+        # the parser built at 200 columns wraps at 80 when the width shrinks
+        assert once("80") == cold["80"]
+        assert cold["80"] != cold["200"]
 
     @pytest.mark.parametrize(
         "argv,code,message",
